@@ -160,6 +160,8 @@ def _parse_vector(text, dim=None, name="vector"):
         vec = np.array([float(v) for v in str(text).split(",")])
     except ValueError as exc:
         raise ConfigError(f"could not parse {name} {text!r}") from exc
+    if not np.all(np.isfinite(vec)):
+        raise ConfigError(f"{name} {text!r} has non-finite entries")
     if dim is not None and vec.size != dim:
         raise ConfigError(f"{name} must have {dim} components, got {vec.size}")
     return vec
@@ -204,7 +206,22 @@ def _get_objective(args):
     return f
 
 
-def _apply_config_file(args):
+def _resolution(args):
+    resolution = args.resolution if args.resolution is not None else 200
+    if resolution < 1:
+        raise ConfigError(f"--resolution must be at least 1, got {resolution}")
+    return resolution
+
+
+def _config_value_ok(action, value):
+    """Whether a JSON config value has the type the flag's parser produces (null: unset)."""
+    if isinstance(action, argparse._AppendAction):
+        return isinstance(value, list) and all(isinstance(v, str) for v in value)
+    kinds = {float: (int, float), int: (int,)}.get(action.type, (str,))
+    return value is None or (isinstance(value, kinds) and not isinstance(value, bool))
+
+
+def _apply_config_file(args, parser):
     if not getattr(args, "config", None):
         return
     try:
@@ -214,10 +231,14 @@ def _apply_config_file(args):
         raise ConfigError(f"could not read config file: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    actions = {a.dest: a for a in subparsers.choices[args.command]._actions}
     for key, value in data.items():
         dest = key.replace("-", "_")
         if not hasattr(args, dest):
             raise ConfigError(f"unknown config key {key!r}")
+        if dest in actions and not _config_value_ok(actions[dest], value):
+            raise ConfigError(f"config key {key!r} has a value of the wrong type: {value!r}")
         if getattr(args, dest) is None:
             setattr(args, dest, value)
 
@@ -273,7 +294,7 @@ def cmd_run(args):
 def cmd_analyze(args):
     f = _get_objective(args)
     box = _parse_box(args.box, f.dim) if args.box else f.domain_box
-    resolution = args.resolution if args.resolution is not None else 200
+    resolution = _resolution(args)
     out = _outdir(args)
 
     reports = find_critical_points(f, box)
@@ -400,7 +421,7 @@ def cmd_region(args):
         raise ConfigError("--x0 and --theta are required for region")
     seed_pt = _parse_vector(args.x0, f.dim, "x0")
     box = _parse_box(args.box, f.dim) if args.box else f.domain_box
-    resolution = args.resolution if args.resolution is not None else 200
+    resolution = _resolution(args)
     out = _outdir(args)
 
     try:
@@ -592,7 +613,7 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_config_file(args)
+        _apply_config_file(args, parser)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,9 +1,9 @@
 """Dense symmetric eigensolver and finite-difference derivative stencils.
 
-Self-contained routines for small dimensions (n up to a few hundred): a
-cyclic Jacobi eigensolver that preserves symmetry exactly, plus central
-difference gradient / Hessian / third-derivative stencils that serve as
-independent oracles for analytic derivatives throughout the package.
+Routines for small dimensions (n up to a few hundred): a validating wrapper
+over LAPACK's symmetric eigensolver, plus central difference gradient /
+Hessian / third-derivative stencils that serve as independent oracles for
+analytic derivatives throughout the package.
 """
 
 from dataclasses import dataclass
@@ -51,53 +51,18 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
 
-def sym_eigen(a, max_sweeps=100, tol=1e-14):
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+def sym_eigen(a):
+    """Full eigendecomposition of a symmetric matrix (LAPACK, via numpy.linalg.eigh).
 
-    Sweeps annihilate every off-diagonal pair in fixed cyclic order until the
-    off-diagonal Frobenius norm falls below tol * max(1, ||A||_F). Bounded at
-    `max_sweeps`; raises NumericalError if that bound is hit.
+    The input is validated by check_symmetric. Raises NumericalError if LAPACK
+    does not converge.
     """
-    A = check_symmetric(a).copy()
-    n = A.shape[0]
-    V = np.eye(n)
-    if n == 1:
-        return EigenDecomposition(A[0].copy(), V)
-
-    scale = max(1.0, float(np.linalg.norm(A)))
-    off_mask = ~np.eye(n, dtype=bool)
-    for _ in range(max_sweeps):
-        off = float(np.linalg.norm(A[off_mask]))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                sgn = 1.0 if theta >= 0.0 else -1.0
-                t = sgn / (abs(theta) + np.sqrt(1.0 + theta * theta))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # two-sided rotation, columns then rows, keeps A symmetric
-                col_p, col_q = A[:, p].copy(), A[:, q].copy()
-                A[:, p] = c * col_p - s * col_q
-                A[:, q] = s * col_p + c * col_q
-                row_p, row_q = A[p, :].copy(), A[q, :].copy()
-                A[p, :] = c * row_p - s * row_q
-                A[q, :] = s * row_p + c * row_q
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                v_p, v_q = V[:, p].copy(), V[:, q].copy()
-                V[:, p] = c * v_p - s * v_q
-                V[:, q] = s * v_p + c * v_q
-    else:
-        raise NumericalError(f"Jacobi eigensolver did not converge in {max_sweeps} sweeps")
-
-    eigvals = np.diag(A).copy()
-    order = np.argsort(eigvals, kind="stable")
-    return EigenDecomposition(eigvals[order], V[:, order])
+    a = check_symmetric(a)
+    try:
+        eigenvalues, eigenvectors = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"symmetric eigensolver failed: {exc}") from exc
+    return EigenDecomposition(eigenvalues, eigenvectors)
 
 
 def spectral_norm(a):

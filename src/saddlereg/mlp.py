@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_vector, fd_hessian
-from .objectives import Objective
+from .objectives import Objective, _batched
 
 
 @dataclass
@@ -195,10 +195,9 @@ def mlp_objective(spec, dataset):
     return Objective(
         name=f"mlp{'x'.join(str(w) for w in spec.layer_widths)}",
         dim=n,
-        value=value,
-        gradient=gradient,
+        value=_batched(value),
+        gradient=_batched(gradient),
         hessian=hessian,
         domain_box=np.repeat([[-5.0, 5.0]], n, axis=0),
         lipschitz_hint=None,
-        vectorized=False,
     )

@@ -2,9 +2,10 @@
 
 Every corpus entry carries analytic gradient and Hessian, a recommended
 domain box, a grid-estimated Lipschitz hint for the gradient, and ground
-truth annotations of its critical points. Corpus value and gradient
-callables are vectorized over leading axes: they accept a single point of
-shape (n,) or a batch of shape (m, n).
+truth annotations of its critical points. Every Objective's value and
+gradient accept a single point of shape (n,) or a batch of shape (..., n):
+the corpus callables are vectorized over leading axes, and `make_objective`
+wraps single-point callables once so that callers never dispatch on it.
 """
 
 from dataclasses import dataclass, field
@@ -20,10 +21,9 @@ from .linalg import as_vector, fd_gradient, fd_hessian, spectral_norm
 class Objective:
     """A C^2 scalar field with evaluators for value, gradient, and Hessian.
 
-    value/gradient map (..., dim) -> (...)/(..., dim) when `vectorized`,
-    otherwise a single (dim,) point. hessian always maps a single point to a
-    symmetric (dim, dim) array. Objectives are immutable after construction
-    and their evaluators must be pure.
+    value/gradient map (..., dim) -> (...)/(..., dim). hessian maps a single
+    point to a symmetric (dim, dim) array. Objectives are immutable after
+    construction and their evaluators must be pure.
     """
 
     name: str
@@ -33,7 +33,6 @@ class Objective:
     hessian: callable
     domain_box: np.ndarray  # (dim, 2) rows of [lo, hi]
     lipschitz_hint: float | None = None
-    vectorized: bool = False
 
 
 @dataclass
@@ -41,6 +40,19 @@ class CorpusEntry:
     objective: Objective
     known_critical_points: list = field(default_factory=list)  # (location, classification)
     notes: str = ""
+
+
+def _batched(fn):
+    """Lift a single-point evaluator (n,) -> (...) to batches (..., n), row by row."""
+
+    def batched(x):
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            return fn(x)
+        rows = np.array([fn(p) for p in x.reshape(-1, x.shape[-1])])
+        return rows.reshape(x.shape[:-1] + rows.shape[1:])
+
+    return batched
 
 
 def make_objective(
@@ -53,11 +65,20 @@ def make_objective(
     lipschitz_hint=None,
     vectorized=False,
 ):
-    """Build an Objective, falling back to finite differences for missing derivatives."""
+    """Build an Objective, falling back to finite differences for missing derivatives.
+
+    `vectorized` declares that value and gradient already accept batches
+    (..., n); otherwise they are called one point at a time. The
+    finite-difference gradient always works point by point.
+    """
     if gradient is None:
-        gradient = lambda x: fd_gradient(value, x)
+        gradient = _batched(lambda x, _v=value: fd_gradient(_v, x))
+    elif not vectorized:
+        gradient = _batched(gradient)
     if hessian is None:
-        hessian = lambda x: fd_hessian(value, x)
+        hessian = lambda x, _v=value: fd_hessian(_v, x)
+    if not vectorized:
+        value = _batched(value)
     if domain_box is None:
         domain_box = np.repeat([[-3.0, 3.0]], dim, axis=0)
     domain_box = np.asarray(domain_box, dtype=float).reshape(dim, 2)
@@ -69,7 +90,6 @@ def make_objective(
         hessian=hessian,
         domain_box=domain_box,
         lipschitz_hint=lipschitz_hint,
-        vectorized=vectorized,
     )
 
 
@@ -98,7 +118,6 @@ def make_regularized(f, l):
         hessian=f.hessian,
         domain_box=f.domain_box,
         lipschitz_hint=f.lipschitz_hint,
-        vectorized=f.vectorized,
     )
 
 

@@ -4,8 +4,11 @@ The regularized run keeps the plain update x - gamma * grad f(x) while the
 gradient norm exceeds theta. On the step where the norm first drops to
 theta or below, the regularizer l is frozen to the gradient at that entry
 point and the update becomes x - gamma * (grad f(x) + l) until the norm
-exceeds theta again; each re-entry samples a fresh l. Both runs share one
-engine, so their iterates are bit-identical up to and including the first
+exceeds theta again; each re-entry samples a fresh l. One engine, `_descend`,
+advances any number of rows in lockstep: the recorded plain and regularized
+runs are its single-row case and batched runs (`sampling.run_gd_batch`) call
+it directly, so a batch row ends exactly where the sequential run does. Plain
+and regularized iterates are bit-identical up to and including the first
 iterate inside the small-gradient region.
 """
 
@@ -165,90 +168,140 @@ def reg_step(f, x, l, gamma):
     return x - gamma * (g + l)
 
 
+def _norms(A):
+    """Row norms of A; equal bit for bit to np.linalg.norm of each row."""
+    return np.sqrt(np.vecdot(A, A))
+
+
+def _descend(f, X, cfg, gamma, regularize, observe=None):
+    """Advance the rows of X (m, n) in lockstep until each one terminates.
+
+    Each row runs plain steps while its gradient norm exceeds theta and, when
+    `regularize` is set and theta > 0, steps with l frozen to the gradient at
+    its entry point while inside the region. A row leaves the working set when
+    it converges, reaches max_iters, leaves the escape ball or meets a
+    non-finite gradient; a step that leaves the finite numbers halts the row
+    at its last finite iterate with numerical_failure. observe(k, X, G, gn,
+    inside), when given, sees the working set at every iteration after the
+    region update and before the step.
+
+    Returns per-row arrays: final (m, n), grad_norm, k (the iteration the row
+    stopped at), status, entered (an event opened) and closed (an event ended).
+    """
+    X = np.array(X, dtype=float)
+    m = len(X)
+    theta = cfg.theta if regularize else 0.0
+    center = np.mean(np.asarray(f.domain_box, dtype=float), axis=1)
+    out = {
+        "final": X.copy(),
+        "grad_norm": np.empty(m),
+        "k": np.zeros(m, dtype=int),
+        "status": np.full(m, STATUS_MAX_ITERS, dtype=object),
+        "entered": np.zeros(m, dtype=bool),
+        "closed": np.zeros(m, dtype=bool),
+    }
+    rows = np.arange(m)
+    L = np.zeros_like(X)
+    inside = np.zeros(m, dtype=bool)
+    diverged = np.zeros(m, dtype=bool)
+
+    def retire(halt, status, *arrays):
+        """Record the halted rows at the current (X, gn, k); return `arrays` without them."""
+        r = rows[halt]
+        out["final"][r] = X[halt]
+        out["grad_norm"][r] = gn[halt]
+        out["k"][r] = k
+        out["status"][r] = status
+        return [a[~halt] for a in arrays]
+
+    with np.errstate(all="ignore"):
+        G = np.asarray(f.gradient(X), dtype=float)
+        gn = _norms(G)
+        halt = ~np.isfinite(gn)
+        k = 0
+        while True:
+            # rows that left the escape ball or met a non-finite gradient
+            if np.count_nonzero(halt):
+                status = np.where(diverged[halt], STATUS_DIVERGED, STATUS_NUMERICAL_FAILURE)
+                X, G, gn, L, inside, rows = retire(halt, status, X, G, gn, L, inside, rows)
+            if not rows.size:
+                break
+            if theta > 0:
+                now = gn <= theta
+                if np.count_nonzero(now != inside):
+                    entering, exiting = now & ~inside, inside & ~now
+                    L[entering] = G[entering]
+                    L[exiting] = 0.0
+                    out["entered"][rows[entering]] = True
+                    out["closed"][rows[exiting]] = True
+                    inside = now
+            if observe is not None:
+                observe(k, X, G, gn, inside)
+
+            # convergence tests the active map's gradient, grad f + l inside the region
+            if theta > 0 and np.count_nonzero(inside):
+                S = np.where(inside[:, None], G + L, G)
+                converged = _norms(S) < cfg.eps_converge
+            else:
+                S, converged = G, gn < cfg.eps_converge
+            if k >= cfg.max_iters:
+                retire(rows >= 0, np.where(converged, STATUS_CONVERGED, STATUS_MAX_ITERS))
+                break
+            X_next = X - gamma * S
+            halt = converged | ~np.isfinite(X_next).all(axis=1)
+            # converged rows, and steps that left the finite numbers
+            if np.count_nonzero(halt):
+                status = np.where(converged[halt], STATUS_CONVERGED, STATUS_NUMERICAL_FAILURE)
+                X_next, L, inside, rows = retire(halt, status, X_next, L, inside, rows)
+                if not rows.size:
+                    break
+
+            X = X_next
+            k += 1
+            G = np.asarray(f.gradient(X), dtype=float)
+            gn = _norms(G)
+            diverged = _norms(X - center) > cfg.escape_radius
+            halt = diverged | ~np.isfinite(gn)
+    return out
+
+
 def _run(f, x0, cfg, regularize, record_stride):
-    x = as_vector(x0).copy()
+    """One recorded run: the engine on a single row, observed into a TrajectoryRecord."""
+    x = as_vector(x0)
     if x.size != f.dim:
         raise ValueError(f"x0 has dimension {x.size}, objective has {f.dim}")
     gamma = resolve_gamma(f, x, cfg)
-    center = np.mean(np.asarray(f.domain_box, dtype=float), axis=1)
-    threshold_on = regularize and cfg.theta > 0
-
     rec = TrajectoryRecord(stride=record_stride)
-    mode = MODE_PLAIN
-    l = np.zeros(f.dim)
-    last_stored = -1
+    event_id = None  # index into rec.events while regularized
 
-    def store(k, xk, gn):
-        nonlocal last_stored
-        if k == last_stored:
-            return
+    def store(k, x, gn):
         rec.ks.append(k)
-        rec.iterates.append(xk.copy())
+        rec.iterates.append(x.copy())
         rec.grad_norms.append(float(gn))
-        rec.modes.append(mode)
-        rec.event_ids.append(len(rec.events) - 1 if mode == MODE_REGULARIZED else None)
-        last_stored = k
+        rec.modes.append(MODE_PLAIN if event_id is None else MODE_REGULARIZED)
+        rec.event_ids.append(event_id)
 
-    with np.errstate(all="ignore"):
-        g = np.asarray(f.gradient(x), dtype=float)
-    gn = float(np.linalg.norm(g))
-    if not np.isfinite(gn):
-        rec.status = STATUS_NUMERICAL_FAILURE
-        store(0, x, gn)
-        rec.final_x = x
-        with np.errstate(all="ignore"):
-            rec.final_value = float(f.value(x))
-        return rec
-
-    k = 0
-    while True:
-        if threshold_on:
-            inside = gn <= cfg.theta
-            if inside and mode == MODE_PLAIN:
-                l = g.copy()
-                rec.events.append(RegularizationEvent(k_entry=k, x_entry=x.copy(), l=l.copy()))
-                mode = MODE_REGULARIZED
-            elif not inside and mode == MODE_REGULARIZED:
+    def observe(k, X, G, gn, inside):
+        nonlocal event_id
+        if inside[0] != (event_id is not None):
+            if inside[0]:
+                rec.events.append(
+                    RegularizationEvent(k_entry=k, x_entry=X[0].copy(), l=G[0].copy()))
+                event_id = len(rec.events) - 1
+            else:
                 rec.events[-1].k_exit = k
-                mode = MODE_PLAIN
-                l = np.zeros(f.dim)
-
+                event_id = None
         if k % record_stride == 0:
-            store(k, x, gn)
+            store(k, X[0], gn[0])
 
-        active_norm = float(np.linalg.norm(g + l)) if mode == MODE_REGULARIZED else gn
-        if active_norm < cfg.eps_converge:
-            rec.status = STATUS_CONVERGED
-            break
-        if k >= cfg.max_iters:
-            rec.status = STATUS_MAX_ITERS
-            break
-
-        step = g + l if mode == MODE_REGULARIZED else g
-        x_prev, gn_prev = x, gn
-        with np.errstate(all="ignore"):
-            x = x - gamma * step
-        k += 1
-
-        if not np.all(np.isfinite(x)):
-            # halt at the last finite iterate
-            rec.status = STATUS_NUMERICAL_FAILURE
-            x, gn, k = x_prev, gn_prev, k - 1
-            break
-        with np.errstate(all="ignore"):
-            g = np.asarray(f.gradient(x), dtype=float)
-            gn = float(np.linalg.norm(g))
-        if float(np.linalg.norm(x - center)) > cfg.escape_radius:
-            rec.status = STATUS_DIVERGED
-            break
-        if not np.isfinite(gn):
-            rec.status = STATUS_NUMERICAL_FAILURE
-            break
-
-    store(k, x, gn)
-    rec.final_x = x
+    out = _descend(f, x[np.newaxis], cfg, gamma, regularize, observe)
+    k = int(out["k"][0])
+    if not rec.ks or rec.ks[-1] != k:
+        store(k, out["final"][0], out["grad_norm"][0])
+    rec.status = out["status"][0]
+    rec.final_x = out["final"][0]
     with np.errstate(all="ignore"):
-        rec.final_value = float(f.value(x))
+        rec.final_value = float(f.value(rec.final_x))
     return rec
 
 

@@ -59,10 +59,10 @@ class RegionGrid:
         return bool(self.inside[idx]) if idx is not None else False
 
     def inside_cell_centers(self):
-        return np.array([self.cell_center(idx) for idx in np.argwhere(self.inside)])
+        return self.box[:, 0] + (np.argwhere(self.inside) + 0.5) * self.cell_widths
 
     def boundary_cell_centers(self):
-        return np.array([self.cell_center(idx) for idx in np.argwhere(self.boundary)])
+        return self.box[:, 0] + (np.argwhere(self.boundary) + 0.5) * self.cell_widths
 
     def save_csv(self, path):
         """Cell centers with inside/boundary flags, one row per grid cell."""
@@ -82,12 +82,7 @@ def _grad_norm_grid(f, box, resolution):
         lo + (np.arange(resolution) + 0.5) * (hi - lo) / resolution for lo, hi in box
     ]
     mesh = np.meshgrid(*axes, indexing="ij")
-    centers = np.stack(mesh, axis=-1)
-    if getattr(f, "vectorized", False):
-        grads = np.asarray(f.gradient(centers), dtype=float)
-    else:
-        flat = centers.reshape(-1, box.shape[0])
-        grads = np.array([f.gradient(p) for p in flat]).reshape(centers.shape)
+    grads = np.asarray(f.gradient(np.stack(mesh, axis=-1)), dtype=float)
     return np.linalg.norm(grads, axis=-1)
 
 
@@ -155,7 +150,8 @@ def boundary_classify(f, x, l, tol=1e-9):
 def check_boundary_assumption(f, region, l, tol=1e-9):
     """Verify exit-under-l implies exit-under-0 on every boundary cell.
 
-    Returns (holds, violating_cell_centers).
+    Returns (holds, violating_cell_centers); the centers have shape (k, n),
+    (0, n) when the inclusion holds.
     """
     l = as_vector(l)
     zero = np.zeros_like(l)
@@ -164,7 +160,7 @@ def check_boundary_assumption(f, region, l, tol=1e-9):
         if boundary_classify(f, center, l, tol) == EXIT:
             if boundary_classify(f, center, zero, tol) != EXIT:
                 violations.append(center)
-    return len(violations) == 0, np.array(violations)
+    return len(violations) == 0, np.reshape(violations, (-1, region.dim))
 
 
 def halfspace_check(f, region, v, zero_tol=1e-12):
@@ -177,11 +173,7 @@ def halfspace_check(f, region, v, zero_tol=1e-12):
     v = as_vector(v)
     if abs(np.linalg.norm(v) - 1.0) > 1e-9:
         raise ValueError("direction must be a unit vector")
-    centers = region.inside_cell_centers()
-    if getattr(f, "vectorized", False):
-        grads = np.asarray(f.gradient(centers), dtype=float)
-    else:
-        grads = np.array([f.gradient(p) for p in centers])
+    grads = np.asarray(f.gradient(region.inside_cell_centers()), dtype=float)
     s = grads @ v
     norms = np.linalg.norm(grads, axis=-1)
     ok = (s > zero_tol) | (norms <= zero_tol)

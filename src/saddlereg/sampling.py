@@ -1,9 +1,9 @@
 """Monte Carlo analyses: basin measurement, degeneracy sampling, error bounds.
 
-Batched descent runs all samples in lockstep with per-sample regularization
-state, so basin fractions over thousands of starts stay cheap. Each row
-evolves exactly as a sequential run would: the same update arithmetic is
-applied elementwise and rows freeze at termination.
+Batched descent runs all samples in lockstep through the optimizer's single
+descent engine, with per-sample regularization state, so basin fractions over
+thousands of starts stay cheap. Each row evolves exactly as the sequential run
+from the same start would, and leaves the working set when it terminates.
 """
 
 import numpy as np
@@ -18,85 +18,25 @@ from .critical import (
 )
 from .linalg import NumericalError, as_vector
 from .objectives import make_regularized
-from .optimizer import (
-    STATUS_CONVERGED,
-    STATUS_DIVERGED,
-    STATUS_MAX_ITERS,
-    STATUS_NUMERICAL_FAILURE,
-)
-
-
-def _batch_gradient(f, X):
-    if getattr(f, "vectorized", False):
-        return np.asarray(f.gradient(X), dtype=float)
-    return np.array([f.gradient(x) for x in X])
+from .optimizer import _descend
 
 
 def run_gd_batch(f, x0_batch, cfg, regularize):
     """Run many descent trajectories in lockstep; returns per-row outcomes.
 
-    Result dict keys: final (m, n), status (m,), entered (m,), closed (m,).
-    `entered` marks rows whose run opened at least one regularization event,
-    `closed` rows whose first event finished (the iterate left the
-    small-gradient region again).
+    Every row ends exactly as the sequential run from the same start with the
+    same gamma does (the same engine runs both). Result dict keys: final
+    (m, n), status (m,), entered (m,), closed (m,), and the final grad_norm
+    (m,) and iteration k (m,). `entered` marks rows whose run opened at least
+    one regularization event, `closed` rows whose first event finished (the
+    iterate left the small-gradient region again).
     """
-    X = np.atleast_2d(np.asarray(x0_batch, dtype=float)).copy()
-    m, n = X.shape
-    if n != f.dim:
+    X = np.atleast_2d(np.asarray(x0_batch, dtype=float))
+    if X.shape[1] != f.dim:
         raise ValueError("sample dimension mismatch")
     if cfg.gamma is None:
         raise ValueError("batched runs need an explicit gamma")
-    gamma = float(cfg.gamma)
-    theta_on = regularize and cfg.theta > 0
-    center = np.mean(np.asarray(f.domain_box, dtype=float), axis=1)
-
-    L = np.zeros_like(X)
-    inside = np.zeros(m, dtype=bool)
-    entered = np.zeros(m, dtype=bool)
-    closed = np.zeros(m, dtype=bool)
-    active = np.ones(m, dtype=bool)
-    status = np.full(m, STATUS_MAX_ITERS, dtype=object)
-
-    with np.errstate(all="ignore"):
-        G = _batch_gradient(f, X)
-    gn = np.linalg.norm(G, axis=1)
-    bad = ~np.isfinite(gn)
-    status[bad] = STATUS_NUMERICAL_FAILURE
-    active &= ~bad
-
-    for k in range(cfg.max_iters + 1):
-        if not active.any():
-            break
-        if theta_on:
-            now_inside = active & (gn <= cfg.theta)
-            entering = now_inside & ~inside & active
-            L[entering] = G[entering]
-            entered |= entering
-            exiting = inside & ~now_inside & active
-            closed |= exiting & entered
-            inside = np.where(active, now_inside, inside)
-
-        act_norm = np.where(inside, np.linalg.norm(G + L, axis=1), gn)
-        conv = active & (act_norm < cfg.eps_converge)
-        status[conv] = STATUS_CONVERGED
-        active &= ~conv
-        if not active.any() or k == cfg.max_iters:
-            break
-
-        with np.errstate(all="ignore"):
-            step = G + np.where(inside[:, None], L, 0.0)
-            X[active] -= gamma * step[active]
-            G[active] = _batch_gradient(f, X[active])
-            gn[active] = np.linalg.norm(G[active], axis=1)
-            dist = np.linalg.norm(X - center, axis=1)
-        div = active & (dist > cfg.escape_radius)
-        status[div] = STATUS_DIVERGED
-        active &= ~div
-        bad = active & (~np.isfinite(gn) | ~np.isfinite(X).all(axis=1))
-        status[bad] = STATUS_NUMERICAL_FAILURE
-        active &= ~bad
-
-    return {"final": X, "status": status, "entered": entered, "closed": closed}
+    return _descend(f, X, cfg, float(cfg.gamma), regularize)
 
 
 def sample_in_box(rng, box, n_samples, exclude=None, max_tries=1000):
@@ -141,10 +81,12 @@ def stable_set_fraction(
 
     `target` is either a point or a callable mapping a batch of final points
     (m, n) to distances (m,), which lets callers measure convergence to a
-    critical subspace. `method` selects plain descent or the regularized
-    algorithm. `exclude` removes a sampling subset (e.g. a thin strip around
-    a basin boundary).
+    critical subspace. `method` selects plain descent ("plain") or the
+    regularized algorithm ("regularized"); any other value raises. `exclude`
+    removes a sampling subset (e.g. a thin strip around a basin boundary).
     """
+    if method not in ("plain", "regularized"):
+        raise ValueError(f"method must be 'plain' or 'regularized', got {method!r}")
     if cfg is None:
         raise ValueError("stable_set_fraction needs an explicit OptimizerConfig")
     if box is None:

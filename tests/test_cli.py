@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -212,3 +213,34 @@ def test_config_file_unknown_key(tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"objective": "cubic_valley", "bogus": 1}))
     assert main(["run", "--config", str(cfg_file), "--out", str(tmp_path)]) == 1
+
+
+def _one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    return err
+
+
+def test_config_file_value_of_wrong_type(tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"objective": "cubic_cone", "x0": "1.5,0.5", "theta": "3"}))
+    assert main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "o")]) == 1
+    assert "'theta'" in _one_line_error(capsys)
+
+
+def test_non_finite_vector_is_config_error(tmp_path, capsys):
+    assert main(["run", "--objective", "cubic_valley", "--x0", "nan,0",
+                 "--out", str(tmp_path / "o")]) == 1
+    assert "non-finite" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("command", [
+    ["region", "--objective", "cubic_cone", "--x0", "0,0", "--theta", "3"],
+    ["analyze", "--objective", "cubic_cone", "--x0", "0,0", "--theta", "3"],
+])
+def test_zero_resolution_is_config_error(tmp_path, capsys, command):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(command + ["--resolution", "0", "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "resolution must be at least 1" in _one_line_error(capsys)

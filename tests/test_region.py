@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -112,6 +113,24 @@ def test_boundary_assumption_zero_regularizer_vacuous():
     region = theta_region(f, [0.0, 0.0], 1.0, box=[[-2, 2], [-2, 2]], resolution=150)
     holds, violations = check_boundary_assumption(f, region, [0.0, 0.0])
     assert holds and len(violations) == 0
+
+
+def test_boundary_assumption_holding_keeps_point_shape():
+    # with l = 0 the inclusion holds, and the empty violation list still has
+    # one column per coordinate, as the cell-center helpers do on empty masks
+    f = get_objective("cubic_cone")
+    region = theta_region(f, [0.0, 0.0], 3.0, resolution=300)
+    holds, violations = check_boundary_assumption(f, region, [0.0, 0.0])
+    assert holds
+    assert violations.shape == (0, 2) and violations[:, 0].size == 0
+    for mask, centers in ((region.inside, region.inside_cell_centers()),
+                          (region.boundary, region.boundary_cell_centers())):
+        np.testing.assert_array_equal(
+            centers, [region.cell_center(idx) for idx in np.argwhere(mask)])
+    empty = dataclasses.replace(region, inside=np.zeros_like(region.inside),
+                                boundary=np.zeros_like(region.boundary))
+    assert empty.inside_cell_centers().shape == (0, 2)
+    assert empty.boundary_cell_centers().shape == (0, 2)
 
 
 def test_boundary_assumption_cone_violation_band():

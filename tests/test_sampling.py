@@ -1,12 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from saddlereg import (
     STATUS_DIVERGED,
     STRATUM_NEGATIVE,
     OptimizerConfig,
+    corpus,
     escape_fraction,
     get_objective,
+    make_objective,
     milnor_sample,
     pl_error_check,
     psi_witness_check,
@@ -38,6 +44,51 @@ def test_batch_matches_sequential_runs():
         np.testing.assert_array_equal(rec.final_x, out_p["final"][i])
 
 
+# gradient 1e150 * x: a step with gamma around 1e160 leaves the finite numbers
+_STIFF = make_objective(
+    "stiff_quadratic", 1,
+    value=lambda x: 0.5e150 * np.asarray(x, dtype=float)[..., 0] ** 2,
+    gradient=lambda x: 1e150 * np.asarray(x, dtype=float),
+    hessian=lambda x: np.array([[1e150]]),
+    domain_box=[[-2.0, 2.0]],
+    vectorized=True,
+)
+_OBJECTIVES = [entry.objective for entry in corpus()] + [_STIFF]
+
+
+@st.composite
+def _descent_cases(draw):
+    f = draw(st.sampled_from(_OBJECTIVES))
+    m = draw(st.integers(1, 4))
+    # starts reach past the domain box so that some runs diverge at once
+    X0 = np.array([[draw(st.floats(1.5 * float(lo), 1.5 * float(hi)))
+                    for lo, hi in f.domain_box] for _ in range(m)])
+    cfg = OptimizerConfig(
+        gamma=draw(st.one_of(st.floats(1e-3, 0.7), st.sampled_from([1e160, 1e300]))),
+        theta=draw(st.one_of(st.just(0.0), st.floats(1e-2, 5.0))),
+        eps_converge=draw(st.floats(1e-10, 1e-3)),
+        max_iters=draw(st.integers(1, 200)),
+        escape_radius=draw(st.floats(0.5, 20.0)),
+    )
+    return f, X0, cfg
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(case=_descent_cases(), regularize=st.booleans())
+@example(case=(_STIFF, np.array([[1.0]]), OptimizerConfig(gamma=1e160, max_iters=10)),
+         regularize=False)
+def test_batch_rows_equal_sequential_runs(case, regularize):
+    f, X0, cfg = case
+    run = run_regularized_gd if regularize else run_plain_gd
+    out = run_gd_batch(f, X0, cfg, regularize)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # drawn gammas may exceed 1 / lipschitz_hint
+        recs = [run(f, x0, cfg, record_stride=10 ** 9) for x0 in X0]
+    for i, rec in enumerate(recs):
+        assert out["final"][i].tobytes() == rec.final_x.tobytes()
+        assert out["status"][i] == rec.status
+
+
 def test_batch_requires_explicit_gamma():
     f = get_objective("cubic_valley")
     with pytest.raises(ValueError):
@@ -59,6 +110,14 @@ def test_stable_set_bowl_full_basin():
     cfg = OptimizerConfig(gamma=0.5, theta=0.0, eps_converge=1e-9, max_iters=300)
     frac = stable_set_fraction(bowl, [0.0, 0.0], n_samples=200, cfg=cfg, seed=1)
     assert frac == 1.0
+
+
+def test_stable_set_rejects_unknown_method():
+    # a misspelt method must not quietly run plain descent
+    f = get_objective("cubic_valley")
+    cfg = OptimizerConfig(gamma=0.15, theta=0.5, eps_converge=1e-6, max_iters=10)
+    with pytest.raises(ValueError, match="method"):
+        stable_set_fraction(f, [0.0, 0.0], n_samples=10, cfg=cfg, method="regularised")
 
 
 def test_stable_set_valley_half_basin():
