@@ -9,6 +9,7 @@ byte-identical for identical configs and seeds. Exit codes: 0 success,
 import argparse
 import csv
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -180,15 +181,20 @@ def _parse_box(text, dim):
     return box
 
 
-def _optimizer_config(args):
+# flags that set OptimizerConfig fields: argparse dest -> (field, type)
+_CONFIG_FLAGS = {"theta": ("theta", float), "gamma": ("gamma", float),
+                 "eps": ("eps_converge", float), "max_iters": ("max_iters", int),
+                 "escape_radius": ("escape_radius", float)}
+
+
+def _optimizer_config(args, **defaults):
+    """OptimizerConfig from the flags that are set; `defaults` (by field) replace
+    the dataclass defaults for the others."""
+    for dest, (field, _) in _CONFIG_FLAGS.items():
+        if getattr(args, dest, None) is not None:
+            defaults[field] = getattr(args, dest)
     try:
-        return OptimizerConfig(
-            gamma=args.gamma,
-            theta=args.theta if args.theta is not None else 0.0,
-            eps_converge=args.eps if args.eps is not None else 1e-8,
-            max_iters=args.max_iters if args.max_iters is not None else 10_000,
-            escape_radius=args.escape_radius if getattr(args, "escape_radius", None) else 10.0,
-        )
+        return OptimizerConfig(**defaults)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -206,11 +212,12 @@ def _get_objective(args):
     return f
 
 
-def _resolution(args):
-    resolution = args.resolution if args.resolution is not None else 200
-    if resolution < 1:
-        raise ConfigError(f"--resolution must be at least 1, got {resolution}")
-    return resolution
+def _count(value, default, flag, minimum=1):
+    """A count flag's value (the default when unset); below `minimum` is a ConfigError."""
+    value = default if value is None else value
+    if value < minimum:
+        raise ConfigError(f"{flag} must be at least {minimum}, got {value}")
+    return value
 
 
 def _config_value_ok(action, value):
@@ -294,7 +301,8 @@ def cmd_run(args):
 def cmd_analyze(args):
     f = _get_objective(args)
     box = _parse_box(args.box, f.dim) if args.box else f.domain_box
-    resolution = _resolution(args)
+    resolution = _count(args.resolution, 200, "--resolution")
+    n_l = None if args.milnor is None else _count(args.milnor, None, "--milnor")
     out = _outdir(args)
 
     reports = find_critical_points(f, box)
@@ -308,7 +316,8 @@ def cmd_analyze(args):
               + ", ".join(f"{v:.6g}" for v in r.eigenvalues))
 
     if args.theta is not None:
-        checks = check_assumption_separation(f, args.theta, box, resolution)
+        checks = check_assumption_separation(
+            f, args.theta, box, resolution, points=[r.location for r in reports])
         write_json(out / "separation.json",
                    {"objective": f.name, "theta": args.theta,
                     "checks": [{"point": c["point"], "pass": c["pass"],
@@ -318,19 +327,17 @@ def cmd_analyze(args):
 
     if args.x0 is not None and args.theta is not None:
         seed_pt = _parse_vector(args.x0, f.dim, "x0")
-        region = theta_region(f, seed_pt, args.theta, box, resolution)
-        region.save_csv(out / "region.csv")
-        write_json(out / "region.json", _region_summary(f, region, seed_pt), REGION_SCHEMA)
+        region = _export_region(f, seed_pt, args.theta, box, resolution, out)
         print(f"  region: {int(region.inside.sum())} inside cells")
 
-    if args.milnor is not None:
-        frac = milnor_sample(f, box, n_l=args.milnor,
-                             seed=args.seed if args.seed is not None else 0)
+    if n_l is not None:
+        seed = _count(args.seed, 0, "--seed", minimum=0)
+        frac = milnor_sample(f, box, n_l=n_l, seed=seed)
         write_json(out / "milnor.json",
-                   {"objective": f.name, "n_l": args.milnor, "l_scale": 1.0,
+                   {"objective": f.name, "n_l": n_l, "l_scale": 1.0,
                     "fraction_degenerate": frac},
                    MILNOR_SCHEMA)
-        print(f"  degenerate fraction over {args.milnor} draws: {frac:.6g}")
+        print(f"  degenerate fraction over {n_l} draws: {frac:.6g}")
     return 0
 
 
@@ -383,28 +390,34 @@ def cmd_stable_set(args):
         raise ConfigError("--x0 (the target point) is required for stable-set")
     target = _parse_vector(args.x0, f.dim, "x0")
     box = _parse_box(args.box, f.dim) if args.box else f.domain_box
-    n_samples = args.trials if args.trials is not None else 2000
-    theta = args.theta if args.theta is not None else 0.0
+    n_samples = _count(args.trials, 2000, "--trials")
+    seed = _count(args.seed, 0, "--seed", minimum=0)
     if args.gamma is None:
         raise ConfigError("--gamma is required for stable-set")
     cfg = _optimizer_config(args)
-    method = "regularized" if theta > 0 else "plain"
+    method = "regularized" if cfg.theta > 0 else "plain"
     out = _outdir(args)
 
     frac = stable_set_fraction(
         f, target, box, n_samples=n_samples, cfg=cfg,
-        seed=args.seed if args.seed is not None else 0, method=method,
+        seed=seed, method=method,
     )
     write_json(out / "stable_set.json",
                {"objective": f.name, "method": method, "fraction": frac,
-                "n_samples": n_samples, "target": target, "theta": theta},
+                "n_samples": n_samples, "target": target, "theta": cfg.theta},
                STABLE_SET_SCHEMA)
     print(f"stable-set: fraction {frac:.4f} of {n_samples} samples ({method})")
     return 0
 
 
-def _region_summary(f, region, seed_pt):
-    return {
+def _export_region(f, seed_pt, theta, box, resolution, out):
+    """Flood-fill the region through seed_pt and write region.csv and region.json."""
+    try:
+        region = theta_region(f, seed_pt, theta, box, resolution)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    region.save_csv(out / "region.csv")
+    write_json(out / "region.json", {
         "objective": f.name,
         "theta": region.theta,
         "resolution": region.resolution,
@@ -412,7 +425,8 @@ def _region_summary(f, region, seed_pt):
         "n_inside": int(region.inside.sum()),
         "n_boundary": int(region.boundary.sum()),
         "seed": seed_pt,
-    }
+    }, REGION_SCHEMA)
+    return region
 
 
 def cmd_region(args):
@@ -421,37 +435,32 @@ def cmd_region(args):
         raise ConfigError("--x0 and --theta are required for region")
     seed_pt = _parse_vector(args.x0, f.dim, "x0")
     box = _parse_box(args.box, f.dim) if args.box else f.domain_box
-    resolution = _resolution(args)
+    resolution = _count(args.resolution, 200, "--resolution")
     out = _outdir(args)
 
-    try:
-        region = theta_region(f, seed_pt, args.theta, box, resolution)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    region.save_csv(out / "region.csv")
-    write_json(out / "region.json", _region_summary(f, region, seed_pt), REGION_SCHEMA)
+    region = _export_region(f, seed_pt, args.theta, box, resolution, out)
     print(f"region: {int(region.inside.sum())} inside cells, "
           f"{int(region.boundary.sum())} boundary cells")
     return 0
 
 
 def cmd_mlp_compare(args):
-    widths = [int(v) for v in (args.widths or "2,8,8,2").split(",")]
-    spec = MlpSpec(tuple(widths))
-    trials = args.trials if args.trials is not None else 20
-    seed = args.seed if args.seed is not None else 0
-    n_samples = args.samples if args.samples is not None else 100
+    try:
+        widths = [int(v) for v in (args.widths or "2,8,8,2").split(",")]
+        spec = MlpSpec(tuple(widths))
+    except ValueError as exc:
+        raise ConfigError(f"--widths {args.widths!r}: {exc}") from exc
+    trials = _count(args.trials, 20, "--trials")
+    seed = _count(args.seed, 0, "--seed", minimum=0)
+    classes = widths[-1]
+    n_samples = _count(args.samples, 100, "--samples", minimum=classes)
     separation = args.separation if args.separation is not None else 1.0
-    theta = args.theta if args.theta is not None else 0.04
-    gamma = args.gamma if args.gamma is not None else 0.5
-    max_iters = args.max_iters if args.max_iters is not None else 800
+    cfg = _optimizer_config(args, gamma=0.5, theta=0.04, eps_converge=1e-10, max_iters=800,
+                            escape_radius=1e6)
     out = _outdir(args)
 
-    classes = widths[-1]
     data = make_blobs(n_samples // classes, classes, widths[0], separation, seed=seed)
     f = mlp_objective(spec, data)
-    cfg = OptimizerConfig(gamma=gamma, theta=theta, eps_converge=1e-10,
-                          max_iters=max_iters, escape_radius=1e6)
 
     child_seeds = np.random.SeedSequence(seed).spawn(trials)
     triggered, prefix_equal = [], []
@@ -462,7 +471,7 @@ def cmd_mlp_compare(args):
         reg = run_regularized_gd(f, params0, cfg)
         trig = len(reg.events) > 0
         triggered.append(trig)
-        prefix_equal.append(_prefix_equal(plain, reg, theta))
+        prefix_equal.append(_prefix_equal(plain, reg, cfg.theta))
         finals_plain.append(plain.final_value)
         finals_reg.append(reg.final_value)
         _write_trial_csv(out / f"trial_{t:03d}.csv", f, plain, reg)
@@ -471,9 +480,9 @@ def cmd_mlp_compare(args):
     summary = {
         "trials": trials,
         "widths": widths,
-        "theta": theta,
-        "gamma": gamma,
-        "max_iters": max_iters,
+        "theta": cfg.theta,
+        "gamma": cfg.gamma,
+        "max_iters": cfg.max_iters,
         "seed": seed,
         "triggered": triggered,
         "prefix_equal": prefix_equal,
@@ -544,14 +553,14 @@ def build_parser():
         p.add_argument("--out", default=None, help="output directory (default: out)")
         p.add_argument("--config", default=None, help="JSON config file; flags override")
 
+    def descent(p):
+        for dest, (_, kind) in _CONFIG_FLAGS.items():
+            p.add_argument("--" + dest.replace("_", "-"), type=kind, default=None)
+
     p_run = sub.add_parser("run", help="run regularized gradient descent")
     common(p_run)
     p_run.add_argument("--x0", default=None)
-    p_run.add_argument("--theta", type=float, default=None)
-    p_run.add_argument("--gamma", type=float, default=None)
-    p_run.add_argument("--eps", type=float, default=None)
-    p_run.add_argument("--max-iters", type=int, default=None)
-    p_run.add_argument("--escape-radius", type=float, default=None)
+    descent(p_run)
     p_run.set_defaults(func=cmd_run)
 
     p_an = sub.add_parser("analyze", help="locate and classify critical points")
@@ -577,11 +586,7 @@ def build_parser():
     p_ss.add_argument("--x0", default=None, help="target point")
     p_ss.add_argument("--box", default=None)
     p_ss.add_argument("--trials", type=int, default=None, help="number of samples")
-    p_ss.add_argument("--theta", type=float, default=None)
-    p_ss.add_argument("--gamma", type=float, default=None)
-    p_ss.add_argument("--eps", type=float, default=None)
-    p_ss.add_argument("--max-iters", type=int, default=None)
-    p_ss.add_argument("--escape-radius", type=float, default=None)
+    descent(p_ss)
     p_ss.add_argument("--seed", type=int, default=None)
     p_ss.set_defaults(func=cmd_stable_set)
 
@@ -614,6 +619,10 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         _apply_config_file(args, parser)
+        # NaN fails every range check, so it would quietly switch a rule off
+        for dest, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"--{dest.replace('_', '-')} must be finite, got {value}")
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,7 +4,8 @@ Classification is by the sign pattern of Hessian eigenvalues under a
 relative zero tolerance tau: an eigenvalue counts as zero when
 |lambda| <= tau * max(1, |lambda|_max). Strata record the sign of the
 smallest eigenvalue; the classification refines that into minimum,
-strict saddle, maximum, or non-strict/degenerate.
+strict saddle, maximum, or non-strict/degenerate. Every critical-point solve
+is one call of `newton_root`, which runs a whole batch of starts in lockstep.
 """
 
 import logging
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_vector, sym_eigen
+from .linalg import _norms, as_vector, sym_eigen
 
 logger = logging.getLogger(__name__)
 
@@ -98,45 +99,53 @@ def hessian_stratum(f, x, tau=DEFAULT_ZERO_TAU):
 
 
 def newton_root(grad, hess, x0, tol=1e-8, max_steps=50, min_damping=2.0 ** -10):
-    """Damped Newton iteration on grad(x) = 0 with Jacobian hess(x).
+    """Damped Newton iteration on grad(x) = 0 with Jacobian hess(x), from one
+    start (n,) or from every row of a batch (m, n) in lockstep.
 
-    The damping factor starts at 1 and halves until the gradient norm
-    decreases; a step with no decrease at the minimum damping, a singular
-    Newton system, or a non-finite step ends the iteration. Steps continue
-    past `tol` until improvement stalls, so degenerate roots (where Newton
-    converges only linearly) are polished as far as the budget allows rather
-    than left at the tolerance boundary. Returns (x, converged) with
-    converged = final gradient norm below tol.
+    grad and hess take batches, (k, n) -> (k, n) and (k, n, n), as every
+    Objective's do: grad always gets the whole stack in row order (so it may add
+    a per-row shift), hess the rows still running. Each row's damping starts at
+    1 and halves until its gradient norm decreases; no decrease at the minimum
+    damping, a singular Newton system or a non-finite step ends the row. Steps
+    continue past `tol` until improvement stalls, polishing degenerate roots.
+    Returns (x, converged), converged = gradient norm below tol or zero; per row
+    for a batch, each row equal bit for bit to the single start from it.
     """
-    x = as_vector(x0).copy()
-    g = np.asarray(grad(x), dtype=float)
-    gn = float(np.linalg.norm(g))
-    if not np.isfinite(gn):
-        return x, False
-    for _ in range(max_steps):
-        if gn == 0.0:
-            return x, True
-        try:
-            d = np.linalg.solve(hess(x), -g)
-        except np.linalg.LinAlgError:
-            return x, gn < tol
-        if not np.all(np.isfinite(d)):
-            return x, gn < tol
-        lam = 1.0
-        improved = False
-        while lam >= min_damping:
-            x_new = x + lam * d
-            with np.errstate(all="ignore"):
-                g_new = np.asarray(grad(x_new), dtype=float)
-                gn_new = float(np.linalg.norm(g_new))
-            if np.isfinite(gn_new) and gn_new < gn:
-                improved = True
+    X = np.atleast_2d(np.array(x0, dtype=float))
+    if X.ndim != 2 or not np.all(np.isfinite(X)):
+        raise ValueError(f"starts must be a finite (m, n) array, got shape {X.shape}")
+    with np.errstate(all="ignore"):
+        G = np.asarray(grad(X), dtype=float)
+        gn = _norms(G)
+        running = np.isfinite(gn)
+        for _ in range(max_steps):
+            rows = (running & (gn != 0.0)).nonzero()[0]
+            if not rows.size:
                 break
-            lam *= 0.5
-        if not improved:
-            return x, gn < tol
-        x, g, gn = x_new, g_new, gn_new
-    return x, gn < tol
+            H = np.asarray(hess(X[rows]), dtype=float)
+            # slogdet's LU is solve's: a zero sign marks the systems solve rejects
+            ok = np.linalg.slogdet(H)[0] != 0.0
+            D = np.full((rows.size, X.shape[1]), np.nan)
+            D[ok] = np.linalg.solve(H[ok], -G[rows[ok], :, np.newaxis])[..., 0]
+            ok = np.isfinite(D).all(axis=1)
+            rows, D = rows[ok], D[ok]
+            running[:] = False  # rows run on only when their damped step improves
+            lam = 1.0
+            while rows.size and lam >= min_damping:
+                trial = X.copy()
+                trial[rows] += lam * D
+                G_trial = np.asarray(grad(trial), dtype=float)
+                gn_trial = _norms(G_trial[rows])
+                ok = gn_trial < gn[rows]  # False for NaN and inf, as gn[rows] is finite
+                done = rows[ok]
+                X[done], G[done], gn[done] = trial[done], G_trial[done], gn_trial[ok]
+                running[done] = True
+                rows, D = rows[~ok], D[~ok]
+                lam *= 0.5
+    converged = (gn < tol) | (gn == 0.0)
+    if np.ndim(x0) < 2:
+        return X[0], bool(converged[0])
+    return X, converged
 
 
 def _grid_seeds(box, grid_density):
@@ -146,37 +155,24 @@ def _grid_seeds(box, grid_density):
 
 
 def solve_gradient_equation(f, rhs, seeds, tol=1e-8, max_steps=50, dedup_radius=1e-4, box=None):
-    """Multistart damped Newton solve of grad f(x) = rhs.
+    """Multistart damped Newton solve of grad f(x) = rhs, all seeds in one batch.
 
-    Returns deduplicated solutions (within `dedup_radius`), restricted to
-    `box` when given, in deterministic lexicographic order.
+    Returns deduplicated solutions (within `dedup_radius`, the earliest seed's
+    kept), restricted to `box` when given, in deterministic lexicographic order.
     """
     rhs = as_vector(rhs)
-
-    def shifted(x):
-        return f.gradient(x) - rhs
-
+    X, ok = newton_root(lambda x: f.gradient(x) - rhs, f.hessian, np.atleast_2d(seeds),
+                        tol=tol, max_steps=max_steps)
+    logger.debug("solve_gradient_equation: %d seeds skipped (no convergence)", np.sum(~ok))
+    if box is not None:
+        box, margin = np.asarray(box, dtype=float), 1e-9
+        ok &= np.all((X >= box[:, 0] - margin) & (X <= box[:, 1] + margin), axis=1)
     solutions = []
-    skipped = 0
-    for seed in np.atleast_2d(np.asarray(seeds, dtype=float)):
-        x, ok = newton_root(shifted, f.hessian, seed, tol=tol, max_steps=max_steps)
-        if not ok:
-            skipped += 1
-            continue
-        if box is not None and not _in_box(x, box):
-            continue
-        if any(np.linalg.norm(x - s) <= dedup_radius for s in solutions):
-            continue
-        solutions.append(x)
-    if skipped:
-        logger.debug("solve_gradient_equation: %d seeds skipped (no convergence)", skipped)
+    for x in X[ok]:
+        if all(np.linalg.norm(x - s) > dedup_radius for s in solutions):
+            solutions.append(x)
     solutions.sort(key=tuple)
     return solutions
-
-
-def _in_box(x, box, margin=1e-9):
-    box = np.asarray(box, dtype=float)
-    return bool(np.all(x >= box[:, 0] - margin) and np.all(x <= box[:, 1] + margin))
 
 
 def find_critical_points(

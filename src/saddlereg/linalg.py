@@ -25,6 +25,11 @@ def as_vector(x):
     return x
 
 
+def _norms(A):
+    """Row norms of A; equal bit for bit to np.linalg.norm of each row."""
+    return np.sqrt(np.vecdot(A, A))
+
+
 def check_symmetric(a):
     """Validate a square, finite, exactly symmetric matrix and return it."""
     a = np.asarray(a, dtype=float)

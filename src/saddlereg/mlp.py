@@ -187,17 +187,14 @@ def mlp_objective(spec, dataset):
                 delta = (delta @ Ws[i]) * (zs[i - 1] > 0.0)
         return pack_params(gWs, gbs)
 
-    # finite-difference Hessian: only feasible for tiny networks
-    def hessian(params):
-        return fd_hessian(value, params)
-
     n = spec.n_params
     return Objective(
         name=f"mlp{'x'.join(str(w) for w in spec.layer_widths)}",
         dim=n,
         value=_batched(value),
         gradient=_batched(gradient),
-        hessian=hessian,
+        # finite-difference Hessian: only feasible for tiny networks
+        hessian=_batched(lambda params: fd_hessian(value, params)),
         domain_box=np.repeat([[-5.0, 5.0]], n, axis=0),
         lipschitz_hint=None,
     )

@@ -2,10 +2,11 @@
 
 Every corpus entry carries analytic gradient and Hessian, a recommended
 domain box, a grid-estimated Lipschitz hint for the gradient, and ground
-truth annotations of its critical points. Every Objective's value and
-gradient accept a single point of shape (n,) or a batch of shape (..., n):
-the corpus callables are vectorized over leading axes, and `make_objective`
-wraps single-point callables once so that callers never dispatch on it.
+truth annotations of its critical points. Every Objective's evaluators accept
+a single point of shape (n,) or a batch of shape (..., n): the corpus values
+and gradients are vectorized over leading axes, and `make_objective` wraps
+single-point callables, every Hessian among them, once so that callers never
+dispatch on it.
 """
 
 from dataclasses import dataclass, field
@@ -13,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .critical import LOCAL_MIN, NON_STRICT_OR_DEGENERATE
+from .critical import LOCAL_MIN, NON_STRICT_OR_DEGENERATE, _grid_seeds
 from .linalg import as_vector, fd_gradient, fd_hessian, spectral_norm
 
 
@@ -21,9 +22,9 @@ from .linalg import as_vector, fd_gradient, fd_hessian, spectral_norm
 class Objective:
     """A C^2 scalar field with evaluators for value, gradient, and Hessian.
 
-    value/gradient map (..., dim) -> (...)/(..., dim). hessian maps a single
-    point to a symmetric (dim, dim) array. Objectives are immutable after
-    construction and their evaluators must be pure.
+    value/gradient/hessian map (..., dim) -> (...)/(..., dim)/(..., dim, dim),
+    each Hessian symmetric. Objectives are immutable after construction and
+    their evaluators must be pure.
     """
 
     name: str
@@ -68,8 +69,8 @@ def make_objective(
     """Build an Objective, falling back to finite differences for missing derivatives.
 
     `vectorized` declares that value and gradient already accept batches
-    (..., n); otherwise they are called one point at a time. The
-    finite-difference gradient always works point by point.
+    (..., n); otherwise they are called one point at a time, as Hessians and
+    finite-difference derivatives always are.
     """
     if gradient is None:
         gradient = _batched(lambda x, _v=value: fd_gradient(_v, x))
@@ -77,6 +78,7 @@ def make_objective(
         gradient = _batched(gradient)
     if hessian is None:
         hessian = lambda x, _v=value: fd_hessian(_v, x)
+    hessian = _batched(hessian)
     if not vectorized:
         value = _batched(value)
     if domain_box is None:
@@ -124,12 +126,7 @@ def make_regularized(f, l):
 def _grid_lipschitz(hessian, box, pts_per_axis=41):
     """Max spectral norm of the Hessian over a grid on the box (offline estimate)."""
     box = np.asarray(box, dtype=float)
-    n = box.shape[0]
-    if n > 2:
-        pts_per_axis = 5
-    axes = [np.linspace(lo, hi, pts_per_axis) for lo, hi in box]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=-1)
+    points = _grid_seeds(box, pts_per_axis if box.shape[0] <= 2 else 5)
     return max(spectral_norm(hessian(p)) for p in points)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_vector, spectral_norm
+from .linalg import _norms, as_vector, spectral_norm
 
 STATUS_CONVERGED = "converged"
 STATUS_DIVERGED = "diverged"
@@ -47,18 +47,19 @@ class OptimizerConfig:
     escape_radius: float = 10.0
 
     def __post_init__(self):
-        if self.gamma is not None and self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if self.theta < 0:
-            raise ValueError("theta must be non-negative")
-        if self.eps_converge <= 0:
-            raise ValueError("eps_converge must be positive")
+        # negated comparisons, so that NaN fails every check
+        if self.gamma is not None and not self.gamma > 0:
+            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not self.theta >= 0:
+            raise ValueError(f"theta must be non-negative, got {self.theta}")
+        if not self.eps_converge > 0:
+            raise ValueError(f"eps_converge must be positive, got {self.eps_converge}")
         if self.theta > 0 and self.theta <= self.eps_converge:
             raise ValueError("theta must exceed eps_converge")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.escape_radius <= 0:
-            raise ValueError("escape_radius must be positive")
+        if not self.escape_radius > 0:
+            raise ValueError(f"escape_radius must be positive, got {self.escape_radius}")
 
 
 @dataclass
@@ -166,11 +167,6 @@ def reg_step(f, x, l, gamma):
     if not np.all(np.isfinite(g)):
         raise ValueError(f"non-finite gradient at {x}")
     return x - gamma * (g + l)
-
-
-def _norms(A):
-    """Row norms of A; equal bit for bit to np.linalg.norm of each row."""
-    return np.sqrt(np.vecdot(A, A))
 
 
 def _descend(f, X, cfg, gamma, regularize, observe=None):

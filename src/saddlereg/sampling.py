@@ -4,6 +4,7 @@ Batched descent runs all samples in lockstep through the optimizer's single
 descent engine, with per-sample regularization state, so basin fractions over
 thousands of starts stay cheap. Each row evolves exactly as the sequential run
 from the same start would, and leaves the working set when it terminates.
+The PL error check solves all its shifted minimizers in one batched Newton call.
 """
 
 import numpy as np
@@ -89,6 +90,8 @@ def stable_set_fraction(
         raise ValueError(f"method must be 'plain' or 'regularized', got {method!r}")
     if cfg is None:
         raise ValueError("stable_set_fraction needs an explicit OptimizerConfig")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     if box is None:
         box = f.domain_box
     rng = np.random.default_rng(seed)
@@ -168,30 +171,27 @@ def pl_error_check(f, xstar, theta, c, n_l=200, seed=0, tol=1e-10):
 
     Draws regularizers with norm at most theta (every other draw sits exactly
     on the sphere of radius theta so the bound's supremum is probed), Newton
-    solves grad f(x) + l = 0 from `xstar`, and returns the maximum of
-    f(x_l) - f(xstar). When f satisfies the Polyak-Lojasiewicz inequality
-    with constant c on the region, the result is bounded by theta^2 / (2 c).
+    solves grad f(x) + l = 0 from `xstar` for all draws in one batch, and
+    returns the maximum of f(x_l) - f(xstar). When f satisfies the
+    Polyak-Lojasiewicz inequality with constant c on the region, the result is
+    bounded by theta^2 / (2 c).
     """
     xstar = as_vector(xstar)
-    base = classify_point(f, xstar)
-    if base.classification != "local_min":
+    if classify_point(f, xstar).classification != "local_min":
         raise ValueError("xstar must be a local minimum")
     rng = np.random.default_rng(seed)
     f_star = float(f.value(xstar))
-    max_excess = 0.0
+    L = np.empty((n_l, f.dim))
     for i in range(n_l):
         radius = theta if i % 2 == 0 else rng.uniform(0.0, theta)
-        l = radius * _sphere_direction(rng, f.dim)
-        x_l, ok = newton_root(
-            lambda y, _l=l: f.gradient(y) + _l, f.hessian, xstar, tol=tol
-        )
-        if not ok:
+        L[i] = radius * _sphere_direction(rng, f.dim)
+    X, ok = newton_root(lambda Y: f.gradient(Y) + L, f.hessian, np.tile(xstar, (n_l, 1)), tol=tol)
+    for x_l, ok_l in zip(X, ok):
+        if not ok_l:
             raise NumericalError("Newton solve for the shifted minimizer failed")
-        rep = classify_point(f, x_l)
-        if rep.stratum != STRATUM_POSITIVE:
+        if classify_point(f, x_l).stratum != STRATUM_POSITIVE:
             raise NumericalError("shifted critical point left the positive-definite stratum")
-        max_excess = max(max_excess, float(f.value(x_l)) - f_star)
-    return max_excess
+    return max(0.0, float(np.max(f.value(X), initial=-np.inf)) - f_star)
 
 
 def psi_witness_check(f, region, x0, tau=1e-6, tol=1e-9, max_seeds=200):
@@ -208,12 +208,9 @@ def psi_witness_check(f, region, x0, tau=1e-6, tol=1e-9, max_seeds=200):
     if not region.contains_point(x0):
         raise ValueError("x0 must lie inside the region")
     l = np.asarray(f.gradient(x0), dtype=float)
-    rhs = -l
-
     centers = region.inside_cell_centers()
     stride = max(1, len(centers) // max_seeds)
-    seeds = centers[::stride]
-    solutions = solve_gradient_equation(f, rhs, seeds, tol=tol, box=region.box)
+    solutions = solve_gradient_equation(f, -l, centers[::stride], tol=tol, box=region.box)
     f_reg = make_regularized(f, l)
     for y in solutions:
         if not region.contains_point(y):

@@ -244,3 +244,56 @@ def test_zero_resolution_is_config_error(tmp_path, capsys, command):
         code = main(command + ["--resolution", "0", "--out", str(tmp_path / "o")])
     assert code == 1
     assert "resolution must be at least 1" in _one_line_error(capsys)
+
+
+_CONE_RUN = ["run", "--objective", "cubic_cone", "--x0", "1.5,0.5"]
+_VALLEY_SET = ["stable-set", "--objective", "cubic_valley", "--x0", "0,0", "--gamma", "0.15"]
+_CONE_REGION = ["region", "--objective", "cubic_cone", "--x0", "0,0", "--resolution", "20"]
+
+
+@pytest.mark.parametrize("command, message", [
+    (_CONE_RUN + ["--theta", "nan"], "--theta"),
+    (_CONE_RUN + ["--theta", "3", "--eps", "nan"], "--eps"),
+    (_CONE_RUN + ["--gamma", "inf"], "--gamma"),
+    (_CONE_RUN + ["--escape-radius", "-inf"], "--escape-radius"),
+    (_CONE_RUN + ["--escape-radius", "0"], "escape_radius must be positive"),
+    (_VALLEY_SET + ["--trials", "10", "--theta", "nan"], "--theta"),
+    (_CONE_REGION + ["--theta", "nan"], "--theta"),
+    (["mlp-compare", "--trials", "1", "--theta", "nan"], "--theta"),
+])
+def test_non_finite_or_zero_float_flag_is_config_error(tmp_path, capsys, command, message):
+    # NaN fails every range check, so it would silently switch regularization off
+    assert main(command + ["--out", str(tmp_path / "o")]) == 1
+    assert message in _one_line_error(capsys)
+
+
+def test_config_file_non_finite_value(tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text('{"objective": "cubic_cone", "x0": "1.5,0.5", "theta": NaN}')
+    assert main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "o")]) == 1
+    assert "--theta must be finite" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("command, message", [
+    (_VALLEY_SET + ["--trials", "0"], "--trials must be at least 1"),
+    (_VALLEY_SET + ["--trials", "-3"], "--trials must be at least 1"),
+    (_VALLEY_SET + ["--trials", "10", "--seed", "-1"], "--seed must be at least 0"),
+    (["mlp-compare", "--trials", "0"], "--trials must be at least 1"),
+    (["mlp-compare", "--trials", "-3"], "--trials must be at least 1"),
+    (["mlp-compare", "--trials", "1", "--max-iters", "0"], "max_iters"),
+    (["analyze", "--objective", "cubic_valley", "--milnor", "0"], "--milnor must be at least 1"),
+    (["mlp-compare", "--widths", "2,8,2"], "--widths"),
+    (["mlp-compare", "--widths", "2,x,8,2"], "--widths"),
+    (["mlp-compare", "--samples", "1"], "--samples must be at least 2"),
+])
+def test_bad_count_flag_is_config_error(tmp_path, capsys, command, message):
+    assert main(command + ["--out", str(tmp_path / "o")]) == 1
+    assert message in _one_line_error(capsys)
+
+
+def test_analyze_region_seed_outside_is_config_error(tmp_path, capsys):
+    # the region export of analyze fails as the region subcommand does
+    code = main(["analyze", "--objective", "cubic_valley", "--x0", "2,2", "--theta", "0.5",
+                 "--resolution", "40", "--out", str(tmp_path / "bad")])
+    assert code == 1
+    assert "outside the small-gradient region" in _one_line_error(capsys)

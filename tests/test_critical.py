@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from saddlereg import (
     LOCAL_MAX,
@@ -11,9 +13,11 @@ from saddlereg import (
     STRICT_SADDLE,
     classify_eigenvalues,
     classify_point,
+    corpus,
     find_critical_points,
     get_objective,
     hessian_stratum,
+    make_objective,
     make_regularized,
     quadratic_bowl,
 )
@@ -137,3 +141,51 @@ def test_solve_gradient_equation_dedup_and_box():
     # restricting the box drops the outer roots
     sols = solve_gradient_equation(f, [0.0], seeds, box=[[-0.5, 0.5]])
     assert len(sols) == 1
+
+
+# gradient x^2 + 1: no root anywhere, so Newton stalls without converging
+_NO_ROOT = make_objective(
+    "no_root", 1,
+    value=lambda x: np.asarray(x, dtype=float)[..., 0] ** 3 / 3.0 + np.asarray(x)[..., 0],
+    gradient=lambda x: np.asarray(x, dtype=float) ** 2 + 1.0,
+    hessian=lambda x: np.array([[2.0 * x[0]]]),
+    domain_box=[[-3.0, 3.0]],
+    vectorized=True,
+)
+_VALLEY = get_objective("cubic_valley")
+
+
+@st.composite
+def _newton_cases(draw):
+    f = draw(st.sampled_from([entry.objective for entry in corpus()] + [_NO_ROOT]))
+    m = draw(st.integers(1, 6))
+    X0 = np.array([[draw(st.floats(float(lo), float(hi))) for lo, hi in f.domain_box]
+                   for _ in range(m)])
+    L = np.array([[draw(st.floats(-1.0, 1.0)) for _ in range(f.dim)] for _ in range(m)])
+    return f, X0, L
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(case=_newton_cases())
+# an exactly singular Hessian (u = 0 on cubic_valley) beside a regular row
+@example(case=(_VALLEY, np.array([[0.0, 0.5], [1.0, 1.0], [0.0, -2.0]]), np.zeros((3, 2))))
+@example(case=(_NO_ROOT, np.array([[3.0], [0.5], [-1.0]]), np.zeros((3, 1))))
+def test_newton_batch_rows_equal_single_starts(case):
+    # each row of one batched call ends where the single-start call from it does,
+    # with a per-row shift added to the gradient of the whole stack
+    f, X0, L = case
+    X, ok = newton_root(lambda Y: f.gradient(Y) + L, f.hessian, X0)
+    assert X.shape == X0.shape and ok.shape == (len(X0),)
+    for i, x0 in enumerate(X0):
+        x, ok_i = newton_root(lambda y: f.gradient(y) + L[i], f.hessian, x0)
+        assert X[i].tobytes() == x.tobytes()
+        assert ok[i] == ok_i
+
+
+def test_newton_root_rejects_non_finite_start():
+    grad = lambda x: np.asarray(x) ** 2
+    hess = lambda x: 2.0 * np.asarray(x)[..., np.newaxis]
+    with pytest.raises(ValueError):
+        newton_root(grad, hess, [np.nan])
+    with pytest.raises(ValueError):
+        newton_root(grad, hess, [[1.0], [np.inf]])

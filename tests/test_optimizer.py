@@ -33,6 +33,13 @@ def test_config_validation():
     OptimizerConfig(theta=0.0, eps_converge=1e-8)  # theta=0 disables regularization
 
 
+@pytest.mark.parametrize("field", ["gamma", "theta", "eps_converge", "escape_radius"])
+def test_config_rejects_nan(field):
+    # NaN fails every comparison, so it must not slip past the range checks
+    with pytest.raises(ValueError, match=field):
+        OptimizerConfig(**{field: float("nan")})
+
+
 def test_gd_step_examples():
     f = get_objective("cubic_valley")
     np.testing.assert_allclose(gd_step(f, [1.0, 1.0], 0.1), [0.9, 0.9])

@@ -120,6 +120,14 @@ def test_stable_set_rejects_unknown_method():
         stable_set_fraction(f, [0.0, 0.0], n_samples=10, cfg=cfg, method="regularised")
 
 
+@pytest.mark.parametrize("n_samples", [0, -3])
+def test_stable_set_rejects_empty_sample(n_samples):
+    f = get_objective("cubic_valley")
+    cfg = OptimizerConfig(gamma=0.15, theta=0.5, eps_converge=1e-6, max_iters=10)
+    with pytest.raises(ValueError, match="n_samples"):
+        stable_set_fraction(f, [0.0, 0.0], n_samples=n_samples, cfg=cfg)
+
+
 def test_stable_set_valley_half_basin():
     # the saddle's basin under plain descent is the halfspace x > 0
     f = get_objective("cubic_valley")
