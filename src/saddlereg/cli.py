@@ -316,8 +316,11 @@ def cmd_analyze(args):
               + ", ".join(f"{v:.6g}" for v in r.eigenvalues))
 
     if args.theta is not None:
-        checks = check_assumption_separation(
-            f, args.theta, box, resolution, points=[r.location for r in reports])
+        try:
+            checks = check_assumption_separation(
+                f, args.theta, box, resolution, points=[r.location for r in reports])
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         write_json(out / "separation.json",
                    {"objective": f.name, "theta": args.theta,
                     "checks": [{"point": c["point"], "pass": c["pass"],
@@ -457,9 +460,12 @@ def cmd_mlp_compare(args):
     separation = args.separation if args.separation is not None else 1.0
     cfg = _optimizer_config(args, gamma=0.5, theta=0.04, eps_converge=1e-10, max_iters=800,
                             escape_radius=1e6)
+    try:
+        data = make_blobs(n_samples // classes, classes, widths[0], separation, seed=seed)
+    except ValueError as exc:
+        raise ConfigError(f"--separation: {exc}") from exc
     out = _outdir(args)
 
-    data = make_blobs(n_samples // classes, classes, widths[0], separation, seed=seed)
     f = mlp_objective(spec, data)
 
     child_seeds = np.random.SeedSequence(seed).spawn(trials)

@@ -1,7 +1,9 @@
 """A small fully connected ReLU network as an objective over its parameters.
 
 The loss is softmax cross-entropy averaged over the dataset; gradients come
-from exact backpropagation with subgradient 0 at the ReLU kink. With two or
+from exact backpropagation with subgradient 0 at the ReLU kink, and Hessians
+are exact too: Pearlmutter's R-operator differentiates that backpropagation
+along unit directions with the ReLU masks frozen. With two or
 more hidden layers the loss surface carries non-strict saddle points (the
 all-zero parameter vector is one for class-balanced data), which makes these
 networks the natural stress test for regularized descent.
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_vector, fd_hessian
+from .linalg import as_vector, symmetrize
 from .objectives import Objective, _batched
 
 
@@ -104,14 +106,19 @@ def unpack_params(spec, params):
     params = as_vector(params)
     if params.size != spec.n_params:
         raise ValueError(f"expected {spec.n_params} parameters, got {params.size}")
+    return _layers(spec, params)
+
+
+def _layers(spec, rows):
+    """Split (..., n) rows into per-layer (..., fan_out, fan_in) and (..., fan_out) views."""
     widths = spec.layer_widths
+    lead = rows.shape[:-1]
     Ws, bs = [], []
     pos = 0
-    for i in range(spec.n_layers):
-        fan_in, fan_out = widths[i], widths[i + 1]
-        Ws.append(params[pos:pos + fan_in * fan_out].reshape(fan_out, fan_in))
+    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+        Ws.append(rows[..., pos:pos + fan_in * fan_out].reshape(lead + (fan_out, fan_in)))
         pos += fan_in * fan_out
-        bs.append(params[pos:pos + fan_out])
+        bs.append(rows[..., pos:pos + fan_out])
         pos += fan_out
     return Ws, bs
 
@@ -150,6 +157,14 @@ def _forward(Ws, bs, X):
     return zs, activations, zs[-1]
 
 
+def _backward(Ws, zs, p, onehot):
+    """Per-layer output deltas of the mean cross-entropy, ReLU masks z > 0."""
+    deltas = [(p - onehot) / len(p)]
+    for W, z in zip(Ws[:0:-1], zs[-2::-1]):
+        deltas.insert(0, (deltas[0] @ W) * (z > 0.0))
+    return deltas
+
+
 def _log_softmax(logits):
     shifted = logits - logits.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
@@ -176,25 +191,49 @@ def mlp_objective(spec, dataset):
     def gradient(params):
         Ws, bs = unpack_params(spec, params)
         zs, activations, logits = _forward(Ws, bs, X)
-        p = np.exp(_log_softmax(logits))
-        delta = (p - onehot) / m
-        gWs = [None] * spec.n_layers
-        gbs = [None] * spec.n_layers
-        for i in range(spec.n_layers - 1, -1, -1):
-            gWs[i] = delta.T @ activations[i]
-            gbs[i] = delta.sum(axis=0)
-            if i > 0:
-                delta = (delta @ Ws[i]) * (zs[i - 1] > 0.0)
-        return pack_params(gWs, gbs)
+        deltas = _backward(Ws, zs, np.exp(_log_softmax(logits)), onehot)
+        return pack_params([d.T @ a for d, a in zip(deltas, activations)],
+                           [d.sum(axis=0) for d in deltas])
 
     n = spec.n_params
+    # one block per unit: its incoming weights and its bias (at most fan_in + 1
+    # directions), which keeps the R-operator's working set small
+    unit_blocks = [np.append(w, b) for Wi, bi in zip(*_layers(spec, np.arange(n)))
+                   for w, b in zip(Wi, bi)]
+
+    def hessian(params):
+        # Pearlmutter's R-operator: row j of H is the derivative of `gradient`
+        # along e_j with the ReLU masks frozen; one unit's directions at a time
+        Ws, bs = unpack_params(spec, params)
+        zs, activations, logits = _forward(Ws, bs, X)
+        p = np.exp(_log_softmax(logits))
+        deltas = _backward(Ws, zs, p, onehot)
+        H = np.empty((n, n))
+        for block in unit_blocks:
+            V = np.zeros((len(block), n))
+            V[np.arange(len(block)), block] = 1.0
+            dWs, dbs = _layers(spec, V)
+            Ras = [np.zeros((len(block),) + X.shape)]
+            for W, a, dW, db, z in zip(Ws, activations, dWs, dbs, zs):
+                Rz = Ras[-1] @ W.T + a @ dW.mT + db[:, None, :]
+                Ras.append(Rz * (z > 0.0))
+            Rd = p * (Rz - (p * Rz).sum(axis=-1, keepdims=True)) / m
+            RgWs, Rgbs = [None] * spec.n_layers, [None] * spec.n_layers
+            for i in range(spec.n_layers - 1, -1, -1):
+                RgWs[i] = Rd.mT @ activations[i] + deltas[i].T @ Ras[i]
+                Rgbs[i] = Rd.sum(axis=1)
+                if i > 0:
+                    Rd = (Rd @ Ws[i] + deltas[i] @ dWs[i]) * (zs[i - 1] > 0.0)
+            H[block] = np.concatenate([np.concatenate([gW.reshape(len(block), -1), gb], axis=1)
+                                       for gW, gb in zip(RgWs, Rgbs)], axis=1)
+        return symmetrize(H)
+
     return Objective(
         name=f"mlp{'x'.join(str(w) for w in spec.layer_widths)}",
         dim=n,
         value=_batched(value),
         gradient=_batched(gradient),
-        # finite-difference Hessian: only feasible for tiny networks
-        hessian=_batched(lambda params: fd_hessian(value, params)),
+        hessian=_batched(hessian),
         domain_box=np.repeat([[-5.0, 5.0]], n, axis=0),
         lipschitz_hint=None,
     )

@@ -285,6 +285,7 @@ def test_config_file_non_finite_value(tmp_path, capsys):
     (["mlp-compare", "--widths", "2,8,2"], "--widths"),
     (["mlp-compare", "--widths", "2,x,8,2"], "--widths"),
     (["mlp-compare", "--samples", "1"], "--samples must be at least 2"),
+    (["mlp-compare", "--separation", "-1"], "--separation: separation must be non-negative"),
 ])
 def test_bad_count_flag_is_config_error(tmp_path, capsys, command, message):
     assert main(command + ["--out", str(tmp_path / "o")]) == 1
@@ -294,6 +295,15 @@ def test_bad_count_flag_is_config_error(tmp_path, capsys, command, message):
 def test_analyze_region_seed_outside_is_config_error(tmp_path, capsys):
     # the region export of analyze fails as the region subcommand does
     code = main(["analyze", "--objective", "cubic_valley", "--x0", "2,2", "--theta", "0.5",
+                 "--resolution", "40", "--out", str(tmp_path / "bad")])
+    assert code == 1
+    assert "outside the small-gradient region" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("theta", ["0", "-1"])
+def test_analyze_theta_below_critical_gradient_is_config_error(tmp_path, capsys, theta):
+    # the separation check's regions cannot hold the located critical point
+    code = main(["analyze", "--objective", "cubic_valley", "--theta", theta,
                  "--resolution", "40", "--out", str(tmp_path / "bad")])
     assert code == 1
     assert "outside the small-gradient region" in _one_line_error(capsys)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from saddlereg import (
@@ -21,7 +21,7 @@ from saddlereg import (
     make_regularized,
     quadratic_bowl,
 )
-from saddlereg.critical import newton_root, solve_gradient_equation
+from saddlereg.critical import DEFAULT_ZERO_TAU, newton_root, solve_gradient_equation
 
 
 def test_classify_eigenvalues_cases():
@@ -39,6 +39,28 @@ def test_zero_tolerance_is_relative():
     assert classify_eigenvalues([1e-7, 1.0])[0] == STRATUM_ZERO
     assert classify_eigenvalues([1e-5, 1.0])[0] == STRATUM_POSITIVE
     assert classify_eigenvalues([50.0, 1e9])[0] == STRATUM_ZERO  # 50 <= 1e-6 * 1e9
+
+
+_EIGENVALUE = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([0.0, 1e-7, -1e-7, 1e-5, -1e-5]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(raw=st.lists(_EIGENVALUE, min_size=1, max_size=6),
+       radius=st.floats(1.0, 1e6), scaled_radius=st.floats(1.0, 1e6))
+def test_classification_invariant_under_positive_scaling(raw, radius, scaled_radius):
+    # The zero band tau * max(1, max|lambda|) is relative once the largest
+    # |lambda| reaches 1, so any positive factor that keeps the spectral radius
+    # at or above 1 (radius before, scaled_radius after) keeps every sign.
+    # Eigenvalues within rounding of the band edge are left out.
+    raw = np.sort(raw)
+    peak = np.max(np.abs(raw))
+    assume(peak > 0.0)
+    eigenvalues = raw / peak * radius
+    scaled = eigenvalues * (scaled_radius / radius)
+    for lam in (eigenvalues, scaled):
+        band = DEFAULT_ZERO_TAU * max(1.0, float(np.max(np.abs(lam))))
+        assume(np.all(np.abs(np.abs(lam) - band) > 1e-9 * band))
+    assert classify_eigenvalues(scaled) == classify_eigenvalues(eigenvalues)
 
 
 def test_classify_monkey_off_axis_strict_saddle():

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from saddlereg import (
+    NON_STRICT_OR_DEGENERATE,
     Dataset,
     MlpSpec,
+    OptimizerConfig,
+    classify_point,
     dataset_from_csv,
     dataset_to_csv,
     fd_gradient,
@@ -11,6 +14,7 @@ from saddlereg import (
     make_blobs,
     mlp_objective,
     pack_params,
+    run_plain_gd,
     unpack_params,
 )
 
@@ -173,3 +177,92 @@ def test_init_params_bounds_and_zero_biases():
     for b in bs:
         assert np.all(b == 0.0)
     np.testing.assert_array_equal(params, init_params(spec, seed=0))
+
+
+def _hidden_preactivations(spec, data, params):
+    Ws, bs = unpack_params(spec, params)
+    a, zs = data.inputs, []
+    for W, b in zip(Ws[:-1], bs[:-1]):
+        zs.append(a @ W.T + b)
+        a = np.maximum(zs[-1], 0.0)
+    return zs
+
+
+def _relu_masks(spec, data, params):
+    return np.concatenate([(z > 0.0).ravel() for z in _hidden_preactivations(spec, data, params)])
+
+
+def test_hessian_matches_gradient_differences():
+    # H v against a central difference of the exact gradient along random unit
+    # directions, at random points and at the final iterates of the first three
+    # plain trials of `mlp-compare --seed 0`, each of which ends with a
+    # pre-activation within 2e-4 of a ReLU kink: inside the reach of a
+    # finite-difference Hessian stencil of the loss, but not of this step
+    spec = MlpSpec((2, 8, 8, 2))
+    data = make_blobs(50, 2, 2, 1.0, seed=0)
+    f = mlp_objective(spec, data)
+    rng = np.random.default_rng(21)
+    cfg = OptimizerConfig(gamma=0.5, theta=0.04, eps_converge=1e-10, max_iters=800,
+                          escape_radius=1e6)
+    points = [rng.uniform(-0.7, 0.7, spec.n_params) for _ in range(3)]
+    points += [run_plain_gd(f, init_params(spec, child), cfg).final_x
+               for child in np.random.SeedSequence(0).spawn(3)]
+    h = 1e-7
+    for x in points:
+        H = f.hessian(x)
+        masks = _relu_masks(spec, data, x)
+        for _ in range(5):
+            v = rng.standard_normal(spec.n_params)
+            v /= np.linalg.norm(v)
+            # no ReLU kink within the step, so the gradient is smooth along it
+            assert np.array_equal(_relu_masks(spec, data, x + h * v), masks)
+            assert np.array_equal(_relu_masks(spec, data, x - h * v), masks)
+            hv_fd = (f.gradient(x + h * v) - f.gradient(x - h * v)) / (2.0 * h)
+            hv = H @ v
+            assert np.linalg.norm(hv - hv_fd) <= 1e-6 * max(1.0, np.linalg.norm(hv))
+
+
+def test_hessian_is_symmetric_and_batched():
+    spec = MlpSpec((2, 8, 8, 2))
+    data = make_blobs(20, 2, 2, 2.0, seed=4)
+    f = mlp_objective(spec, data)
+    points = np.random.default_rng(13).uniform(-0.7, 0.7, (2, spec.n_params))
+    H = f.hessian(points)
+    assert H.shape == (2, spec.n_params, spec.n_params)
+    for x, Hx in zip(points, H):
+        np.testing.assert_array_equal(Hx, Hx.T)
+        np.testing.assert_array_equal(Hx, f.hessian(x))
+
+
+def test_zero_params_is_non_strict_saddle():
+    # every hidden pre-activation is 0, so every ReLU is off and the only
+    # curvature left is the softmax curvature of the output bias,
+    # mean(diag(p) - p p^T) at p = (1/2, 1/2): eigenvalues 0 and 1/2
+    spec = MlpSpec((2, 8, 8, 2))
+    data = make_blobs(50, 2, 2, 4.0, seed=7)
+    f = mlp_objective(spec, data)
+    report = classify_point(f, np.zeros(spec.n_params))
+    assert report.classification == NON_STRICT_OR_DEGENERATE
+    assert report.eigenvalues[0] == 0.0
+    assert report.eigenvalues[-1] == pytest.approx(0.5, rel=1e-12)
+
+
+def test_dead_unit_has_zero_hessian_rows():
+    spec = MlpSpec((2, 8, 8, 2))
+    data = make_blobs(25, 2, 2, 3.0, seed=5)
+    f = mlp_objective(spec, data)
+    Ws, bs = unpack_params(spec, np.random.default_rng(17).uniform(-0.5, 0.5, spec.n_params))
+    marks_W = [np.zeros_like(W) for W in Ws]
+    marks_b = [np.zeros_like(b) for b in bs]
+    for layer, unit in ((0, 3), (1, 5)):
+        bs[layer][unit] = -100.0
+        marks_W[layer][unit] = 1.0
+        marks_b[layer][unit] = 1.0
+    params = pack_params(Ws, bs)
+    zs = _hidden_preactivations(spec, data, params)
+    assert np.all(zs[0][:, 3] <= 0.0) and np.all(zs[1][:, 5] <= 0.0)
+    rows = np.flatnonzero(pack_params(marks_W, marks_b))
+    assert rows.size == (2 + 1) + (8 + 1)
+    H = f.hessian(params)
+    assert np.all(H[rows] == 0.0)
+    assert np.any(H != 0.0)
