@@ -303,9 +303,22 @@ def cmd_analyze(args):
     box = _parse_box(args.box, f.dim) if args.box else f.domain_box
     resolution = _count(args.resolution, 200, "--resolution")
     n_l = None if args.milnor is None else _count(args.milnor, None, "--milnor")
+    seed = None if n_l is None else _count(args.seed, 0, "--seed", minimum=0)
+
+    # every check that can fail runs before anything is written or printed
+    reports = find_critical_points(f, box)
+    checks = region = None
+    if args.theta is not None:
+        try:
+            checks = check_assumption_separation(
+                f, args.theta, box, resolution, points=[r.location for r in reports])
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        if args.x0 is not None:
+            seed_pt = _parse_vector(args.x0, f.dim, "x0")
+            region = _theta_region(f, seed_pt, args.theta, box, resolution)
     out = _outdir(args)
 
-    reports = find_critical_points(f, box)
     write_json(out / "critical_points.json",
                {"objective": f.name, "critical_points": [r.to_dict() for r in reports]},
                ANALYZE_SCHEMA)
@@ -315,12 +328,7 @@ def cmd_analyze(args):
         print(f"  ({loc}): {r.classification}, eigenvalues "
               + ", ".join(f"{v:.6g}" for v in r.eigenvalues))
 
-    if args.theta is not None:
-        try:
-            checks = check_assumption_separation(
-                f, args.theta, box, resolution, points=[r.location for r in reports])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+    if checks is not None:
         write_json(out / "separation.json",
                    {"objective": f.name, "theta": args.theta,
                     "checks": [{"point": c["point"], "pass": c["pass"],
@@ -328,13 +336,11 @@ def cmd_analyze(args):
                    {"type": "object", "required": ["checks"]})
         print(f"  separation check: {'pass' if all(c['pass'] for c in checks) else 'FAIL'}")
 
-    if args.x0 is not None and args.theta is not None:
-        seed_pt = _parse_vector(args.x0, f.dim, "x0")
-        region = _export_region(f, seed_pt, args.theta, box, resolution, out)
+    if region is not None:
+        _save_region(f, region, seed_pt, out)
         print(f"  region: {int(region.inside.sum())} inside cells")
 
     if n_l is not None:
-        seed = _count(args.seed, 0, "--seed", minimum=0)
         frac = milnor_sample(f, box, n_l=n_l, seed=seed)
         write_json(out / "milnor.json",
                    {"objective": f.name, "n_l": n_l, "l_scale": 1.0,
@@ -413,12 +419,16 @@ def cmd_stable_set(args):
     return 0
 
 
-def _export_region(f, seed_pt, theta, box, resolution, out):
-    """Flood-fill the region through seed_pt and write region.csv and region.json."""
+def _theta_region(f, seed_pt, theta, box, resolution):
+    """theta_region with its input errors reported as configuration errors."""
     try:
-        region = theta_region(f, seed_pt, theta, box, resolution)
+        return theta_region(f, seed_pt, theta, box, resolution)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _save_region(f, region, seed_pt, out):
+    """Write region.csv and region.json."""
     region.save_csv(out / "region.csv")
     write_json(out / "region.json", {
         "objective": f.name,
@@ -429,7 +439,6 @@ def _export_region(f, seed_pt, theta, box, resolution, out):
         "n_boundary": int(region.boundary.sum()),
         "seed": seed_pt,
     }, REGION_SCHEMA)
-    return region
 
 
 def cmd_region(args):
@@ -439,9 +448,10 @@ def cmd_region(args):
     seed_pt = _parse_vector(args.x0, f.dim, "x0")
     box = _parse_box(args.box, f.dim) if args.box else f.domain_box
     resolution = _count(args.resolution, 200, "--resolution")
+    region = _theta_region(f, seed_pt, args.theta, box, resolution)
     out = _outdir(args)
 
-    region = _export_region(f, seed_pt, args.theta, box, resolution, out)
+    _save_region(f, region, seed_pt, out)
     print(f"region: {int(region.inside.sum())} inside cells, "
           f"{int(region.boundary.sum())} boundary cells")
     return 0

@@ -43,9 +43,9 @@ def check_symmetric(a):
 
 
 def symmetrize(a):
-    """Exact symmetrization by averaging, (A + A^T)/2."""
+    """Exact symmetrization by averaging, (A + A^T)/2, of a matrix or a stack (..., n, n)."""
     a = np.asarray(a, dtype=float)
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + a.mT)
 
 
 @dataclass

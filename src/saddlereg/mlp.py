@@ -3,10 +3,12 @@
 The loss is softmax cross-entropy averaged over the dataset; gradients come
 from exact backpropagation with subgradient 0 at the ReLU kink, and Hessians
 are exact too: Pearlmutter's R-operator differentiates that backpropagation
-along unit directions with the ReLU masks frozen. With two or
-more hidden layers the loss surface carries non-strict saddle points (the
-all-zero parameter vector is one for class-balanced data), which makes these
-networks the natural stress test for regularized descent.
+along unit directions with the ReLU masks frozen. All three evaluators take
+one parameter vector (n,) or a batch (..., n) natively: the layers carry the
+leading axes through stacked matrix products, and nothing loops over rows.
+With two or more hidden layers the loss surface carries non-strict saddle
+points (the all-zero parameter vector is one for class-balanced data), which
+makes these networks the natural stress test for regularized descent.
 
 Parameter vector layout (public contract): layer by layer, each layer's
 weight matrix of shape (fan_out, fan_in) raveled row-major, followed by its
@@ -18,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_vector, symmetrize
-from .objectives import Objective, _batched
+from .linalg import symmetrize
+from .objectives import Objective
 
 
 @dataclass
@@ -102,15 +104,13 @@ def dataset_from_csv(path):
 
 
 def unpack_params(spec, params):
-    """Split the flat parameter vector into (weights, biases) per layer."""
-    params = as_vector(params)
-    if params.size != spec.n_params:
-        raise ValueError(f"expected {spec.n_params} parameters, got {params.size}")
-    return _layers(spec, params)
+    """Split parameter rows (..., n) into per-layer (weights, biases) views.
 
-
-def _layers(spec, rows):
-    """Split (..., n) rows into per-layer (..., fan_out, fan_in) and (..., fan_out) views."""
+    Weights have shape (..., fan_out, fan_in) and biases (..., fan_out).
+    """
+    rows = np.asarray(params, dtype=float)
+    if rows.shape[-1:] != (spec.n_params,):
+        raise ValueError(f"expected {spec.n_params} parameters, got shape {rows.shape}")
     widths = spec.layer_widths
     lead = rows.shape[:-1]
     Ws, bs = [], []
@@ -124,11 +124,13 @@ def _layers(spec, rows):
 
 
 def pack_params(Ws, bs):
+    """Inverse of unpack_params: per-layer weights and biases to rows (..., n)."""
     parts = []
     for W, b in zip(Ws, bs):
-        parts.append(np.asarray(W, dtype=float).ravel())
-        parts.append(np.asarray(b, dtype=float).ravel())
-    return np.concatenate(parts)
+        W = np.asarray(W, dtype=float)
+        parts.append(W.reshape(W.shape[:-2] + (-1,)))
+        parts.append(np.asarray(b, dtype=float))
+    return np.concatenate(parts, axis=-1)
 
 
 def init_params(spec, seed):
@@ -145,11 +147,11 @@ def init_params(spec, seed):
 
 
 def _forward(Ws, bs, X):
-    """Returns (pre-activations per layer, activations per layer, logits)."""
+    """Returns (pre-activations per layer, activations per layer, logits), each (..., m, width)."""
     zs, activations = [], [X]
     a = X
     for i, (W, b) in enumerate(zip(Ws, bs)):
-        z = a @ W.T + b
+        z = a @ W.mT + b[..., None, :]
         zs.append(z)
         if i < len(Ws) - 1:
             a = np.maximum(z, 0.0)
@@ -159,15 +161,15 @@ def _forward(Ws, bs, X):
 
 def _backward(Ws, zs, p, onehot):
     """Per-layer output deltas of the mean cross-entropy, ReLU masks z > 0."""
-    deltas = [(p - onehot) / len(p)]
+    deltas = [(p - onehot) / p.shape[-2]]
     for W, z in zip(Ws[:0:-1], zs[-2::-1]):
         deltas.insert(0, (deltas[0] @ W) * (z > 0.0))
     return deltas
 
 
 def _log_softmax(logits):
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def mlp_objective(spec, dataset):
@@ -185,55 +187,59 @@ def mlp_objective(spec, dataset):
     def value(params):
         Ws, bs = unpack_params(spec, params)
         _, _, logits = _forward(Ws, bs, X)
-        log_p = _log_softmax(logits)
-        return float(-log_p[np.arange(m), y].mean())
+        # the fancy index leaves each row's picked entries strided, and a
+        # strided mean rounds differently from the contiguous one-point mean
+        return -np.ascontiguousarray(_log_softmax(logits)[..., np.arange(m), y]).mean(axis=-1)
 
     def gradient(params):
         Ws, bs = unpack_params(spec, params)
         zs, activations, logits = _forward(Ws, bs, X)
         deltas = _backward(Ws, zs, np.exp(_log_softmax(logits)), onehot)
-        return pack_params([d.T @ a for d, a in zip(deltas, activations)],
-                           [d.sum(axis=0) for d in deltas])
+        return pack_params([d.mT @ a for d, a in zip(deltas, activations)],
+                           [d.sum(axis=-2) for d in deltas])
 
     n = spec.n_params
     # one block per unit: its incoming weights and its bias (at most fan_in + 1
     # directions), which keeps the R-operator's working set small
-    unit_blocks = [np.append(w, b) for Wi, bi in zip(*_layers(spec, np.arange(n)))
-                   for w, b in zip(Wi, bi)]
+    unit_blocks = [np.append(w, b).astype(int)
+                   for Wi, bi in zip(*unpack_params(spec, np.arange(n))) for w, b in zip(Wi, bi)]
 
     def hessian(params):
         # Pearlmutter's R-operator: row j of H is the derivative of `gradient`
-        # along e_j with the ReLU masks frozen; one unit's directions at a time
+        # along e_j with the ReLU masks frozen; one unit's directions at a
+        # time, on a directions axis placed before each layer's last two axes
         Ws, bs = unpack_params(spec, params)
         zs, activations, logits = _forward(Ws, bs, X)
         p = np.exp(_log_softmax(logits))
         deltas = _backward(Ws, zs, p, onehot)
-        H = np.empty((n, n))
+        Ws, zs, activations, deltas = ([A[..., None, :, :] for A in arrays]
+                                       for arrays in (Ws, zs, activations, deltas))
+        p = p[..., None, :, :]
+        H = np.empty(logits.shape[:-2] + (n, n))
         for block in unit_blocks:
             V = np.zeros((len(block), n))
             V[np.arange(len(block)), block] = 1.0
-            dWs, dbs = _layers(spec, V)
+            dWs, dbs = unpack_params(spec, V)
             Ras = [np.zeros((len(block),) + X.shape)]
             for W, a, dW, db, z in zip(Ws, activations, dWs, dbs, zs):
-                Rz = Ras[-1] @ W.T + a @ dW.mT + db[:, None, :]
+                Rz = Ras[-1] @ W.mT + a @ dW.mT + db[:, None, :]
                 Ras.append(Rz * (z > 0.0))
             Rd = p * (Rz - (p * Rz).sum(axis=-1, keepdims=True)) / m
             RgWs, Rgbs = [None] * spec.n_layers, [None] * spec.n_layers
             for i in range(spec.n_layers - 1, -1, -1):
-                RgWs[i] = Rd.mT @ activations[i] + deltas[i].T @ Ras[i]
-                Rgbs[i] = Rd.sum(axis=1)
+                RgWs[i] = Rd.mT @ activations[i] + deltas[i].mT @ Ras[i]
+                Rgbs[i] = Rd.sum(axis=-2)
                 if i > 0:
                     Rd = (Rd @ Ws[i] + deltas[i] @ dWs[i]) * (zs[i - 1] > 0.0)
-            H[block] = np.concatenate([np.concatenate([gW.reshape(len(block), -1), gb], axis=1)
-                                       for gW, gb in zip(RgWs, Rgbs)], axis=1)
+            H[..., block, :] = pack_params(RgWs, Rgbs)
         return symmetrize(H)
 
     return Objective(
         name=f"mlp{'x'.join(str(w) for w in spec.layer_widths)}",
         dim=n,
-        value=_batched(value),
-        gradient=_batched(gradient),
-        hessian=_batched(hessian),
+        value=value,
+        gradient=gradient,
+        hessian=hessian,
         domain_box=np.repeat([[-5.0, 5.0]], n, axis=0),
         lipschitz_hint=None,
     )

@@ -3,10 +3,10 @@
 Every corpus entry carries analytic gradient and Hessian, a recommended
 domain box, a grid-estimated Lipschitz hint for the gradient, and ground
 truth annotations of its critical points. Every Objective's evaluators accept
-a single point of shape (n,) or a batch of shape (..., n): the corpus values
-and gradients are vectorized over leading axes, and `make_objective` wraps
-single-point callables, every Hessian among them, once so that callers never
-dispatch on it.
+a single point of shape (n,) or a batch of shape (..., n) natively: value,
+gradient and Hessian are closed-form array expressions over leading axes, and
+nothing loops over rows. `make_objective` checks that contract once, on a
+two-row probe.
 """
 
 from dataclasses import dataclass, field
@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .critical import LOCAL_MIN, NON_STRICT_OR_DEGENERATE, _grid_seeds
-from .linalg import as_vector, fd_gradient, fd_hessian, spectral_norm
+from .linalg import as_vector
 
 
 @dataclass
@@ -43,47 +43,28 @@ class CorpusEntry:
     notes: str = ""
 
 
-def _batched(fn):
-    """Lift a single-point evaluator (n,) -> (...) to batches (..., n), row by row."""
+def make_objective(name, dim, value, gradient, hessian, domain_box=None, lipschitz_hint=None):
+    """Build an Objective from evaluators that take (n,) points and (..., n) batches.
 
-    def batched(x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return fn(x)
-        rows = np.array([fn(p) for p in x.reshape(-1, x.shape[-1])])
-        return rows.reshape(x.shape[:-1] + rows.shape[1:])
-
-    return batched
-
-
-def make_objective(
-    name,
-    dim,
-    value,
-    gradient=None,
-    hessian=None,
-    domain_box=None,
-    lipschitz_hint=None,
-    vectorized=False,
-):
-    """Build an Objective, falling back to finite differences for missing derivatives.
-
-    `vectorized` declares that value and gradient already accept batches
-    (..., n); otherwise they are called one point at a time, as Hessians and
-    finite-difference derivatives always are.
+    The evaluators run once on a two-row probe, the lower and upper corners
+    of the box; a ValueError names every one whose result is not shaped
+    (2,), (2, n) and (2, n, n) respectively.
     """
-    if gradient is None:
-        gradient = _batched(lambda x, _v=value: fd_gradient(_v, x))
-    elif not vectorized:
-        gradient = _batched(gradient)
-    if hessian is None:
-        hessian = lambda x, _v=value: fd_hessian(_v, x)
-    hessian = _batched(hessian)
-    if not vectorized:
-        value = _batched(value)
     if domain_box is None:
         domain_box = np.repeat([[-3.0, 3.0]], dim, axis=0)
     domain_box = np.asarray(domain_box, dtype=float).reshape(dim, 2)
+    probe = domain_box.T
+    expected = {"value": (2,), "gradient": (2, dim), "hessian": (2, dim, dim)}
+    wrong = []
+    for label, fn in zip(expected, (value, gradient, hessian)):
+        try:
+            shape = np.shape(fn(probe))
+        except (ValueError, TypeError, IndexError) as exc:
+            shape = f"an error ({exc})"
+        if shape != expected[label]:
+            wrong.append(f"{label} gives {shape}, expected {expected[label]}")
+    if wrong:
+        raise ValueError(f"objective {name!r} on a (2, {dim}) batch: " + "; ".join(wrong))
     return Objective(
         name=name,
         dim=dim,
@@ -124,10 +105,19 @@ def make_regularized(f, l):
 
 
 def _grid_lipschitz(hessian, box, pts_per_axis=41):
-    """Max spectral norm of the Hessian over a grid on the box (offline estimate)."""
+    """Max spectral norm of the Hessian over a grid on the box (offline estimate).
+
+    Stacked `eigh` runs the same LAPACK routine on every matrix, so each
+    eigenvalue equals the single-matrix one bit for bit.
+    """
     box = np.asarray(box, dtype=float)
     points = _grid_seeds(box, pts_per_axis if box.shape[0] <= 2 else 5)
-    return max(spectral_norm(hessian(p)) for p in points)
+    return float(np.max(np.abs(np.linalg.eigh(hessian(points)).eigenvalues)))
+
+
+def _sym2(h11, h12, h22):
+    """Stack the entries (...) of symmetric 2x2 matrices into (..., 2, 2)."""
+    return np.stack([np.stack([h11, h12], axis=-1), np.stack([h12, h22], axis=-1)], axis=-2)
 
 
 def cubic_valley():
@@ -144,12 +134,13 @@ def cubic_valley():
         return np.stack([u * u, x[..., 1]], axis=-1)
 
     def hessian(x):
-        return np.array([[2.0 * x[0], 0.0], [0.0, 1.0]])
+        u = np.asarray(x, dtype=float)[..., 0]
+        return _sym2(2.0 * u, np.zeros_like(u), np.ones_like(u))
 
     box = [[-3.0, 3.0], [-3.0, 3.0]]
     return make_objective(
         "cubic_valley", 2, value, gradient, hessian, box,
-        lipschitz_hint=_grid_lipschitz(hessian, box), vectorized=True,
+        lipschitz_hint=_grid_lipschitz(hessian, box),
     )
 
 
@@ -167,12 +158,14 @@ def cubic_cone():
         return np.stack([u * u + v * v, 2.0 * u * v], axis=-1)
 
     def hessian(x):
-        return np.array([[2.0 * x[0], 2.0 * x[1]], [2.0 * x[1], 2.0 * x[0]]])
+        x = np.asarray(x, dtype=float)
+        u, v = x[..., 0], x[..., 1]
+        return _sym2(2.0 * u, 2.0 * v, 2.0 * u)
 
     box = [[-3.0, 3.0], [-3.0, 3.0]]
     return make_objective(
         "cubic_cone", 2, value, gradient, hessian, box,
-        lipschitz_hint=_grid_lipschitz(hessian, box), vectorized=True,
+        lipschitz_hint=_grid_lipschitz(hessian, box),
     )
 
 
@@ -190,13 +183,14 @@ def monkey_line():
         return np.stack([v * v * v / 3.0, u * (v * v)], axis=-1)
 
     def hessian(x):
-        y2 = x[1] ** 2
-        return np.array([[0.0, y2], [y2, 2.0 * x[0] * x[1]]])
+        x = np.asarray(x, dtype=float)
+        u, v = x[..., 0], x[..., 1]
+        return _sym2(np.zeros_like(u), v * v, 2.0 * u * v)
 
     box = [[-3.0, 3.0], [-3.0, 3.0]]
     return make_objective(
         "monkey_line", 2, value, gradient, hessian, box,
-        lipschitz_hint=_grid_lipschitz(hessian, box), vectorized=True,
+        lipschitz_hint=_grid_lipschitz(hessian, box),
     )
 
 
@@ -215,12 +209,14 @@ def double_degenerate():
         return np.stack([6.0 * u * (t * t)], axis=-1)
 
     def hessian(x):
-        return np.array([[6.0 * (x[0] ** 2 - 1.0) * (5.0 * x[0] ** 2 - 1.0)]])
+        u = np.asarray(x, dtype=float)[..., 0:1, None]
+        u2 = u * u
+        return 6.0 * (u2 - 1.0) * (5.0 * u2 - 1.0)
 
     box = [[-2.0, 2.0]]
     return make_objective(
         "double_degenerate", 1, value, gradient, hessian, box,
-        lipschitz_hint=_grid_lipschitz(hessian, box), vectorized=True,
+        lipschitz_hint=_grid_lipschitz(hessian, box),
     )
 
 
@@ -237,12 +233,12 @@ def quadratic_bowl(c=1.0, dim=2):
         return _c * np.asarray(x, dtype=float)
 
     def hessian(x, _c=c, _n=dim):
-        return _c * np.eye(_n)
+        return _c * np.broadcast_to(np.eye(_n), np.shape(x)[:-1] + (_n, _n))
 
     box = np.repeat([[-3.0, 3.0]], dim, axis=0)
     return make_objective(
         "quadratic_bowl", dim, value, gradient, hessian, box,
-        lipschitz_hint=float(c), vectorized=True,
+        lipschitz_hint=float(c),
     )
 
 

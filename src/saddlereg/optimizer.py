@@ -150,25 +150,6 @@ def resolve_gamma(f, x0, cfg):
     return 1.0 / (2.0 * lhat)
 
 
-def gd_step(f, x, gamma):
-    """One plain gradient step x - gamma * grad f(x)."""
-    x = as_vector(x)
-    g = np.asarray(f.gradient(x), dtype=float)
-    if not np.all(np.isfinite(g)):
-        raise ValueError(f"non-finite gradient at {x}")
-    return x - gamma * g
-
-
-def reg_step(f, x, l, gamma):
-    """One regularized step x - gamma * (grad f(x) + l)."""
-    x = as_vector(x)
-    l = as_vector(l)
-    g = np.asarray(f.gradient(x), dtype=float)
-    if not np.all(np.isfinite(g)):
-        raise ValueError(f"non-finite gradient at {x}")
-    return x - gamma * (g + l)
-
-
 def _descend(f, X, cfg, gamma, regularize, observe=None):
     """Advance the rows of X (m, n) in lockstep until each one terminates.
 

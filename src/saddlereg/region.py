@@ -43,20 +43,28 @@ class RegionGrid:
     def cell_center(self, idx):
         return self.box[:, 0] + (np.asarray(idx, dtype=float) + 0.5) * self.cell_widths
 
-    def cell_index(self, point):
-        """Grid index of the cell containing `point`, or None if outside the box."""
-        point = as_vector(point)
-        rel = (point - self.box[:, 0]) / self.cell_widths
+    def _cells(self, points):
+        """Cell indices (..., n) of points (..., n), and whether each lies in the box."""
+        rel = (points - self.box[:, 0]) / self.cell_widths
         idx = np.floor(rel).astype(int)
         # points exactly on the upper box face belong to the last cell
         idx = np.where((idx == self.resolution) & np.isclose(rel, self.resolution), idx - 1, idx)
-        if np.any(idx < 0) or np.any(idx >= self.resolution):
-            return None
-        return tuple(int(i) for i in idx)
+        return idx, np.all((idx >= 0) & (idx < self.resolution), axis=-1)
+
+    def cell_index(self, point):
+        """Grid index of the cell containing `point`, or None if outside the box."""
+        idx, in_box = self._cells(as_vector(point))
+        return tuple(int(i) for i in idx) if in_box else None
 
     def contains_point(self, point):
-        idx = self.cell_index(point)
-        return bool(self.inside[idx]) if idx is not None else False
+        """Whether a point (n,), or each point of a batch (..., n), lies in an inside cell."""
+        points = np.asarray(point, dtype=float)
+        if not np.all(np.isfinite(points)):
+            raise ValueError("point has non-finite entries")
+        idx, in_box = self._cells(points)
+        idx = np.where(in_box[..., None], idx, 0)
+        hit = in_box & self.inside[tuple(np.moveaxis(idx, -1, 0))]
+        return bool(hit) if hit.ndim == 0 else hit
 
     def inside_cell_centers(self):
         return self.box[:, 0] + (np.argwhere(self.inside) + 0.5) * self.cell_widths
@@ -129,6 +137,11 @@ def theta_region(f, seed, theta, box=None, resolution=200):
     return grid
 
 
+def _flow_sign(g, H, l):
+    """s = (g + l)^T H g for gradients g (..., n) and Hessians H (..., n, n)."""
+    return (((g + l)[..., None, :] @ H) @ g[..., :, None])[..., 0, 0]
+
+
 def boundary_classify(f, x, l, tol=1e-9):
     """Sign test for the regularized flow against the region boundary normal.
 
@@ -137,9 +150,7 @@ def boundary_classify(f, x, l, tol=1e-9):
     ("enter"), otherwise "tangent".
     """
     x = as_vector(x)
-    l = as_vector(l)
-    g = np.asarray(f.gradient(x), dtype=float)
-    s = float((g + l) @ f.hessian(x) @ g)
+    s = float(_flow_sign(np.asarray(f.gradient(x), dtype=float), f.hessian(x), as_vector(l)))
     if s < -tol:
         return EXIT
     if s > tol:
@@ -150,17 +161,15 @@ def boundary_classify(f, x, l, tol=1e-9):
 def check_boundary_assumption(f, region, l, tol=1e-9):
     """Verify exit-under-l implies exit-under-0 on every boundary cell.
 
-    Returns (holds, violating_cell_centers); the centers have shape (k, n),
-    (0, n) when the inclusion holds.
+    One sign test per boundary cell center, as `boundary_classify` makes it,
+    all cells at once. Returns (holds, violating_cell_centers); the centers
+    have shape (k, n), (0, n) when the inclusion holds.
     """
-    l = as_vector(l)
-    zero = np.zeros_like(l)
-    violations = []
-    for center in region.boundary_cell_centers():
-        if boundary_classify(f, center, l, tol) == EXIT:
-            if boundary_classify(f, center, zero, tol) != EXIT:
-                violations.append(center)
-    return len(violations) == 0, np.reshape(violations, (-1, region.dim))
+    centers = region.boundary_cell_centers()
+    g = np.asarray(f.gradient(centers), dtype=float)
+    H = f.hessian(centers)
+    violated = (_flow_sign(g, H, as_vector(l)) < -tol) & ~(_flow_sign(g, H, 0.0) < -tol)
+    return not violated.any(), centers[violated]
 
 
 def halfspace_check(f, region, v, zero_tol=1e-12):
@@ -212,18 +221,8 @@ def check_assumption_separation(
 
     results = []
     for i, (p, region) in enumerate(zip(points, regions)):
-        violations = []
-        for j, q in enumerate(points):
-            if j == i:
-                continue
-            if not region.contains_point(q):
-                continue
-            same_phi = (
-                cells[i] is not None
-                and cells[j] is not None
-                and phi_labels[cells[i]] == phi_labels[cells[j]]
-            )
-            if not same_phi:
-                violations.append(j)
+        # a contained point lies in the grid, so it has a cell and a label
+        contained = np.flatnonzero(region.contains_point(np.array(points))).tolist()
+        violations = [j for j in contained if phi_labels[cells[j]] != phi_labels[cells[i]]]
         results.append({"point": p, "pass": len(violations) == 0, "violations": violations})
     return results

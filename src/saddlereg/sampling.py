@@ -61,10 +61,8 @@ def sample_in_box(rng, box, n_samples, exclude=None, max_tries=1000):
 
 def sample_in_region(rng, region, n_samples, max_tries=1000):
     """Uniform samples over the inside cells of a region grid."""
-    def outside(points):
-        return np.array([not region.contains_point(p) for p in points])
-
-    return sample_in_box(rng, region.box, n_samples, exclude=outside, max_tries=max_tries)
+    return sample_in_box(rng, region.box, n_samples, max_tries=max_tries,
+                         exclude=lambda points: ~region.contains_point(points))
 
 
 def stable_set_fraction(

@@ -307,3 +307,15 @@ def test_analyze_theta_below_critical_gradient_is_config_error(tmp_path, capsys,
                  "--resolution", "40", "--out", str(tmp_path / "bad")])
     assert code == 1
     assert "outside the small-gradient region" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--objective", "cubic_valley", "--theta", "0"],  # separation check fails
+    ["--objective", "cubic_cone", "--theta", "3", "--x0", "2.9,2.9"],  # region seed fails
+])
+def test_analyze_config_error_writes_nothing(tmp_path, capsys, flags):
+    out = tmp_path / "none"
+    code = main(["analyze", *flags, "--resolution", "40", "--out", str(out)])
+    assert code == 1
+    assert "outside the small-gradient region" in _one_line_error(capsys)
+    assert not out.exists()

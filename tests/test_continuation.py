@@ -76,9 +76,8 @@ def _quintic_with_fold():
         "quintic_fold", 1,
         value=lambda x: xv(x) ** 5 / 20 + xv(x) ** 3 / 6 + xv(x),
         gradient=lambda x: np.stack([xv(x) ** 4 / 4 + xv(x) ** 2 / 2 + 1.0], axis=-1),
-        hessian=lambda x: np.array([[x[0] ** 3 + x[0]]]),
+        hessian=lambda x: (xv(x) ** 3 + xv(x))[..., None, None],
         domain_box=[[-3, 3]],
-        vectorized=True,
     )
 
 

@@ -170,9 +170,8 @@ _NO_ROOT = make_objective(
     "no_root", 1,
     value=lambda x: np.asarray(x, dtype=float)[..., 0] ** 3 / 3.0 + np.asarray(x)[..., 0],
     gradient=lambda x: np.asarray(x, dtype=float) ** 2 + 1.0,
-    hessian=lambda x: np.array([[2.0 * x[0]]]),
+    hessian=lambda x: 2.0 * np.asarray(x, dtype=float)[..., None],
     domain_box=[[-3.0, 3.0]],
-    vectorized=True,
 )
 _VALLEY = get_objective("cubic_valley")
 

@@ -2,12 +2,16 @@ import numpy as np
 import pytest
 
 from saddlereg import (
+    MlpSpec,
     classify_point,
     corpus,
     fd_gradient,
     fd_hessian,
     get_objective,
+    make_blobs,
+    make_objective,
     make_regularized,
+    mlp_objective,
     quadratic_bowl,
 )
 
@@ -72,6 +76,41 @@ def test_vectorized_evaluation_shapes():
     assert f.gradient(X).shape == (40, 2)
     x = X[0]
     assert f.value(x) == pytest.approx(f.value(X)[0])
+    # every corpus objective and the 2-8-8-2 network evaluate (k, n) and
+    # (a, b, n) batches natively, each row equal bit for bit to one point
+    spec = MlpSpec((2, 8, 8, 2))
+    net = mlp_objective(spec, make_blobs(20, 2, 2, 1.0, seed=2))
+    rng = np.random.default_rng(1)
+    for f in [entry.objective for entry in corpus()] + [net]:
+        X = rng.uniform(f.domain_box[:, 0], f.domain_box[:, 1], size=(6, f.dim))
+        X[0] = 0.0
+        for ev, tail in ((f.value, ()), (f.gradient, (f.dim,)), (f.hessian, (f.dim, f.dim))):
+            single = np.array([ev(x) for x in X])
+            assert single.shape == (6,) + tail
+            for batch in (X, X.reshape(2, 3, f.dim)):
+                out = ev(batch)
+                assert out.shape == batch.shape[:-1] + tail
+                assert out.tobytes() == single.tobytes(), (f.name, ev)
+
+
+def test_make_objective_requires_batched_evaluators():
+    value = lambda x: 0.5 * np.sum(np.asarray(x, dtype=float) ** 2, axis=-1)
+    gradient = lambda x: np.asarray(x, dtype=float)
+    hessian = lambda x: np.broadcast_to(np.eye(2), np.shape(x)[:-1] + (2, 2))
+    f = make_objective("bowl", 2, value, gradient, hessian)
+    assert f.hessian([[1.0, 2.0]]).shape == (1, 2, 2)
+    with pytest.raises(TypeError):
+        make_objective("bowl", 2, value, gradient)  # no finite-difference fallback
+    # single-point evaluators would broadcast silently inside a batch
+    one_point_value = lambda x: float(0.5 * np.sum(np.asarray(x, dtype=float) ** 2))
+    with pytest.raises(ValueError, match="value gives ") as exc:
+        make_objective("bowl", 2, one_point_value, gradient, lambda x: np.eye(2))
+    assert "hessian gives (2, 2)" in str(exc.value) and "gradient" not in str(exc.value)
+    with pytest.raises(ValueError, match="hessian gives"):
+        make_objective("line", 1, value, gradient, lambda x: np.array([[2.0 * x[0]]]))
+    with pytest.raises(ValueError, match="hessian gives an error"):
+        make_objective("valley", 2, value, gradient,
+                       lambda x: np.array([[2.0 * x[0], 0.0], [0.0, 1.0]]))
 
 
 def test_make_regularized_cancels_gradient():

@@ -10,11 +10,9 @@ from saddlereg import (
     STATUS_DIVERGED,
     STATUS_NUMERICAL_FAILURE,
     OptimizerConfig,
-    gd_step,
     get_objective,
     make_regularized,
     quadratic_bowl,
-    reg_step,
     run_plain_gd,
     run_regularized_gd,
     spectral_norm,
@@ -38,27 +36,6 @@ def test_config_rejects_nan(field):
     # NaN fails every comparison, so it must not slip past the range checks
     with pytest.raises(ValueError, match=field):
         OptimizerConfig(**{field: float("nan")})
-
-
-def test_gd_step_examples():
-    f = get_objective("cubic_valley")
-    np.testing.assert_allclose(gd_step(f, [1.0, 1.0], 0.1), [0.9, 0.9])
-    np.testing.assert_array_equal(gd_step(f, [0.0, 0.0], 0.1), [0.0, 0.0])
-    bowl = quadratic_bowl(1.0)
-    x = np.array([1.2, -0.4])
-    np.testing.assert_array_equal(gd_step(bowl, x, 0.5), 0.5 * x)
-
-
-def test_reg_step_examples():
-    f = get_objective("cubic_valley")
-    np.testing.assert_array_equal(reg_step(f, [1.0, 0.0], [-1.0, 0.0], 0.1), [1.0, 0.0])
-    x = np.array([0.8, -0.3])
-    np.testing.assert_array_equal(
-        reg_step(f, x, [0.0, 0.0], 0.1), gd_step(f, x, 0.1)
-    )
-    bowl = quadratic_bowl(1.0)
-    l = np.array([0.2, -0.1])
-    np.testing.assert_allclose(reg_step(bowl, [0.0, 0.0], l, 0.3), -0.3 * l)
 
 
 def test_plain_descent_into_nonstrict_saddle():

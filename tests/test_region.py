@@ -74,6 +74,25 @@ def test_contains_point_outside_box():
     assert not region.contains_point([5.0, 5.0])
 
 
+def test_contains_point_batch_equals_single_points():
+    # ||grad f||^2 = x^4 + y^2 <= 1 on a 10 x 10 grid over [-1, 1]^2
+    f = get_objective("cubic_valley")
+    region = theta_region(f, [0.0, 0.0], 1.0, box=[[-1, 1], [-1, 1]], resolution=10)
+    edge = np.array([
+        [1.0, 0.0], [0.0, 1.0],  # upper faces: last cells, centers inside
+        [1.0, 1.0], [-1.0, -1.0],  # corner cells, centers outside
+        [1.001, 0.0], [-1.5, 0.0], [0.0, 5.0], [-1.0 - 1e-9, 0.3],  # out of the box
+    ])
+    expected = [True, True, False, False, False, False, False, False]
+    assert [region.contains_point(p) for p in edge] == expected
+    points = np.concatenate([edge, np.random.default_rng(2).uniform(-1.2, 1.2, (40, 2))])
+    single = [region.contains_point(p) for p in points]
+    assert 0 < sum(single) < len(single)
+    np.testing.assert_array_equal(region.contains_point(points), single)
+    np.testing.assert_array_equal(region.contains_point(points.reshape(6, 8, 2)),
+                                  np.reshape(single, (6, 8)))
+
+
 def test_region_csv_export(tmp_path):
     f = get_objective("cubic_valley")
     region = theta_region(f, [0.0, 0.0], 1.0, box=[[-2, 2], [-2, 2]], resolution=40)

@@ -49,9 +49,8 @@ _STIFF = make_objective(
     "stiff_quadratic", 1,
     value=lambda x: 0.5e150 * np.asarray(x, dtype=float)[..., 0] ** 2,
     gradient=lambda x: 1e150 * np.asarray(x, dtype=float),
-    hessian=lambda x: np.array([[1e150]]),
+    hessian=lambda x: np.full(np.shape(x) + (1,), 1e150),
     domain_box=[[-2.0, 2.0]],
-    vectorized=True,
 )
 _OBJECTIVES = [entry.objective for entry in corpus()] + [_STIFF]
 
