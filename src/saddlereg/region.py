@@ -8,10 +8,10 @@ dimensions must test membership pointwise along trajectories instead.
 """
 
 import csv
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .critical import find_critical_points
 from .linalg import as_vector
@@ -47,8 +47,8 @@ class RegionGrid:
         """Cell indices (..., n) of points (..., n), and whether each lies in the box."""
         rel = (points - self.box[:, 0]) / self.cell_widths
         idx = np.floor(rel).astype(int)
-        # points exactly on the upper box face belong to the last cell
-        idx = np.where((idx == self.resolution) & np.isclose(rel, self.resolution), idx - 1, idx)
+        # points on the upper box face belong to the last cell
+        idx = np.where((idx == self.resolution) & (points <= self.box[:, 1]), idx - 1, idx)
         return idx, np.all((idx >= 0) & (idx < self.resolution), axis=-1)
 
     def cell_index(self, point):
@@ -77,12 +77,41 @@ class RegionGrid:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow([f"x{i}" for i in range(self.dim)] + ["inside", "boundary"])
-            for idx in np.ndindex(self.inside.shape):
-                center = self.cell_center(idx)
-                writer.writerow(
-                    [repr(float(v)) for v in center]
-                    + [int(self.inside[idx]), int(self.boundary[idx])]
-                )
+            # coordinate i depends on index i alone; row k is cell_center((k,) * n)
+            centers = self.cell_center(np.arange(self.resolution)[:, None])
+            rows = itertools.product(*[[repr(v) for v in col] for col in centers.T.tolist()])
+            flags = zip(*(m.ravel().astype(int).tolist() for m in (self.inside, self.boundary)))
+            writer.writerows(map(tuple.__add__, rows, flags))
+
+
+def _component(mask, cell):
+    """Face-connected (2n-connectivity) component of `mask` through `cell`, a mask cell.
+
+    A sweep along an axis adds each whole run of mask cells that meets the component;
+    rounds of sweeps repeat until one adds nothing, as often as a path turns, not per cell.
+    """
+    runs = []  # per axis: the cells of one run share an id > 0, off-mask cells 0
+    for axis in range(mask.ndim):
+        m = np.moveaxis(mask, axis, -1)
+        ids = np.cumsum(m & np.diff(m, axis=-1, prepend=False)).reshape(m.shape) * m
+        runs.append((np.moveaxis(ids, -1, axis), int(ids.max()) + 1))
+    comp = np.zeros_like(mask)
+    comp[cell] = True
+    size = 0
+    while size < (size := np.count_nonzero(comp)):  # until a round adds no cell
+        for ids, n_ids in runs:
+            comp = (np.bincount(ids[comp], minlength=n_ids) > 0)[ids]
+    return comp
+
+
+def _erode(mask):
+    """Cells of `mask` whose 2n face neighbors are all in it; cells beyond the grid count as in."""
+    eroded = mask.copy()
+    for axis in range(mask.ndim):
+        e, m = np.moveaxis(eroded, axis, 0), np.moveaxis(mask, axis, 0)
+        e[1:] &= m[:-1]
+        e[:-1] &= m[1:]
+    return eroded
 
 
 def _grad_norm_grid(f, box, resolution):
@@ -127,12 +156,8 @@ def theta_region(f, seed, theta, box=None, resolution=200):
             "seed cell center is outside the small-gradient region; raise the resolution"
         )
 
-    structure = ndimage.generate_binary_structure(n, 1)  # faces only: 2n-connectivity
-    labels, _ = ndimage.label(mask, structure=structure)
-    inside = labels == labels[seed_cell]
-    eroded = ndimage.binary_erosion(inside, structure=structure, border_value=1)
-    grid.inside = inside
-    grid.boundary = inside & ~eroded
+    grid.inside = _component(mask, seed_cell)
+    grid.boundary = grid.inside & ~_erode(grid.inside)
     grid.seed_cell = seed_cell
     return grid
 
@@ -210,19 +235,14 @@ def check_assumption_separation(
 
     # near-critical connectivity at the grid resolution stands in for connected
     # critical subsets (e.g. a whole critical line)
-    gn = _grad_norm_grid(f, box, resolution)
-    phi_mask = gn <= phi_tol
-    cells = [regions[0].cell_index(p) if regions else None for p in points]
-    for c in cells:
-        if c is not None:
-            phi_mask[c] = True
-    structure = ndimage.generate_binary_structure(box.shape[0], 1)
-    phi_labels, _ = ndimage.label(phi_mask, structure=structure)
+    phi_mask = _grad_norm_grid(f, box, resolution) <= phi_tol
+    for region in regions:  # every region shares the grid; its seed cell is its point's
+        phi_mask[region.seed_cell] = True
 
     results = []
-    for i, (p, region) in enumerate(zip(points, regions)):
-        # a contained point lies in the grid, so it has a cell and a label
+    for p, region in zip(points, regions):
         contained = np.flatnonzero(region.contains_point(np.array(points))).tolist()
-        violations = [j for j in contained if phi_labels[cells[j]] != phi_labels[cells[i]]]
+        same = _component(phi_mask, region.seed_cell)
+        violations = [j for j in contained if not same[regions[j].seed_cell]]
         results.append({"point": p, "pass": len(violations) == 0, "violations": violations})
     return results

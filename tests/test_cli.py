@@ -1,11 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import saddlereg
 from saddlereg.cli import main
 
 
@@ -319,3 +323,14 @@ def test_analyze_config_error_writes_nothing(tmp_path, capsys, flags):
     assert code == 1
     assert "outside the small-gradient region" in _one_line_error(capsys)
     assert not out.exists()
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency: the installed program runs without it
+    src = str(Path(saddlereg.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import sys, saddlereg.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

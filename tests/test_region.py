@@ -1,8 +1,12 @@
 import csv
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
 from saddlereg import (
@@ -18,6 +22,7 @@ from saddlereg import (
     quadratic_bowl,
     theta_region,
 )
+from saddlereg.region import RegionGrid, _component, _erode, _grad_norm_grid
 
 
 def test_valley_region_shape():
@@ -235,3 +240,110 @@ def test_region_one_dimensional():
     assert region.contains_point([1.0])
     assert not region.contains_point([0.0])  # separate component
     assert region.inside.ndim == 1
+
+
+_A3 = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, -0.3], [0.0, -0.3, 1.5]])
+
+
+def _quadratic_3d():
+    return make_objective(
+        "quad3", 3,
+        lambda x: 0.5 * np.einsum("...i,ij,...j->...", x, _A3, x),
+        lambda x: x @ _A3,
+        lambda x: np.broadcast_to(_A3, np.shape(x)[:-1] + (3, 3)),
+        domain_box=[[-1.0, 1.5], [-2.0, 1.0], [-0.5, 2.0]],
+    )
+
+
+@pytest.mark.parametrize("make_region, digest", [
+    (lambda: theta_region(get_objective("double_degenerate"), [1.0], 0.1, resolution=400),
+     "87d11f0a9d2b0fc00a4a3888b29f7f44ba2cb6452d3952cd262693108f9b416d"),
+    (lambda: theta_region(get_objective("cubic_cone"), [0.0, 0.0], 3.0, resolution=300),
+     "548cac63cec75d89259009d5ec713c675b3eba8beb44b8b5aff7313900009d92"),
+    (lambda: theta_region(_quadratic_3d(), [0.0, 0.0, 0.0], 1.5, resolution=20),
+     "7ba1bfc6aaeadea71f6f74b6d26291bd78b2677b9b62a0cd4a772b3169b22783"),
+], ids=["1d", "2d", "3d"])
+def test_save_csv_bytes_pinned(tmp_path, make_region, digest):
+    # digests of the per-cell writer (repr of each cell_center coordinate, rows
+    # in np.ndindex order), which the one-pass writer must reproduce
+    path = tmp_path / "region.csv"
+    make_region().save_csv(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("resolution", [10, 300, 3000])
+def test_upper_face_has_no_tolerance(resolution):
+    grid = RegionGrid(box=np.array([[-1.0, 1.0], [-1.0, 1.0]]), resolution=resolution,
+                      theta=1.0, inside=np.ones((resolution, resolution), dtype=bool),
+                      boundary=np.zeros((resolution, resolution), dtype=bool), seed_cell=())
+    last, mid = resolution - 1, resolution // 2
+    beyond = np.array([[1.0 + 1e-6, 0.0], [0.0, 1.0 + 1e-9], [1.0 + 1e-12, 1.0]])
+    assert [grid.cell_index(p) for p in beyond] == [None] * 3
+    assert not grid.contains_point(beyond).any()
+    assert grid.cell_index([-1.0 - 1e-9, 0.3]) is None  # the lower faces alike
+    on_face = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    assert [grid.cell_index(p) for p in on_face] == [(last, mid), (mid, last), (last, last)]
+    assert grid.contains_point(on_face).all()
+
+
+def _scipy_component(mask, cell):
+    labels, _ = ndimage.label(mask, structure=ndimage.generate_binary_structure(mask.ndim, 1))
+    return labels == labels[cell]
+
+
+def _scipy_erosion(mask):
+    structure = ndimage.generate_binary_structure(mask.ndim, 1)
+    return ndimage.binary_erosion(mask, structure=structure, border_value=1)
+
+
+@st.composite
+def _masks_with_cell(draw):
+    shape = tuple(draw(st.lists(st.integers(1, 12), min_size=1, max_size=3)))
+    mask = draw(arrays(np.bool_, shape))
+    cell = tuple(draw(st.integers(0, s - 1)) for s in shape)
+    mask[cell] = True
+    return mask, cell
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=_masks_with_cell())
+def test_component_and_erosion_match_ndimage(case):
+    mask, cell = case
+    np.testing.assert_array_equal(_component(mask, cell), _scipy_component(mask, cell))
+    np.testing.assert_array_equal(_erode(mask), _scipy_erosion(mask))
+
+
+_REGION_OBJECTIVES = ["cubic_valley", "cubic_cone", "monkey_line", "double_degenerate",
+                      "quadratic_bowl"]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(_REGION_OBJECTIVES), u=st.lists(st.floats(0.05, 0.95), min_size=2,
+       max_size=2), theta=st.floats(0.05, 20.0), resolution=st.integers(3, 80))
+def test_theta_region_properties(name, u, theta, resolution):
+    f = get_objective(name)
+    box = f.domain_box
+    seed = box[:, 0] + np.array(u[:f.dim]) * (box[:, 1] - box[:, 0])
+    try:
+        region = theta_region(f, seed, theta, resolution=resolution)
+    except ValueError:
+        assume(False)
+    assert region.inside[region.seed_cell]
+    assert region.cell_index(seed) == region.seed_cell
+    assert not np.any(region.boundary & ~region.inside)
+    mask = _grad_norm_grid(f, box, resolution) <= theta
+    np.testing.assert_array_equal(region.inside, _scipy_component(mask, region.seed_cell))
+    np.testing.assert_array_equal(region.boundary,
+                                  region.inside & ~_scipy_erosion(region.inside))
+
+
+def test_winding_monkey_region_matches_ndimage():
+    # the theta = 4.7 region of x y^3 / 3 at resolution 600 has long winding
+    # arms, the case where the fill's pass count would grow with path length
+    f = get_objective("monkey_line")
+    region = theta_region(f, [0.0, 0.0], 4.7, resolution=600)
+    mask = _grad_norm_grid(f, f.domain_box, 600) <= 4.7
+    expected = _scipy_component(mask, region.seed_cell)
+    assert 0 < expected.sum() < expected.size
+    np.testing.assert_array_equal(region.inside, expected)
+    np.testing.assert_array_equal(region.boundary, expected & ~_scipy_erosion(expected))
