@@ -1,9 +1,9 @@
 """Command-line front end for running and analyzing descent experiments.
 
 Subcommands: run, analyze, bifurcate, mlp-compare, stable-set, region.
-All outputs are machine-readable (schema-validated JSON, RFC-4180 CSV) and
-byte-identical for identical configs and seeds. Exit codes: 0 success,
-1 configuration error, 2 numerical failure.
+All outputs are machine-readable (JSON whose schemas the test suite checks,
+RFC-4180 CSV) and byte-identical for identical configs and seeds. Exit codes:
+0 success, 1 configuration error, 2 numerical failure.
 """
 
 import argparse
@@ -14,7 +14,6 @@ import re
 import sys
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from .continuation import continuation_trace
@@ -46,89 +45,6 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-# ---------------------------------------------------------------------------
-# output schemas
-
-_EVENT_SCHEMA = {
-    "type": "object",
-    "required": ["k_entry", "x_entry", "l", "k_exit"],
-    "properties": {
-        "k_entry": {"type": "integer"},
-        "x_entry": {"type": "array", "items": {"type": "number"}},
-        "l": {"type": "array", "items": {"type": "number"}},
-        "k_exit": {"type": ["integer", "null"]},
-    },
-}
-
-RUN_SUMMARY_SCHEMA = {
-    "type": "object",
-    "required": ["objective", "status", "final_x", "final_value", "final_grad_norm",
-                 "n_iters", "events", "config"],
-    "properties": {
-        "objective": {"type": "string"},
-        "status": {"type": "string"},
-        "final_x": {"type": "array", "items": {"type": "number"}},
-        "final_value": {"type": "number"},
-        "final_grad_norm": {"type": "number"},
-        "n_iters": {"type": "integer"},
-        "events": {"type": "array", "items": _EVENT_SCHEMA},
-        "config": {"type": "object"},
-    },
-}
-
-TRAJECTORY_SCHEMA = {
-    "type": "object",
-    "required": ["status", "final_x", "final_value", "stride", "ks", "iterates",
-                 "grad_norms", "modes", "event_ids", "events"],
-}
-
-REPORT_SCHEMA = {
-    "type": "object",
-    "required": ["location", "grad_norm", "eigenvalues", "stratum", "classification"],
-}
-
-ANALYZE_SCHEMA = {
-    "type": "object",
-    "required": ["objective", "critical_points"],
-    "properties": {"critical_points": {"type": "array", "items": REPORT_SCHEMA}},
-}
-
-MILNOR_SCHEMA = {
-    "type": "object",
-    "required": ["objective", "n_l", "l_scale", "fraction_degenerate"],
-}
-
-BIFURCATE_SCHEMA = {
-    "type": "object",
-    "required": ["objective", "sweeps"],
-    "properties": {
-        "sweeps": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["l", "critical_points", "continuations"],
-            },
-        }
-    },
-}
-
-STABLE_SET_SCHEMA = {
-    "type": "object",
-    "required": ["objective", "method", "fraction", "n_samples"],
-}
-
-REGION_SCHEMA = {
-    "type": "object",
-    "required": ["objective", "theta", "resolution", "n_inside", "n_boundary", "seed"],
-}
-
-MLP_SUMMARY_SCHEMA = {
-    "type": "object",
-    "required": ["trials", "theta", "gamma", "max_iters", "triggered", "prefix_equal",
-                 "final_loss_plain", "final_loss_reg", "fraction_triggered"],
-}
-
-
 def _jsonify(obj):
     if isinstance(obj, dict):
         return {k: _jsonify(v) for k, v in obj.items()}
@@ -145,9 +61,8 @@ def _jsonify(obj):
     return obj
 
 
-def write_json(path, obj, schema):
+def write_json(path, obj):
     obj = _jsonify(obj)
-    jsonschema.validate(obj, schema)
     with open(path, "w", newline="") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -273,9 +188,7 @@ def cmd_run(args):
     rec = run_regularized_gd(f, x0, cfg)
     rec.save_json(out / "trajectory.json")
     rec.save_csv(out / "trajectory.csv")
-    write_json(out / "events.json",
-               {"events": [e.to_dict() for e in rec.events]},
-               {"type": "object", "required": ["events"]})
+    write_json(out / "events.json", {"events": [e.to_dict() for e in rec.events]})
     summary = {
         "objective": f.name,
         "status": rec.status,
@@ -290,7 +203,7 @@ def cmd_run(args):
             "x0": x0,
         },
     }
-    write_json(out / "summary.json", summary, RUN_SUMMARY_SCHEMA)
+    write_json(out / "summary.json", summary)
     print(f"run: {rec.status} after {rec.n_iters} iterations, "
           f"final value {rec.final_value:.6g}, {len(rec.events)} event(s)")
     for i, e in enumerate(rec.events):
@@ -320,8 +233,7 @@ def cmd_analyze(args):
     out = _outdir(args)
 
     write_json(out / "critical_points.json",
-               {"objective": f.name, "critical_points": [r.to_dict() for r in reports]},
-               ANALYZE_SCHEMA)
+               {"objective": f.name, "critical_points": [r.to_dict() for r in reports]})
     print(f"analyze: {len(reports)} critical point(s)")
     for r in reports:
         loc = ", ".join(f"{v:.6g}" for v in r.location)
@@ -332,8 +244,7 @@ def cmd_analyze(args):
         write_json(out / "separation.json",
                    {"objective": f.name, "theta": args.theta,
                     "checks": [{"point": c["point"], "pass": c["pass"],
-                                "violations": c["violations"]} for c in checks]},
-                   {"type": "object", "required": ["checks"]})
+                                "violations": c["violations"]} for c in checks]})
         print(f"  separation check: {'pass' if all(c['pass'] for c in checks) else 'FAIL'}")
 
     if region is not None:
@@ -344,8 +255,7 @@ def cmd_analyze(args):
         frac = milnor_sample(f, box, n_l=n_l, seed=seed)
         write_json(out / "milnor.json",
                    {"objective": f.name, "n_l": n_l, "l_scale": 1.0,
-                    "fraction_degenerate": frac},
-                   MILNOR_SCHEMA)
+                    "fraction_degenerate": frac})
         print(f"  degenerate fraction over {n_l} draws: {frac:.6g}")
     return 0
 
@@ -363,8 +273,8 @@ def cmd_bifurcate(args):
         ls = [np.array([v]) for v in (0.01, -0.01, 0.001, -0.001, 0.0)]
     else:
         raise ConfigError("--regularizer is required for objectives of dimension > 1")
-    out = _outdir(args)
 
+    # the whole sweep runs before anything is written or printed
     sweeps = []
     for l in ls:
         fl = make_regularized(f, l) if np.any(l) else f
@@ -372,7 +282,11 @@ def cmd_bifurcate(args):
         continuations = []
         if np.any(l):
             for r in reports:
-                path = continuation_trace(f, r.location, l)
+                try:
+                    path = continuation_trace(f, r.location, l)
+                except ValueError as exc:
+                    raise ConfigError(f"regularizer {l.tolist()}: cannot trace the critical "
+                                      f"point at {r.location.tolist()}: {exc}") from exc
                 continuations.append({
                     "start": r.location,
                     "fold": path.fold,
@@ -380,16 +294,16 @@ def cmd_bifurcate(args):
                     "reached_mu0": bool(path.samples[-1][0] == 0.0),
                     "end_x": path.samples[-1][1],
                 })
-        sweeps.append({
-            "l": l,
-            "critical_points": [r.to_dict() for r in reports],
-            "continuations": continuations,
-        })
+        sweeps.append((l, reports, continuations))
+    out = _outdir(args)
+
+    for l, reports, _ in sweeps:
         print(f"l = {l.tolist()}: {len(reports)} critical point(s): "
               + ", ".join(f"{r.classification}@{np.round(r.location, 4).tolist()}"
                           for r in reports))
-    write_json(out / "bifurcation.json",
-               {"objective": f.name, "sweeps": sweeps}, BIFURCATE_SCHEMA)
+    write_json(out / "bifurcation.json", {"objective": f.name, "sweeps": [
+        {"l": l, "critical_points": [r.to_dict() for r in reports], "continuations": conts}
+        for l, reports, conts in sweeps]})
     return 0
 
 
@@ -413,8 +327,7 @@ def cmd_stable_set(args):
     )
     write_json(out / "stable_set.json",
                {"objective": f.name, "method": method, "fraction": frac,
-                "n_samples": n_samples, "target": target, "theta": cfg.theta},
-               STABLE_SET_SCHEMA)
+                "n_samples": n_samples, "target": target, "theta": cfg.theta})
     print(f"stable-set: fraction {frac:.4f} of {n_samples} samples ({method})")
     return 0
 
@@ -438,7 +351,7 @@ def _save_region(f, region, seed_pt, out):
         "n_inside": int(region.inside.sum()),
         "n_boundary": int(region.boundary.sum()),
         "seed": seed_pt,
-    }, REGION_SCHEMA)
+    })
 
 
 def cmd_region(args):
@@ -512,7 +425,7 @@ def cmd_mlp_compare(args):
         "mean_final_reg_triggered":
             float(np.mean([finals_reg[i] for i in trig_idx])) if trig_idx else None,
     }
-    write_json(out / "mlp_summary.json", summary, MLP_SUMMARY_SCHEMA)
+    write_json(out / "mlp_summary.json", summary)
     print(f"mlp-compare: {len(trig_idx)}/{trials} trials triggered, "
           f"prefix equality {'holds' if all(prefix_equal) else 'VIOLATED'}")
     if trig_idx:

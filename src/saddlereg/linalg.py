@@ -6,8 +6,6 @@ Hessian / third-derivative stencils that serve as independent oracles for
 analytic derivatives throughout the package.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -48,26 +46,18 @@ def symmetrize(a):
     return 0.5 * (a + a.mT)
 
 
-@dataclass
-class EigenDecomposition:
-    """Eigenvalues ascending; eigenvectors[:, i] is the unit vector for eigenvalues[i]."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def sym_eigen(a):
     """Full eigendecomposition of a symmetric matrix (LAPACK, via numpy.linalg.eigh).
 
-    The input is validated by check_symmetric. Raises NumericalError if LAPACK
-    does not converge.
+    Returns numpy's EighResult: eigenvalues ascending, eigenvectors[:, i] the
+    unit vector for eigenvalues[i]. The input is validated by check_symmetric.
+    Raises NumericalError if LAPACK does not converge.
     """
     a = check_symmetric(a)
     try:
-        eigenvalues, eigenvectors = np.linalg.eigh(a)
+        return np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"symmetric eigensolver failed: {exc}") from exc
-    return EigenDecomposition(eigenvalues, eigenvectors)
 
 
 def spectral_norm(a):

@@ -6,6 +6,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -325,12 +326,155 @@ def test_analyze_config_error_writes_nothing(tmp_path, capsys, flags):
     assert not out.exists()
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is a test-only dependency: the installed program runs without it
+@pytest.mark.parametrize("package", ["scipy", "jsonschema"])
+def test_cli_import_loads_no_scipy(package):
+    # scipy and jsonschema are test-only dependencies: the installed program runs without them
     src = str(Path(saddlereg.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     code = ("import sys, saddlereg.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# output schemas: the contract of every JSON file the subcommands write
+
+_EVENT_SCHEMA = {
+    "type": "object",
+    "required": ["k_entry", "x_entry", "l", "k_exit"],
+    "properties": {
+        "k_entry": {"type": "integer"},
+        "x_entry": {"type": "array", "items": {"type": "number"}},
+        "l": {"type": "array", "items": {"type": "number"}},
+        "k_exit": {"type": ["integer", "null"]},
+    },
+}
+
+RUN_SUMMARY_SCHEMA = {
+    "type": "object",
+    "required": ["objective", "status", "final_x", "final_value", "final_grad_norm",
+                 "n_iters", "events", "config"],
+    "properties": {
+        "objective": {"type": "string"},
+        "status": {"type": "string"},
+        "final_x": {"type": "array", "items": {"type": "number"}},
+        "final_value": {"type": "number"},
+        "final_grad_norm": {"type": "number"},
+        "n_iters": {"type": "integer"},
+        "events": {"type": "array", "items": _EVENT_SCHEMA},
+        "config": {"type": "object"},
+    },
+}
+
+TRAJECTORY_SCHEMA = {
+    "type": "object",
+    "required": ["status", "final_x", "final_value", "stride", "ks", "iterates",
+                 "grad_norms", "modes", "event_ids", "events"],
+}
+
+REPORT_SCHEMA = {
+    "type": "object",
+    "required": ["location", "grad_norm", "eigenvalues", "stratum", "classification"],
+}
+
+ANALYZE_SCHEMA = {
+    "type": "object",
+    "required": ["objective", "critical_points"],
+    "properties": {"critical_points": {"type": "array", "items": REPORT_SCHEMA}},
+}
+
+MILNOR_SCHEMA = {
+    "type": "object",
+    "required": ["objective", "n_l", "l_scale", "fraction_degenerate"],
+}
+
+BIFURCATE_SCHEMA = {
+    "type": "object",
+    "required": ["objective", "sweeps"],
+    "properties": {
+        "sweeps": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "required": ["l", "critical_points", "continuations"],
+            },
+        }
+    },
+}
+
+STABLE_SET_SCHEMA = {
+    "type": "object",
+    "required": ["objective", "method", "fraction", "n_samples"],
+}
+
+REGION_SCHEMA = {
+    "type": "object",
+    "required": ["objective", "theta", "resolution", "n_inside", "n_boundary", "seed"],
+}
+
+MLP_SUMMARY_SCHEMA = {
+    "type": "object",
+    "required": ["trials", "theta", "gamma", "max_iters", "triggered", "prefix_equal",
+                 "final_loss_plain", "final_loss_reg", "fraction_triggered"],
+}
+
+OUTPUT_SCHEMAS = {
+    "summary.json": RUN_SUMMARY_SCHEMA,
+    "trajectory.json": TRAJECTORY_SCHEMA,
+    "events.json": {"type": "object", "required": ["events"]},
+    "critical_points.json": ANALYZE_SCHEMA,
+    "separation.json": {"type": "object", "required": ["checks"]},
+    "milnor.json": MILNOR_SCHEMA,
+    "bifurcation.json": BIFURCATE_SCHEMA,
+    "stable_set.json": STABLE_SET_SCHEMA,
+    "region.json": REGION_SCHEMA,
+    "mlp_summary.json": MLP_SUMMARY_SCHEMA,
+}
+
+_STABLE_SET = ["stable-set", "--objective", "cubic_valley", "--x0", "0,0", "--box", "-2,2",
+               "--trials", "50", "--gamma", "0.15", "--eps", "1e-6", "--max-iters", "300"]
+
+
+def test_every_json_output_matches_its_schema(tmp_path):
+    commands = [
+        _CONE_RUN + ["--theta", "3"],
+        ["analyze", "--objective", "cubic_cone", "--theta", "3", "--x0", "0,0",
+         "--resolution", "40", "--milnor", "20", "--seed", "0"],
+        ["bifurcate", "--objective", "cubic_valley", "--regularizer", "-1,0"],
+        _STABLE_SET,
+        _STABLE_SET + ["--theta", "0.1"],
+        ["region", "--objective", "cubic_cone", "--x0", "0,0", "--theta", "3",
+         "--resolution", "40"],
+        ["mlp-compare", "--trials", "2", "--max-iters", "100"],
+    ]
+    used, methods = set(), set()
+    for i, command in enumerate(commands):
+        out = tmp_path / str(i)
+        assert main(command + ["--out", str(out)]) == 0, command
+        written = sorted(out.glob("*.json"))
+        assert written, command
+        for path in written:
+            assert path.name in OUTPUT_SCHEMAS, f"{command[0]} wrote {path.name}: no schema"
+            data = _read_json(path)
+            jsonschema.validate(data, OUTPUT_SCHEMAS[path.name])
+            used.add(path.name)
+            if path.name == "stable_set.json":
+                methods.add(data["method"])
+    assert used == set(OUTPUT_SCHEMAS)
+    assert methods == {"plain", "regularized"}
+
+
+@pytest.mark.parametrize("l, shown", [("0,1", "[0.0, 1.0]"), ("0,-0.5", "[0.0, -0.5]")])
+def test_bifurcate_singular_start_is_config_error(tmp_path, capsys, l, shown):
+    # l = (0, c) shifts cubic_valley's critical point to (0, -c), where the Hessian is diag(0, 1)
+    out = tmp_path / "none"
+    code = main(["bifurcate", "--objective", "cubic_valley", "--regularizer", "-1,0",
+                 "--regularizer", l, "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""  # not even the sweep over l = (-1, 0), which succeeds
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1, captured.err
+    assert f"regularizer {shown}" in captured.err and "singular" in captured.err
+    assert not out.exists()
