@@ -14,7 +14,7 @@ print(f"{'c':>4} {'theta':>6} {'worst excess':>14} {'bound':>10}")
 for c in (1.0, 4.0):
     for theta in (0.5, 1.0):
         bowl = quadratic_bowl(c)
-        excess = pl_error_check(bowl, np.zeros(2), theta=theta, c=c, n_l=200, seed=0)
+        excess = pl_error_check(bowl, np.zeros(2), theta=theta, n_l=200, seed=0)
         bound = theta ** 2 / (2 * c)
         print(f"{c:4.0f} {theta:6.2f} {excess:14.6f} {bound:10.6f}")
 

@@ -22,7 +22,7 @@ print("                     (the saddle's basin is the halfspace x > 0)")
 
 cfg_reg = OptimizerConfig(gamma=0.15, theta=0.5, eps_converge=1e-6, max_iters=2000)
 frac_reg = stable_set_fraction(f, [0.0, 0.0], box, n_samples=2000, cfg=cfg_reg,
-                               seed=11, method="regularized", exclude=exclude)
+                               seed=11, exclude=exclude)
 print(f"regularized descent: {frac_reg:.1%} converge to the saddle (theta = 0.5)")
 
 # the same contrast on the critical line of x*y^3/3
@@ -34,8 +34,7 @@ cfg = OptimizerConfig(gamma=0.1, theta=0.0, eps_converge=1e-9, max_iters=3000,
 frac_plain = stable_set_fraction(f, dist_to_line, box, n_samples=1000, cfg=cfg, seed=2)
 cfg_reg = OptimizerConfig(gamma=0.1, theta=4.7, eps_converge=1e-9, max_iters=3000,
                           escape_radius=15)
-frac_reg = stable_set_fraction(f, dist_to_line, box, n_samples=1000, cfg=cfg_reg,
-                               seed=2, method="regularized")
+frac_reg = stable_set_fraction(f, dist_to_line, box, n_samples=1000, cfg=cfg_reg, seed=2)
 print(f"\nmonkey_line, starts in [0.5,2]^2:")
 print(f"plain descent lands on the critical line y=0 for {frac_plain:.1%} of starts")
 print(f"regularized descent (theta = 4.7): {frac_reg:.1%}")

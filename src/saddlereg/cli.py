@@ -8,6 +8,7 @@ RFC-4180 CSV) and byte-identical for identical configs and seeds. Exit codes:
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import re
@@ -58,6 +59,8 @@ def _jsonify(obj):
         return int(obj)
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _jsonify(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     return obj
 
 
@@ -186,9 +189,9 @@ def cmd_run(args):
     out = _outdir(args)
 
     rec = run_regularized_gd(f, x0, cfg)
-    rec.save_json(out / "trajectory.json")
+    write_json(out / "trajectory.json", rec)
     rec.save_csv(out / "trajectory.csv")
-    write_json(out / "events.json", {"events": [e.to_dict() for e in rec.events]})
+    write_json(out / "events.json", {"events": rec.events})
     summary = {
         "objective": f.name,
         "status": rec.status,
@@ -196,12 +199,8 @@ def cmd_run(args):
         "final_value": rec.final_value,
         "final_grad_norm": rec.grad_norms[-1],
         "n_iters": rec.n_iters,
-        "events": [e.to_dict() for e in rec.events],
-        "config": {
-            "gamma": cfg.gamma, "theta": cfg.theta, "eps_converge": cfg.eps_converge,
-            "max_iters": cfg.max_iters, "escape_radius": cfg.escape_radius,
-            "x0": x0,
-        },
+        "events": rec.events,
+        "config": {**dataclasses.asdict(cfg), "x0": x0},
     }
     write_json(out / "summary.json", summary)
     print(f"run: {rec.status} after {rec.n_iters} iterations, "
@@ -233,7 +232,7 @@ def cmd_analyze(args):
     out = _outdir(args)
 
     write_json(out / "critical_points.json",
-               {"objective": f.name, "critical_points": [r.to_dict() for r in reports]})
+               {"objective": f.name, "critical_points": reports})
     print(f"analyze: {len(reports)} critical point(s)")
     for r in reports:
         loc = ", ".join(f"{v:.6g}" for v in r.location)
@@ -242,9 +241,7 @@ def cmd_analyze(args):
 
     if checks is not None:
         write_json(out / "separation.json",
-                   {"objective": f.name, "theta": args.theta,
-                    "checks": [{"point": c["point"], "pass": c["pass"],
-                                "violations": c["violations"]} for c in checks]})
+                   {"objective": f.name, "theta": args.theta, "checks": checks})
         print(f"  separation check: {'pass' if all(c['pass'] for c in checks) else 'FAIL'}")
 
     if region is not None:
@@ -302,7 +299,7 @@ def cmd_bifurcate(args):
               + ", ".join(f"{r.classification}@{np.round(r.location, 4).tolist()}"
                           for r in reports))
     write_json(out / "bifurcation.json", {"objective": f.name, "sweeps": [
-        {"l": l, "critical_points": [r.to_dict() for r in reports], "continuations": conts}
+        {"l": l, "critical_points": reports, "continuations": conts}
         for l, reports, conts in sweeps]})
     return 0
 
@@ -321,10 +318,7 @@ def cmd_stable_set(args):
     method = "regularized" if cfg.theta > 0 else "plain"
     out = _outdir(args)
 
-    frac = stable_set_fraction(
-        f, target, box, n_samples=n_samples, cfg=cfg,
-        seed=seed, method=method,
-    )
+    frac = stable_set_fraction(f, target, box, n_samples=n_samples, cfg=cfg, seed=seed)
     write_json(out / "stable_set.json",
                {"objective": f.name, "method": method, "fraction": frac,
                 "n_samples": n_samples, "target": target, "theta": cfg.theta})

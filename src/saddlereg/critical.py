@@ -38,15 +38,6 @@ class CriticalPointReport:
     stratum: str
     classification: str
 
-    def to_dict(self):
-        return {
-            "location": [float(v) for v in self.location],
-            "grad_norm": float(self.grad_norm),
-            "eigenvalues": [float(v) for v in self.eigenvalues],
-            "stratum": self.stratum,
-            "classification": self.classification,
-        }
-
 
 def classify_eigenvalues(eigenvalues, tau=DEFAULT_ZERO_TAU):
     """Map an ascending eigenvalue list to (stratum, classification)."""
@@ -89,13 +80,6 @@ def classify_point(f, x, tau=DEFAULT_ZERO_TAU):
         stratum=stratum,
         classification=classification,
     )
-
-
-def hessian_stratum(f, x, tau=DEFAULT_ZERO_TAU):
-    """Stratum of a point: sign of the smallest Hessian eigenvalue."""
-    dec = sym_eigen(f.hessian(as_vector(x)))
-    stratum, _ = classify_eigenvalues(dec.eigenvalues, tau)
-    return stratum
 
 
 def newton_root(grad, hess, x0, tol=1e-8, max_steps=50, min_damping=2.0 ** -10):

@@ -15,7 +15,6 @@ weight matrix of shape (fan_out, fan_in) raveled row-major, followed by its
 bias vector of length fan_out.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,28 +78,6 @@ def make_blobs(n_per_class, classes, dim, separation, seed):
     means[:, 0] = (np.arange(classes) - (classes - 1) / 2.0) * separation
     inputs = means[labels] + rng.standard_normal((len(labels), dim))
     return Dataset(inputs=inputs, labels=labels)
-
-
-def dataset_to_csv(dataset, path):
-    """Rows of feature values followed by the integer label."""
-    dim = dataset.inputs.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"f{i}" for i in range(dim)] + ["label"])
-        for x, y in zip(dataset.inputs, dataset.labels):
-            writer.writerow([repr(float(v)) for v in x] + [int(y)])
-
-
-def dataset_from_csv(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        dim = len(header) - 1
-        inputs, labels = [], []
-        for row in reader:
-            inputs.append([float(v) for v in row[:dim]])
-            labels.append(int(row[dim]))
-    return Dataset(inputs=np.array(inputs), labels=np.array(labels))
 
 
 def unpack_params(spec, params):

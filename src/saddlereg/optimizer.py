@@ -13,9 +13,8 @@ iterate inside the small-gradient region.
 """
 
 import csv
-import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -71,14 +70,6 @@ class RegularizationEvent:
     l: np.ndarray
     k_exit: int | None = None
 
-    def to_dict(self):
-        return {
-            "k_entry": self.k_entry,
-            "x_entry": [float(v) for v in self.x_entry],
-            "l": [float(v) for v in self.l],
-            "k_exit": self.k_exit,
-        }
-
 
 @dataclass
 class TrajectoryRecord:
@@ -98,25 +89,6 @@ class TrajectoryRecord:
     @property
     def n_iters(self):
         return self.ks[-1] if self.ks else 0
-
-    def to_dict(self):
-        return {
-            "status": self.status,
-            "final_x": [float(v) for v in self.final_x],
-            "final_value": float(self.final_value),
-            "stride": self.stride,
-            "ks": list(self.ks),
-            "iterates": [[float(v) for v in x] for x in self.iterates],
-            "grad_norms": [float(g) for g in self.grad_norms],
-            "modes": list(self.modes),
-            "event_ids": list(self.event_ids),
-            "events": [e.to_dict() for e in self.events],
-        }
-
-    def save_json(self, path):
-        with open(path, "w", newline="") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
     def save_csv(self, path):
         dim = len(self.final_x)
@@ -150,24 +122,24 @@ def resolve_gamma(f, x0, cfg):
     return 1.0 / (2.0 * lhat)
 
 
-def _descend(f, X, cfg, gamma, regularize, observe=None):
+def _descend(f, X, cfg, gamma, observe=None):
     """Advance the rows of X (m, n) in lockstep until each one terminates.
 
     Each row runs plain steps while its gradient norm exceeds theta and, when
-    `regularize` is set and theta > 0, steps with l frozen to the gradient at
-    its entry point while inside the region. A row leaves the working set when
-    it converges, reaches max_iters, leaves the escape ball or meets a
-    non-finite gradient; a step that leaves the finite numbers halts the row
-    at its last finite iterate with numerical_failure. observe(k, X, G, gn,
-    inside), when given, sees the working set at every iteration after the
-    region update and before the step.
+    theta > 0, steps with l frozen to the gradient at its entry point while
+    inside the region. A row leaves the working set when it converges,
+    reaches max_iters, leaves the escape ball or meets a non-finite gradient;
+    a step that leaves the finite numbers halts the row at its last finite
+    iterate with numerical_failure. observe(k, X, G, gn, inside), when given,
+    sees the working set at every iteration after the region update and
+    before the step.
 
     Returns per-row arrays: final (m, n), grad_norm, k (the iteration the row
     stopped at), status, entered (an event opened) and closed (an event ended).
     """
     X = np.array(X, dtype=float)
     m = len(X)
-    theta = cfg.theta if regularize else 0.0
+    theta = cfg.theta
     center = np.mean(np.asarray(f.domain_box, dtype=float), axis=1)
     out = {
         "final": X.copy(),
@@ -242,7 +214,7 @@ def _descend(f, X, cfg, gamma, regularize, observe=None):
     return out
 
 
-def _run(f, x0, cfg, regularize, record_stride):
+def _run(f, x0, cfg, record_stride):
     """One recorded run: the engine on a single row, observed into a TrajectoryRecord."""
     x = as_vector(x0)
     if x.size != f.dim:
@@ -271,7 +243,7 @@ def _run(f, x0, cfg, regularize, record_stride):
         if k % record_stride == 0:
             store(k, X[0], gn[0])
 
-    out = _descend(f, x[np.newaxis], cfg, gamma, regularize, observe)
+    out = _descend(f, x[np.newaxis], cfg, gamma, observe)
     k = int(out["k"][0])
     if not rec.ks or rec.ks[-1] != k:
         store(k, out["final"][0], out["grad_norm"][0])
@@ -291,10 +263,10 @@ def run_regularized_gd(f, x0, cfg=None, record_stride=1):
     a shifted minimum of the regularized objective.
     """
     cfg = cfg or OptimizerConfig()
-    return _run(f, x0, cfg, regularize=True, record_stride=record_stride)
+    return _run(f, x0, cfg, record_stride)
 
 
 def run_plain_gd(f, x0, cfg=None, record_stride=1):
-    """Plain gradient descent: the same engine with regularization disabled."""
+    """Plain gradient descent: the same engine with theta set to 0."""
     cfg = cfg or OptimizerConfig()
-    return _run(f, x0, cfg, regularize=False, record_stride=record_stride)
+    return _run(f, x0, replace(cfg, theta=0.0), record_stride)

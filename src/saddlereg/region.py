@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .critical import find_critical_points
-from .linalg import as_vector
+from .linalg import _norms, as_vector
 
 EXIT = "exit"
 ENTER = "enter"
@@ -115,19 +115,19 @@ def _erode(mask):
 
 
 def _grad_norm_grid(f, box, resolution):
-    axes = [
-        lo + (np.arange(resolution) + 0.5) * (hi - lo) / resolution for lo, hi in box
-    ]
+    """||grad f|| at every cell center, with the arithmetic of `RegionGrid.cell_center`
+    and of the descent engine's region test."""
+    widths = (box[:, 1] - box[:, 0]) / resolution
+    axes = [lo + (np.arange(resolution) + 0.5) * w for lo, w in zip(box[:, 0], widths)]
     mesh = np.meshgrid(*axes, indexing="ij")
-    grads = np.asarray(f.gradient(np.stack(mesh, axis=-1)), dtype=float)
-    return np.linalg.norm(grads, axis=-1)
+    return _norms(np.asarray(f.gradient(np.stack(mesh, axis=-1)), dtype=float))
 
 
 def theta_region(f, seed, theta, box=None, resolution=200):
     """Flood-filled connected component of {||grad f|| <= theta} through `seed`.
 
-    Raises if the seed itself, or its cell center, falls outside the region
-    (refine `resolution` in the latter case).
+    Raises if the seed itself falls outside the region or the box, or its cell
+    center outside the region (refine `resolution` in the last case).
     """
     seed = as_vector(seed)
     if box is None:
@@ -136,7 +136,7 @@ def theta_region(f, seed, theta, box=None, resolution=200):
     n = box.shape[0]
     if n > 3:
         raise ValueError(f"region grids are unsupported for dimension {n} (max 3)")
-    if float(np.linalg.norm(f.gradient(seed))) > theta:
+    if _norms(np.asarray(f.gradient(seed), dtype=float)) > theta:
         raise ValueError("seed lies outside the small-gradient region")
 
     gn = _grad_norm_grid(f, box, resolution)
@@ -151,7 +151,9 @@ def theta_region(f, seed, theta, box=None, resolution=200):
         seed_cell=(),
     )
     seed_cell = grid.cell_index(seed)
-    if seed_cell is None or not mask[seed_cell]:
+    if seed_cell is None:
+        raise ValueError(f"seed {seed.tolist()} lies outside the box {box.tolist()}")
+    if not mask[seed_cell]:
         raise ValueError(
             "seed cell center is outside the small-gradient region; raise the resolution"
         )

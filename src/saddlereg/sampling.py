@@ -22,14 +22,15 @@ from .objectives import make_regularized
 from .optimizer import _descend
 
 
-def run_gd_batch(f, x0_batch, cfg, regularize):
+def run_gd_batch(f, x0_batch, cfg):
     """Run many descent trajectories in lockstep; returns per-row outcomes.
 
-    Every row ends exactly as the sequential run from the same start with the
-    same gamma does (the same engine runs both). Result dict keys: final
-    (m, n), status (m,), entered (m,), closed (m,), and the final grad_norm
-    (m,) and iteration k (m,). `entered` marks rows whose run opened at least
-    one regularization event, `closed` rows whose first event finished (the
+    cfg.theta > 0 regularizes every row, theta = 0 is plain descent. Every row
+    ends exactly as the sequential run from the same start with the same gamma
+    does (the same engine runs both). Result dict keys: final (m, n), status
+    (m,), entered (m,), closed (m,), and the final grad_norm (m,) and
+    iteration k (m,). `entered` marks rows whose run opened at least one
+    regularization event, `closed` rows whose first event finished (the
     iterate left the small-gradient region again).
     """
     X = np.atleast_2d(np.asarray(x0_batch, dtype=float))
@@ -37,7 +38,7 @@ def run_gd_batch(f, x0_batch, cfg, regularize):
         raise ValueError("sample dimension mismatch")
     if cfg.gamma is None:
         raise ValueError("batched runs need an explicit gamma")
-    return _descend(f, X, cfg, float(cfg.gamma), regularize)
+    return _descend(f, X, cfg, float(cfg.gamma))
 
 
 def sample_in_box(rng, box, n_samples, exclude=None, max_tries=1000):
@@ -72,7 +73,6 @@ def stable_set_fraction(
     n_samples=2000,
     cfg=None,
     seed=0,
-    method="plain",
     tol=1e-2,
     exclude=None,
 ):
@@ -80,12 +80,10 @@ def stable_set_fraction(
 
     `target` is either a point or a callable mapping a batch of final points
     (m, n) to distances (m,), which lets callers measure convergence to a
-    critical subspace. `method` selects plain descent ("plain") or the
-    regularized algorithm ("regularized"); any other value raises. `exclude`
-    removes a sampling subset (e.g. a thin strip around a basin boundary).
+    critical subspace. cfg.theta > 0 runs the regularized algorithm, theta = 0
+    plain descent. `exclude` removes a sampling subset (e.g. a thin strip
+    around a basin boundary).
     """
-    if method not in ("plain", "regularized"):
-        raise ValueError(f"method must be 'plain' or 'regularized', got {method!r}")
     if cfg is None:
         raise ValueError("stable_set_fraction needs an explicit OptimizerConfig")
     if n_samples < 1:
@@ -94,7 +92,7 @@ def stable_set_fraction(
         box = f.domain_box
     rng = np.random.default_rng(seed)
     X0 = sample_in_box(rng, box, n_samples, exclude=exclude)
-    out = run_gd_batch(f, X0, cfg, regularize=(method == "regularized"))
+    out = run_gd_batch(f, X0, cfg)
     final = out["final"]
     if callable(target):
         dist = np.asarray(target(final), dtype=float)
@@ -106,8 +104,9 @@ def stable_set_fraction(
 
 
 def escape_fraction(f, x0_batch, cfg):
-    """Fraction of regularized runs whose first small-gradient excursion closes."""
-    out = run_gd_batch(f, x0_batch, cfg, regularize=True)
+    """Fraction of regularized runs (cfg.theta > 0) whose first small-gradient
+    excursion closes."""
+    out = run_gd_batch(f, x0_batch, cfg)
     entered = out["entered"]
     if not entered.any():
         return 0.0
@@ -164,7 +163,7 @@ def milnor_sample(
     return degenerate / n_l
 
 
-def pl_error_check(f, xstar, theta, c, n_l=200, seed=0, tol=1e-10):
+def pl_error_check(f, xstar, theta, n_l=200, seed=0, tol=1e-10):
     """Largest value increase of the shifted minimizer over `n_l` regularizers.
 
     Draws regularizers with norm at most theta (every other draw sits exactly

@@ -54,8 +54,7 @@ def test_criterion_01_stable_set_measure():
     )
     cfg_reg = OptimizerConfig(gamma=0.15, theta=0.5, eps_converge=1e-6, max_iters=2000)
     frac_reg = stable_set_fraction(
-        f, [0.0, 0.0], box, n_samples=2000, cfg=cfg_reg, seed=11,
-        method="regularized", exclude=exclude,
+        f, [0.0, 0.0], box, n_samples=2000, cfg=cfg_reg, seed=11, exclude=exclude
     )
     elapsed = time.perf_counter() - t0
     ok = (0.45 <= frac_plain <= 0.55) and frac_reg <= 0.01 and elapsed < 10.0
@@ -199,7 +198,7 @@ def test_criterion_07_pl_error_bound():
     for c in (1.0, 4.0):
         for theta in (0.5, 1.0):
             bowl = quadratic_bowl(c)
-            excess = pl_error_check(bowl, np.zeros(2), theta=theta, c=c,
+            excess = pl_error_check(bowl, np.zeros(2), theta=theta,
                                     n_l=200, seed=int(10 * c + theta))
             bound = theta ** 2 / (2.0 * c)
             case_ok = excess <= bound + 1e-9 and excess >= 0.98 * bound

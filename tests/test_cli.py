@@ -305,6 +305,19 @@ def test_analyze_region_seed_outside_is_config_error(tmp_path, capsys):
     assert "outside the small-gradient region" in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("command", ["region", "analyze"])
+def test_seed_outside_box_is_named(tmp_path, capsys, command):
+    # ||grad f(5, 5)|| = 70.7 <= 100 on cubic_cone, but (5, 5) lies outside its
+    # [-3, 3]^2 box, so no resolution can place it in a cell
+    out = tmp_path / "none"
+    code = main([command, "--objective", "cubic_cone", "--x0", "5,5", "--theta", "100",
+                 "--resolution", "40", "--out", str(out)])
+    assert code == 1
+    err = _one_line_error(capsys)
+    assert "outside the box" in err and "resolution" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("theta", ["0", "-1"])
 def test_analyze_theta_below_critical_gradient_is_config_error(tmp_path, capsys, theta):
     # the separation check's regions cannot hold the located critical point

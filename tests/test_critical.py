@@ -16,7 +16,6 @@ from saddlereg import (
     corpus,
     find_critical_points,
     get_objective,
-    hessian_stratum,
     make_objective,
     make_regularized,
     quadratic_bowl,
@@ -132,9 +131,9 @@ def test_stratum_partition_and_regularization_invariance():
         fl = make_regularized(f, l)
         pts = rng.uniform(-3, 3, size=(200, f.dim))
         for x in pts:
-            s = hessian_stratum(f, x)
+            s = classify_point(f, x).stratum
             assert s in strata
-            assert hessian_stratum(fl, x) == s
+            assert classify_point(fl, x).stratum == s
 
 
 def test_newton_root_polishes_degenerate_roots():

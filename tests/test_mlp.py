@@ -7,8 +7,6 @@ from saddlereg import (
     MlpSpec,
     OptimizerConfig,
     classify_point,
-    dataset_from_csv,
-    dataset_to_csv,
     fd_gradient,
     init_params,
     make_blobs,
@@ -155,17 +153,6 @@ def test_dataset_validation():
     bad = Dataset(inputs=np.zeros((4, 2)), labels=np.array([0, 1, 2, 0]))
     with pytest.raises(ValueError):
         mlp_objective(spec, bad)  # label 2 exceeds output width
-
-
-def test_dataset_csv_roundtrip(tmp_path):
-    data = make_blobs(10, 2, 3, 2.0, seed=12)
-    path = tmp_path / "blobs.csv"
-    dataset_to_csv(data, path)
-    back = dataset_from_csv(path)
-    np.testing.assert_array_equal(back.inputs, data.inputs)
-    np.testing.assert_array_equal(back.labels, data.labels)
-    header = path.read_text().splitlines()[0]
-    assert header == "f0,f1,f2,label"
 
 
 def test_init_params_bounds_and_zero_biases():

@@ -17,6 +17,7 @@ from saddlereg import (
     run_regularized_gd,
     spectral_norm,
 )
+from saddlereg.cli import write_json
 
 
 def test_config_validation():
@@ -179,7 +180,7 @@ def test_trajectory_json_roundtrip(tmp_path):
     cfg = OptimizerConfig(gamma=0.05, theta=3.0, eps_converge=1e-8, max_iters=2000)
     rec = run_regularized_gd(f, [1.5, 0.5], cfg)
     path = tmp_path / "traj.json"
-    rec.save_json(path)
+    write_json(path, rec)
     data = json.loads(path.read_text())
     assert data["status"] == rec.status
     np.testing.assert_array_equal(data["final_x"], rec.final_x)

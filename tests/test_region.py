@@ -22,6 +22,7 @@ from saddlereg import (
     quadratic_bowl,
     theta_region,
 )
+from saddlereg.linalg import _norms
 from saddlereg.region import RegionGrid, _component, _erode, _grad_norm_grid
 
 
@@ -335,6 +336,27 @@ def test_theta_region_properties(name, u, theta, resolution):
     np.testing.assert_array_equal(region.inside, _scipy_component(mask, region.seed_cell))
     np.testing.assert_array_equal(region.boundary,
                                   region.inside & ~_scipy_erosion(region.inside))
+
+
+@st.composite
+def _cells(draw):
+    f = get_objective(draw(st.sampled_from(_REGION_OBJECTIVES)))
+    resolution = draw(st.sampled_from([37, 150, 300, 301]))
+    return f, resolution, tuple(draw(st.integers(0, resolution - 1)) for _ in range(f.dim))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=_cells())
+def test_region_seeded_at_cell_center_with_its_own_gradient_norm(case):
+    # theta equal to ||grad f|| at a cell center, as the descent engine measures it:
+    # the seed test and the grid mask must both count that center as inside
+    f, resolution, cell = case
+    grid = RegionGrid(f.domain_box, resolution, 0.0, None, None, ())
+    center = grid.cell_center(cell)
+    theta = float(_norms(f.gradient(center[np.newaxis]))[0])
+    region = theta_region(f, center, theta, resolution=resolution)
+    assert region.seed_cell == cell
+    assert region.inside[cell]
 
 
 def test_winding_monkey_region_matches_ndimage():

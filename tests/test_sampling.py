@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -33,12 +34,12 @@ def test_batch_matches_sequential_runs():
     rng = np.random.default_rng(42)
     X0 = rng.uniform(-2, 2, size=(15, 2))
     cfg = OptimizerConfig(gamma=0.15, theta=0.5, eps_converge=1e-6, max_iters=1500)
-    out = run_gd_batch(f, X0, cfg, regularize=True)
+    out = run_gd_batch(f, X0, cfg)
     for i, x0 in enumerate(X0):
         rec = run_regularized_gd(f, x0, cfg, record_stride=10 ** 9)
         np.testing.assert_array_equal(rec.final_x, out["final"][i])
         assert rec.status == out["status"][i]
-    out_p = run_gd_batch(f, X0, cfg, regularize=False)
+    out_p = run_gd_batch(f, X0, dataclasses.replace(cfg, theta=0.0))
     for i, x0 in enumerate(X0[:5]):
         rec = run_plain_gd(f, x0, cfg, record_stride=10 ** 9)
         np.testing.assert_array_equal(rec.final_x, out_p["final"][i])
@@ -79,7 +80,9 @@ def _descent_cases(draw):
 def test_batch_rows_equal_sequential_runs(case, regularize):
     f, X0, cfg = case
     run = run_regularized_gd if regularize else run_plain_gd
-    out = run_gd_batch(f, X0, cfg, regularize)
+    if not regularize:
+        cfg = dataclasses.replace(cfg, theta=0.0)
+    out = run_gd_batch(f, X0, cfg)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # drawn gammas may exceed 1 / lipschitz_hint
         recs = [run(f, x0, cfg, record_stride=10 ** 9) for x0 in X0]
@@ -91,7 +94,7 @@ def test_batch_rows_equal_sequential_runs(case, regularize):
 def test_batch_requires_explicit_gamma():
     f = get_objective("cubic_valley")
     with pytest.raises(ValueError):
-        run_gd_batch(f, np.zeros((3, 2)), OptimizerConfig(theta=0.5), regularize=True)
+        run_gd_batch(f, np.zeros((3, 2)), OptimizerConfig(theta=0.5))
 
 
 def test_sample_in_box_exclusion_and_determinism():
@@ -109,14 +112,6 @@ def test_stable_set_bowl_full_basin():
     cfg = OptimizerConfig(gamma=0.5, theta=0.0, eps_converge=1e-9, max_iters=300)
     frac = stable_set_fraction(bowl, [0.0, 0.0], n_samples=200, cfg=cfg, seed=1)
     assert frac == 1.0
-
-
-def test_stable_set_rejects_unknown_method():
-    # a misspelt method must not quietly run plain descent
-    f = get_objective("cubic_valley")
-    cfg = OptimizerConfig(gamma=0.15, theta=0.5, eps_converge=1e-6, max_iters=10)
-    with pytest.raises(ValueError, match="method"):
-        stable_set_fraction(f, [0.0, 0.0], n_samples=10, cfg=cfg, method="regularised")
 
 
 @pytest.mark.parametrize("n_samples", [0, -3])
@@ -151,8 +146,7 @@ def test_stable_set_monkey_contrast():
     frac_plain = stable_set_fraction(f, dist, box, n_samples=400, cfg=cfg, seed=2)
     cfg_reg = OptimizerConfig(gamma=0.1, theta=4.7, eps_converge=1e-9, max_iters=3000,
                               escape_radius=15)
-    frac_reg = stable_set_fraction(f, dist, box, n_samples=400, cfg=cfg_reg, seed=2,
-                                   method="regularized")
+    frac_reg = stable_set_fraction(f, dist, box, n_samples=400, cfg=cfg_reg, seed=2)
     assert frac_plain >= 0.75
     assert frac_reg <= 0.02
 
@@ -183,7 +177,7 @@ def test_escape_monkey_closure_or_divergence():
     assert len(X0) >= 150
     cfg = OptimizerConfig(gamma=0.1, theta=4.7, eps_converge=1e-9,
                           max_iters=5000, escape_radius=12)
-    out = run_gd_batch(f, X0, cfg, regularize=True)
+    out = run_gd_batch(f, X0, cfg)
     entered = out["entered"]
     assert entered.all()  # starting inside the region opens an event at k=0
     escaped = out["closed"] | (out["status"] == STATUS_DIVERGED)
@@ -204,12 +198,12 @@ def test_milnor_corpus_quick():
 
 def test_pl_error_check_bowl():
     bowl = quadratic_bowl(1.0)
-    excess = pl_error_check(bowl, [0.0, 0.0], theta=0.5, c=1.0, n_l=50, seed=0)
+    excess = pl_error_check(bowl, [0.0, 0.0], theta=0.5, n_l=50, seed=0)
     bound = 0.5 ** 2 / 2.0
     assert excess <= bound + 1e-9
     assert excess >= 0.98 * bound  # draws on the sphere ||l|| = theta hit the bound
     bowl4 = quadratic_bowl(4.0)
-    excess = pl_error_check(bowl4, [0.0, 0.0], theta=1.0, c=4.0, n_l=50, seed=1)
+    excess = pl_error_check(bowl4, [0.0, 0.0], theta=1.0, n_l=50, seed=1)
     assert excess <= 1.0 / 8.0 + 1e-9
 
 
@@ -224,7 +218,7 @@ def test_pl_zero_regularizer_zero_excess():
 def test_pl_requires_minimum():
     f = get_objective("cubic_valley")
     with pytest.raises(ValueError):
-        pl_error_check(f, [0.0, 0.0], theta=0.5, c=1.0, n_l=10, seed=0)
+        pl_error_check(f, [0.0, 0.0], theta=0.5, n_l=10, seed=0)
 
 
 def test_psi_cone_has_no_witness():
