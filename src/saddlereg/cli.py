@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .continuation import continuation_trace
+from .continuation import StartError, continuation_trace
 from .critical import find_critical_points
 from .linalg import NumericalError
 from .mlp import MlpSpec, make_blobs, init_params, mlp_objective
@@ -272,26 +272,26 @@ def cmd_bifurcate(args):
         raise ConfigError("--regularizer is required for objectives of dimension > 1")
 
     # the whole sweep runs before anything is written or printed
-    sweeps = []
-    for l in ls:
-        fl = make_regularized(f, l) if np.any(l) else f
-        reports = find_critical_points(fl, box, grid_density=41 if f.dim == 1 else 12)
-        continuations = []
-        if np.any(l):
-            for r in reports:
-                try:
-                    path = continuation_trace(f, r.location, l)
-                except ValueError as exc:
-                    raise ConfigError(f"regularizer {l.tolist()}: cannot trace the critical "
-                                      f"point at {r.location.tolist()}: {exc}") from exc
-                continuations.append({
-                    "start": r.location,
-                    "fold": path.fold,
-                    "n_samples": len(path.samples),
-                    "reached_mu0": bool(path.samples[-1][0] == 0.0),
-                    "end_x": path.samples[-1][1],
-                })
-        sweeps.append((l, reports, continuations))
+    sweeps = [(l, find_critical_points(make_regularized(f, l) if np.any(l) else f, box,
+                                       grid_density=41 if f.dim == 1 else 12), []) for l in ls]
+    # every branch of every sweep is traced in one lockstep call
+    branches = [(l, r, conts) for l, reports, conts in sweeps if np.any(l) for r in reports]
+    if branches:
+        try:
+            paths = continuation_trace(f, np.array([r.location for _, r, _ in branches]),
+                                       np.array([l for l, _, _ in branches]))
+        except StartError as exc:
+            l, r, _ = branches[exc.row]
+            raise ConfigError(f"regularizer {l.tolist()}: cannot trace the critical "
+                              f"point at {r.location.tolist()}: {exc}") from exc
+        for (_, r, conts), path in zip(branches, paths):
+            conts.append({
+                "start": r.location,
+                "fold": path.fold,
+                "n_samples": len(path.samples),
+                "reached_mu0": bool(path.samples[-1][0] == 0.0),
+                "end_x": path.samples[-1][1],
+            })
     out = _outdir(args)
 
     for l, reports, _ in sweeps:

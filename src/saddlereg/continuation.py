@@ -7,7 +7,7 @@ equation gives the tangent dx/dmu = -hess f(x)^{-1} l for the predictor,
 and damped Newton on the shifted gradient corrects each step. A singular
 Hessian along the way, or a corrector that stops converging, is the
 signature of a fold (a saddle-node pair annihilating): the partial path is
-returned with the fold flag set.
+returned with its stop reason. A batch of starts advances in lockstep.
 """
 
 from dataclasses import dataclass, field
@@ -15,7 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .critical import newton_root
-from .linalg import as_vector
+from .linalg import _norms
+
+COMPLETED, SINGULAR_HESSIAN, CORRECTOR_FAILED = "completed", "singular_hessian", "corrector_failed"
 
 
 @dataclass
@@ -23,7 +25,11 @@ class ContinuationPath:
     """Samples of (mu, x, ||grad f(x)||) with mu strictly decreasing from 1."""
 
     samples: list = field(default_factory=list)
-    fold: bool = False
+    stop: str = COMPLETED  # or SINGULAR_HESSIAN or CORRECTOR_FAILED
+
+    @property
+    def fold(self):
+        return self.stop != COMPLETED
 
     @property
     def mus(self):
@@ -38,6 +44,14 @@ class ContinuationPath:
         return np.array([s[2] for s in self.samples])
 
 
+class StartError(ValueError):
+    """A start that cannot be traced; `row` is its index in the batch."""
+
+    def __init__(self, message, row):
+        super().__init__(message)
+        self.row = row
+
+
 def continuation_trace(
     f,
     x_at_mu1,
@@ -50,59 +64,61 @@ def continuation_trace(
 ):
     """Trace the critical-point curve of f + mu * l^T x from mu = 1 to mu = 0.
 
-    The start must already satisfy ||grad f(x) + l|| <= start_slack; it is
-    then polished to `tol` and must have a nonsingular Hessian. Stops early
-    with fold=True when |det hess| < det_tol * max(1, ||hess||_F)^n at the
-    current point or the corrector fails.
+    One start (n,) gives a ContinuationPath; a batch (m, n), with l (n,) or (m, n),
+    a list of them, each equal bit for bit to its row's single trace. A start must
+    satisfy ||grad f(x) + l|| <= start_slack, polish to `tol` and have a nonsingular
+    Hessian, else StartError names the first bad row. A row stops early, `stop`
+    saying why, when |det hess| < det_tol * max(1, ||hess||_F)^n or its corrector fails.
     """
-    x = as_vector(x_at_mu1).copy()
-    l = as_vector(l)
-    if l.size != f.dim:
-        raise ValueError("regularizer dimension mismatch")
+    X = np.atleast_1d(np.array(x_at_mu1, dtype=float))
+    L = np.atleast_1d(np.array(l, dtype=float))
+    if (X.ndim > 2 or X.shape[-1] != f.dim or L.shape not in ((f.dim,), X.shape)
+            or not (np.all(np.isfinite(X)) and np.all(np.isfinite(L)))):
+        raise ValueError(f"starts and l must be finite, of shape ({f.dim},) or (m, {f.dim})")
     if steps < 1:
         raise ValueError("steps must be at least 1")
+    X = np.atleast_2d(X)
+    L = np.broadcast_to(L, X.shape)
 
-    def residual(y, mu):
-        return np.asarray(f.gradient(y), dtype=float) + mu * l
+    def singular(H):
+        scale = np.maximum(1.0, _norms(H.reshape(len(H), -1)))
+        return np.abs(np.linalg.det(H)) < det_tol * scale ** f.dim
 
-    start_residual = float(np.linalg.norm(residual(x, 1.0)))
-    if start_residual > start_slack:
-        raise ValueError(
-            f"start point is not a critical point of the regularized objective "
-            f"(residual {start_residual:.3g} > {start_slack:.3g})"
-        )
-    # polish the starting point at mu = 1
-    x, ok = newton_root(lambda y: residual(y, 1.0), f.hessian, x, tol=tol, max_steps=max_newton)
-    if not ok:
-        raise ValueError("start point could not be polished to a regularized critical point")
+    residual = _norms(np.asarray(f.gradient(X), dtype=float) + L)
+    X, polished = newton_root(lambda Y: f.gradient(Y) + L, f.hessian, X, tol=tol,
+                              max_steps=max_newton)
+    flat = singular(np.asarray(f.hessian(X), dtype=float))
+    for row in range(len(X)):
+        if residual[row] > start_slack:
+            raise StartError(f"start point is not a critical point of the regularized objective "
+                             f"(residual {residual[row]:.3g} > {start_slack:.3g})", row)
+        if not polished[row]:
+            raise StartError("start point could not be polished to a regularized critical "
+                             "point", row)
+        if flat[row]:
+            raise StartError("Hessian is singular at the start point", row)
 
-    def singular(h):
-        scale = max(1.0, float(np.linalg.norm(h)))
-        return abs(float(np.linalg.det(h))) < det_tol * scale ** f.dim
-
-    h = np.asarray(f.hessian(x), dtype=float)
-    if singular(h):
-        raise ValueError("Hessian is singular at the start point")
-
-    path = ContinuationPath()
-    path.samples.append((1.0, x.copy(), float(np.linalg.norm(f.gradient(x)))))
-
-    mus = np.linspace(1.0, 0.0, steps + 1)[1:]
-    mu_prev = 1.0
-    for mu in mus:
-        h = np.asarray(f.hessian(x), dtype=float)
-        if singular(h):
-            path.fold = True
+    norms = _norms(np.asarray(f.gradient(X), dtype=float))
+    paths = [ContinuationPath([(1.0, x.copy(), float(g))]) for x, g in zip(X, norms)]
+    live, mu_prev = np.arange(len(X)), 1.0
+    for mu in np.linspace(1.0, 0.0, steps + 1)[1:]:
+        H = np.asarray(f.hessian(X[live]), dtype=float)
+        flat = singular(H)
+        for i in live[flat]:
+            paths[i].stop = SINGULAR_HESSIAN
+        live, H = live[~flat], H[~flat]
+        if not live.size:
             break
-        tangent = np.linalg.solve(h, -l)
-        x_pred = x + (mu - mu_prev) * tangent
-        x_new, ok = newton_root(
-            lambda y, _mu=mu: residual(y, _mu), f.hessian, x_pred, tol=tol, max_steps=max_newton
-        )
-        if not ok:
-            path.fold = True
+        tangent = np.linalg.solve(H, -L[live, :, np.newaxis])[..., 0]
+        X_new, ok = newton_root(lambda Y, shift=mu * L[live]: f.gradient(Y) + shift, f.hessian,
+                                X[live] + (mu - mu_prev) * tangent, tol=tol, max_steps=max_newton)
+        for i in live[~ok]:
+            paths[i].stop = CORRECTOR_FAILED
+        X[live[ok]] = X_new[ok]
+        live = live[ok]
+        if not live.size:
             break
-        x = x_new
-        path.samples.append((float(mu), x.copy(), float(np.linalg.norm(f.gradient(x)))))
+        for i, g in zip(live, _norms(np.asarray(f.gradient(X[live]), dtype=float))):
+            paths[i].samples.append((float(mu), X[i].copy(), float(g)))
         mu_prev = mu
-    return path
+    return paths if np.ndim(x_at_mu1) == 2 else paths[0]

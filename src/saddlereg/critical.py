@@ -133,6 +133,8 @@ def newton_root(grad, hess, x0, tol=1e-8, max_steps=50, min_damping=2.0 ** -10):
 
 
 def _grid_seeds(box, grid_density):
+    if grid_density < 1:
+        raise ValueError(f"grid_density must be at least 1, got {grid_density}")
     axes = [np.linspace(lo, hi, grid_density) for lo, hi in box]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
@@ -148,9 +150,15 @@ def solve_gradient_equation(f, rhs, seeds, tol=1e-8, max_steps=50, dedup_radius=
     X, ok = newton_root(lambda x: f.gradient(x) - rhs, f.hessian, np.atleast_2d(seeds),
                         tol=tol, max_steps=max_steps)
     logger.debug("solve_gradient_equation: %d seeds skipped (no convergence)", np.sum(~ok))
+    return _distinct_in_box(X, ok, box, dedup_radius)
+
+
+def _distinct_in_box(X, ok, box, dedup_radius):
+    """Rows of X flagged `ok` in `box` (1e-9 margin) and not within `dedup_radius` of
+    an earlier such row, in lexicographic order."""
     if box is not None:
         box, margin = np.asarray(box, dtype=float), 1e-9
-        ok &= np.all((X >= box[:, 0] - margin) & (X <= box[:, 1] + margin), axis=1)
+        ok = ok & np.all((X >= box[:, 0] - margin) & (X <= box[:, 1] + margin), axis=1)
     solutions = []
     for x in X[ok]:
         if all(np.linalg.norm(x - s) > dedup_radius for s in solutions):
@@ -175,12 +183,7 @@ def find_critical_points(
     `tol` are deduplicated at `dedup_radius` and classified by Hessian
     eigenvalues. Seeds that hit a singular Newton system are skipped.
     """
-    if box is None:
-        box = f.domain_box
-    box = np.asarray(box, dtype=float)
-    seeds = _grid_seeds(box, grid_density)
-    points = solve_gradient_equation(
-        f, np.zeros(f.dim), seeds, tol=tol, max_steps=max_steps,
-        dedup_radius=dedup_radius, box=box,
-    )
+    box = np.asarray(f.domain_box if box is None else box, dtype=float)
+    points = solve_gradient_equation(f, np.zeros(f.dim), _grid_seeds(box, grid_density), tol=tol,
+                                     max_steps=max_steps, dedup_radius=dedup_radius, box=box)
     return [classify_point(f, x, tau) for x in points]

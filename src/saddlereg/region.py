@@ -129,17 +129,21 @@ def theta_region(f, seed, theta, box=None, resolution=200):
     Raises if the seed itself falls outside the region or the box, or its cell
     center outside the region (refine `resolution` in the last case).
     """
-    seed = as_vector(seed)
-    if box is None:
-        box = f.domain_box
-    box = np.asarray(box, dtype=float).reshape(-1, 2)
-    n = box.shape[0]
-    if n > 3:
-        raise ValueError(f"region grids are unsupported for dimension {n} (max 3)")
+    box = _grid_box(f, box)
+    return _fill(f, as_vector(seed), theta, box, resolution, _grad_norm_grid(f, box, resolution))
+
+
+def _grid_box(f, box):
+    box = np.asarray(f.domain_box if box is None else box, dtype=float).reshape(-1, 2)
+    if box.shape[0] > 3:
+        raise ValueError(f"region grids are unsupported for dimension {box.shape[0]} (max 3)")
+    return box
+
+
+def _fill(f, seed, theta, box, resolution, gn):
+    """theta_region's component through `seed`, from the grid's gradient norms `gn`."""
     if _norms(np.asarray(f.gradient(seed), dtype=float)) > theta:
         raise ValueError("seed lies outside the small-gradient region")
-
-    gn = _grad_norm_grid(f, box, resolution)
     mask = gn <= theta
 
     grid = RegionGrid(
@@ -227,17 +231,16 @@ def check_assumption_separation(
     connected critical subset. Returns one dict per point with a pass flag
     and the indices of violating partners.
     """
-    if box is None:
-        box = f.domain_box
-    box = np.asarray(box, dtype=float).reshape(-1, 2)
+    box = _grid_box(f, box)
     if points is None:
         points = [r.location for r in find_critical_points(f, box, **finder_kwargs)]
     points = [as_vector(p) for p in points]
-    regions = [theta_region(f, p, theta, box, resolution) for p in points]
+    gn = _grad_norm_grid(f, box, resolution)  # one grid serves every region and phi
+    regions = [_fill(f, p, theta, box, resolution, gn) for p in points]
 
     # near-critical connectivity at the grid resolution stands in for connected
     # critical subsets (e.g. a whole critical line)
-    phi_mask = _grad_norm_grid(f, box, resolution) <= phi_tol
+    phi_mask = gn <= phi_tol
     for region in regions:  # every region shares the grid; its seed cell is its point's
         phi_mask[region.seed_cell] = True
 

@@ -491,3 +491,20 @@ def test_bifurcate_singular_start_is_config_error(tmp_path, capsys, l, shown):
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1, captured.err
     assert f"regularizer {shown}" in captured.err and "singular" in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("ls, shown", [
+    (["0,1", "-1,0", "0,-0.5"], "[0.0, 1.0]"),
+    (["-1,0", "0,-0.5", "0,1"], "[0.0, -0.5]"),
+])
+def test_bifurcate_reports_first_bad_branch_in_sweep_order(tmp_path, capsys, ls, shown):
+    # all sweeps are traced in one call; the error still names the first bad branch
+    out = tmp_path / "none"
+    argv = ["bifurcate", "--objective", "cubic_valley", "--out", str(out)]
+    for l in ls:
+        argv += ["--regularizer", l]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: regularizer {shown}: cannot trace the critical point at [")
+    assert err.endswith("]: Hessian is singular at the start point\n")
+    assert not out.exists()

@@ -20,7 +20,12 @@ from saddlereg import (
     make_regularized,
     quadratic_bowl,
 )
-from saddlereg.critical import DEFAULT_ZERO_TAU, newton_root, solve_gradient_equation
+from saddlereg.critical import (
+    DEFAULT_ZERO_TAU,
+    _distinct_in_box,
+    newton_root,
+    solve_gradient_equation,
+)
 
 
 def test_classify_eigenvalues_cases():
@@ -209,3 +214,54 @@ def test_newton_root_rejects_non_finite_start():
         newton_root(grad, hess, [np.nan])
     with pytest.raises(ValueError):
         newton_root(grad, hess, [[1.0], [np.inf]])
+
+
+def test_find_critical_points_rejects_grid_density_below_one():
+    with pytest.raises(ValueError, match="grid_density"):
+        find_critical_points(get_objective("cubic_valley"), grid_density=0)
+
+
+@st.composite
+def _dedup_cases(draw):
+    n = draw(st.integers(1, 2))
+    radius = draw(st.sampled_from([1e-4, 0.3]))
+    # a few centers, each repeated with jitter below and above the radius
+    centers = draw(st.lists(st.lists(st.floats(-1.2, 1.2), min_size=n, max_size=n),
+                            min_size=1, max_size=4))
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        c = np.array(draw(st.sampled_from(centers)))
+        rows.append(c + radius * draw(st.sampled_from([0.0, 0.4, -0.7, 1.5])))
+    X = np.array(rows)
+    ok = np.array(draw(st.lists(st.booleans(), min_size=len(X), max_size=len(X))))
+    return X, ok, radius
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=_dedup_cases())
+def test_distinct_in_box_keeps_earliest_row_per_cluster(case):
+    X, ok, radius = case
+    box = np.array([[-1.0, 1.0]] * X.shape[1])
+    out = _distinct_in_box(X, ok, box, radius)
+    # candidates: rows flagged ok inside the box, within its 1e-9 margin
+    inside = np.all((X >= -1.0 - 1e-9) & (X <= 1.0 + 1e-9), axis=1)
+    cand = [i for i in range(len(X)) if ok[i] and inside[i]]
+    # a candidate is kept exactly when no earlier kept candidate lies within the radius
+    kept = []
+    for i in cand:
+        if all(np.linalg.norm(X[i] - X[j]) > radius for j in kept):
+            kept.append(i)
+    assert sorted(tuple(x) for x in out) == [tuple(x) for x in out]  # lexicographic
+    assert sorted(tuple(X[i]) for i in kept) == [tuple(x) for x in out]
+    for a in range(len(out)):
+        for b in range(a):
+            assert np.linalg.norm(out[a] - out[b]) > radius
+
+
+def test_distinct_in_box_margin_is_1e_9():
+    X = np.array([[1.0 + 0.9e-9], [-1.0 - 0.9e-9], [1.0 + 1.1e-9], [-1.0 - 1.1e-9]])
+    out = _distinct_in_box(X, np.ones(4, dtype=bool), [[-1.0, 1.0]], 1e-12)
+    assert [x[0] for x in out] == [-1.0 - 0.9e-9, 1.0 + 0.9e-9]
+    # no box keeps every flagged row, and an unflagged row never survives
+    ok = np.array([True, False, True, True])
+    assert len(_distinct_in_box(X, ok, None, 1e-12)) == 3

@@ -369,3 +369,38 @@ def test_winding_monkey_region_matches_ndimage():
     assert 0 < expected.sum() < expected.size
     np.testing.assert_array_equal(region.inside, expected)
     np.testing.assert_array_equal(region.boundary, expected & ~_scipy_erosion(expected))
+
+
+def _counting_gradient(f):
+    # a copy of f whose gradient counts the rows it evaluates
+    g, rows = dataclasses.replace(f), []
+    g.gradient = lambda x, _g=f.gradient: rows.append(np.size(x) // f.dim) or _g(x)
+    return g, rows
+
+
+@pytest.mark.parametrize("name, theta, resolution, points", [
+    ("double_degenerate", 0.1, 400, [[-1.0], [0.0], [1.0]]),
+    ("cubic_cone", 3.0, 200, [[0.0, 0.0]]),
+])
+def test_separation_builds_one_gradient_grid(name, theta, resolution, points):
+    # one grid for every point's region and for phi, plus one row per seed check
+    f, rows = _counting_gradient(get_objective(name))
+    results = check_assumption_separation(f, theta, resolution=resolution, points=points)
+    assert sum(rows) == resolution ** f.dim + len(points)
+    expected = check_assumption_separation(get_objective(name), theta, resolution=resolution,
+                                           points=points)
+    for r, e in zip(results, expected):
+        assert r["pass"] == e["pass"] and r["violations"] == e["violations"]
+
+
+def test_separation_keeps_theta_region_seed_errors():
+    f = get_objective("cubic_valley")
+    # a seed whose gradient norm exceeds theta, then one outside the box
+    with pytest.raises(ValueError, match="outside the small-gradient region"):
+        check_assumption_separation(f, 0.5, resolution=50, points=[[0.0, 0.0], [1.5, 1.5]])
+    with pytest.raises(ValueError, match="outside the box"):
+        check_assumption_separation(f, 100.0, resolution=50, points=[[0.0, 0.0], [5.0, 5.0]])
+    with pytest.raises(ValueError, match="raise the resolution"):
+        # the seed's cell is centered at (1, 1), where ||grad f|| = sqrt(2)
+        check_assumption_separation(f, 0.5, box=[[-2, 2], [-2, 2]], resolution=2,
+                                    points=[[0.0, 0.49]])

@@ -12,8 +12,10 @@ from saddlereg import (
     OptimizerConfig,
     corpus,
     escape_fraction,
+    find_critical_points,
     get_objective,
     make_objective,
+    make_regularized,
     milnor_sample,
     pl_error_check,
     psi_witness_check,
@@ -26,7 +28,9 @@ from saddlereg import (
     stable_set_fraction,
     theta_region,
 )
+from saddlereg import sampling
 from saddlereg.critical import newton_root
+from saddlereg.sampling import _sphere_direction
 
 
 def test_batch_matches_sequential_runs():
@@ -269,3 +273,65 @@ def test_psi_probe_outside_region_rejected():
     region = theta_region(f, [0.0, 0.0], 3.0, resolution=100)
     with pytest.raises(ValueError):
         psi_witness_check(f, region, np.array([3.0, 3.0]))
+
+
+def _milnor_per_draw(f, n_l, l_scale, seed, l_min, grid_density=7, tau=1e-6, tol=1e-8):
+    # the per-draw reference: one critical-point search of f + l^T x per draw
+    rng = np.random.default_rng(seed)
+    n = f.dim
+    degenerate = 0
+    for _ in range(n_l):
+        u = rng.uniform(0.0, 1.0)
+        radius = (l_min ** n + u * (l_scale ** n - l_min ** n)) ** (1.0 / n)
+        l = radius * _sphere_direction(rng, n)
+        reports = find_critical_points(make_regularized(f, l), f.domain_box,
+                                       grid_density=grid_density, tol=tol, tau=tau)
+        for rep in reports:
+            eig = np.abs(rep.eigenvalues)
+            if eig.min() <= tau * max(1.0, eig.max()):
+                degenerate += 1
+                break
+    return degenerate / n_l
+
+
+@pytest.mark.parametrize("name", [entry.objective.name for entry in corpus()])
+@pytest.mark.parametrize("l_scale", [1e-9, 1e-2, 1.0])
+@pytest.mark.parametrize("l_min", [0.0, 0.1])
+def test_milnor_stacked_equals_per_draw_searches(name, l_scale, l_min):
+    f = get_objective(name)
+    if l_min > l_scale:
+        with pytest.raises(ValueError, match="l_min"):
+            milnor_sample(f, n_l=25, l_scale=l_scale, l_min=l_min, seed=5)
+        return
+    # 25 draws of a 7 x 7 grid span two Newton blocks, of 20 and 5 draws
+    assert (milnor_sample(f, n_l=25, l_scale=l_scale, l_min=l_min, seed=5)
+            == _milnor_per_draw(f, 25, l_scale, 5, l_min))
+
+
+@pytest.mark.parametrize("block_rows", [1, 30, 100])
+def test_milnor_block_size_does_not_change_the_fraction(monkeypatch, block_rows):
+    # blocks of one draw, of a few draws and of draws cut short by n_l; with
+    # l_scale tiny most shifted critical points stay degenerate
+    f = get_objective("double_degenerate")
+    expected = _milnor_per_draw(f, 40, 1e-9, 2, 0.0, grid_density=9)
+    assert 0.0 < expected
+    monkeypatch.setattr(sampling, "MILNOR_BLOCK_ROWS", block_rows)
+    assert milnor_sample(f, n_l=40, l_scale=1e-9, seed=2, grid_density=9) == expected
+
+
+def test_milnor_rejects_grid_density_below_one():
+    f = get_objective("cubic_valley")
+    with pytest.raises(ValueError, match="grid_density"):
+        milnor_sample(f, n_l=5, grid_density=0)
+
+
+@pytest.mark.parametrize("l_min", [-0.1, 1.5, float("nan")])
+def test_milnor_rejects_l_min_outside_zero_to_l_scale(l_min):
+    with pytest.raises(ValueError, match="l_min"):
+        milnor_sample(get_objective("cubic_valley"), n_l=5, l_scale=1.0, l_min=l_min)
+
+
+@pytest.mark.parametrize("l_scale", [0.0, -1.0, float("nan")])
+def test_milnor_rejects_nonpositive_l_scale(l_scale):
+    with pytest.raises(ValueError, match="l_scale"):
+        milnor_sample(get_objective("cubic_valley"), n_l=5, l_scale=l_scale)
