@@ -25,7 +25,7 @@ from .objectives import corpus_names, get_objective, make_regularized
 from .optimizer import (
     STATUS_NUMERICAL_FAILURE,
     OptimizerConfig,
-    run_plain_gd,
+    _descend,
     run_regularized_gd,
 )
 from .region import check_assumption_separation, theta_region
@@ -52,7 +52,8 @@ def _jsonify(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
+        # float and integer arrays already list as JSON's floats and ints
+        return obj.tolist() if obj.dtype.kind in "fiu" else [_jsonify(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     if isinstance(obj, (np.integer, int)):
@@ -386,18 +387,12 @@ def cmd_mlp_compare(args):
     f = mlp_objective(spec, data)
 
     child_seeds = np.random.SeedSequence(seed).spawn(trials)
-    triggered, prefix_equal = [], []
-    finals_plain, finals_reg = [], []
+    starts = np.array([init_params(spec, child) for child in child_seeds])
+    res, finals, loss, gnorm, prefix_equal = _compare_trials(f, starts, cfg)
     for t in range(trials):
-        params0 = init_params(spec, child_seeds[t])
-        plain = run_plain_gd(f, params0, cfg)
-        reg = run_regularized_gd(f, params0, cfg)
-        trig = len(reg.events) > 0
-        triggered.append(trig)
-        prefix_equal.append(_prefix_equal(plain, reg, cfg.theta))
-        finals_plain.append(plain.final_value)
-        finals_reg.append(reg.final_value)
-        _write_trial_csv(out / f"trial_{t:03d}.csv", f, plain, reg)
+        _write_trial_csv(out / f"trial_{t:03d}.csv", loss, gnorm, res["k"], t, t + trials)
+    triggered = res["entered"][trials:].tolist()
+    finals_plain, finals_reg = finals[:trials].tolist(), finals[trials:].tolist()
 
     trig_idx = [i for i, t in enumerate(triggered) if t]
     summary = {
@@ -429,37 +424,77 @@ def cmd_mlp_compare(args):
     return 0
 
 
-def _prefix_equal(plain, reg, theta):
-    """Bit-identical iterates up to and including the first one inside the region."""
-    k_stop = None
-    for k, gn in zip(plain.ks, plain.grad_norms):
-        if gn <= theta:
-            k_stop = k
-            break
-    if k_stop is None:
-        k_stop = plain.ks[-1]
-    for k, xp, xr in zip(plain.ks, plain.iterates, reg.iterates):
-        if k > k_stop:
-            break
-        if not np.array_equal(xp, xr):
-            return False
-    return True
+def _compare_trials(f, starts, cfg):
+    """Every trial's plain and regularized run as one lockstep batch of 2T rows.
+
+    Rows 0..T-1 run plain descent and rows T..2T-1 the regularized algorithm,
+    both from `starts` (T, n). Per row and step only the loss and the gradient
+    norm are kept, in columns that double in length as the run goes on. Trial
+    t's two rows are compared bit for bit at every step both reach, up to and
+    including the plain row's first step with gn <= theta. Returns the
+    engine's result, the final losses, the loss and gradient-norm columns
+    (2T, > max k; entries past a row's k are unset) and the per-trial prefix
+    equality as a list.
+    """
+    T = len(starts)
+    loss, gnorm = np.empty((2, 2 * T, 64))
+    pending = np.ones(T, dtype=bool)  # equal so far, the plain row's stop step not reached
+    equal = np.ones(T, dtype=bool)
+    last_seen = np.full(2 * T, -1)
+    lone = np.empty_like(starts)  # a row's iterate at the step its partner halted unobserved
+    lone_set = np.zeros(T, dtype=bool)
+
+    def grow(k):
+        nonlocal loss, gnorm
+        if k >= loss.shape[1]:
+            loss, gnorm = (np.concatenate([a, np.empty_like(a)], axis=1) for a in (loss, gnorm))
+
+    def observe(k, X, G, gn, inside, rows):
+        grow(k)
+        loss[rows, k] = f.value(X)
+        gnorm[rows, k] = gn
+        last_seen[rows] = k
+        at = np.full(2 * T, -1)  # each row's place in the working set, -1 once it halted
+        at[rows] = np.arange(len(rows))
+        p, r = at.reshape(2, T)
+        t = np.flatnonzero(pending & (p >= 0) & (r >= 0))
+        if t.size:
+            same = (X[p[t]] == X[r[t]]).all(axis=1)
+            equal[t[~same]] = False
+            pending[t[~same | (gn[p[t]] <= cfg.theta)]] = False
+        t = np.flatnonzero(pending & ((p >= 0) != (r >= 0)) & ~lone_set)
+        lone[t] = X[np.maximum(p[t], r[t])]
+        lone_set[t] = True
+
+    res = _descend(f, np.concatenate([starts, starts]), cfg, float(cfg.gamma), observe,
+                   theta=np.repeat([0.0, cfg.theta], T))
+    # the last step both rows reach, when one of them halted there unobserved
+    for t in np.flatnonzero(pending):
+        pair = (t, t + T)
+        j = min(res["k"][i] for i in pair)
+        if any(last_seen[i] < j for i in pair):
+            equal[t] = np.array_equal(*(res["final"][i] if res["k"][i] == j else lone[t]
+                                        for i in pair))
+    with np.errstate(all="ignore"):
+        finals = f.value(res["final"])
+    # each row's last entry is its final iterate, observed or not
+    grow(res["k"].max())
+    ends = (np.arange(2 * T), res["k"])
+    loss[ends], gnorm[ends] = finals, res["grad_norm"]
+    return res, finals, loss, gnorm, equal.tolist()
 
 
-def _write_trial_csv(path, f, plain, reg):
-    rows = max(len(plain.ks), len(reg.ks))
+def _write_trial_csv(path, loss, gnorm, ks, plain, reg):
+    """One row per step: loss and gradient norm of the plain and the regularized row."""
+    n = max(ks[plain], ks[reg]) + 1
+    columns = [range(n)]
+    for i in (plain, reg):
+        blank = [""] * (n - 1 - ks[i])
+        columns += [[repr(v) for v in a[i, :ks[i] + 1].tolist()] + blank for a in (loss, gnorm)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "loss_plain", "gnorm_plain", "loss_reg", "gnorm_reg"])
-        for i in range(rows):
-            row = [i]
-            for rec in (plain, reg):
-                if i < len(rec.ks):
-                    row += [repr(float(f.value(rec.iterates[i]))),
-                            repr(float(rec.grad_norms[i]))]
-                else:
-                    row += ["", ""]
-            writer.writerow(row)
+        writer.writerows(zip(*columns))
 
 
 # ---------------------------------------------------------------------------

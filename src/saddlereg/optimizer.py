@@ -5,11 +5,12 @@ gradient norm exceeds theta. On the step where the norm first drops to
 theta or below, the regularizer l is frozen to the gradient at that entry
 point and the update becomes x - gamma * (grad f(x) + l) until the norm
 exceeds theta again; each re-entry samples a fresh l. One engine, `_descend`,
-advances any number of rows in lockstep: the recorded plain and regularized
-runs are its single-row case and batched runs (`sampling.run_gd_batch`) call
-it directly, so a batch row ends exactly where the sequential run does. Plain
-and regularized iterates are bit-identical up to and including the first
-iterate inside the small-gradient region.
+advances any number of rows in lockstep, each with its own theta: the
+recorded plain and regularized runs are its single-row case, and batched runs
+(`sampling.run_gd_batch`, and `mlp-compare`'s plain and regularized rows side
+by side) call it directly, so a batch row ends exactly where the sequential
+run does. Plain and regularized iterates are bit-identical up to and
+including the first iterate inside the small-gradient region.
 """
 
 import csv
@@ -122,24 +123,28 @@ def resolve_gamma(f, x0, cfg):
     return 1.0 / (2.0 * lhat)
 
 
-def _descend(f, X, cfg, gamma, observe=None):
+def _descend(f, X, cfg, gamma, observe=None, theta=None):
     """Advance the rows of X (m, n) in lockstep until each one terminates.
 
-    Each row runs plain steps while its gradient norm exceeds theta and, when
-    theta > 0, steps with l frozen to the gradient at its entry point while
-    inside the region. A row leaves the working set when it converges,
-    reaches max_iters, leaves the escape ball or meets a non-finite gradient;
-    a step that leaves the finite numbers halts the row at its last finite
-    iterate with numerical_failure. observe(k, X, G, gn, inside), when given,
-    sees the working set at every iteration after the region update and
-    before the step.
+    theta is the small-gradient threshold per row, an (m,) array (default:
+    cfg.theta for every row); theta_i > 0 alone turns row i's regularization
+    on. Each row runs plain steps while its gradient norm exceeds its theta
+    and, when that theta > 0, steps with l frozen to the gradient at its entry
+    point while inside the region. A row leaves the working set when it
+    converges, reaches max_iters, leaves the escape ball or meets a non-finite
+    gradient; a step that leaves the finite numbers halts the row at its last
+    finite iterate with numerical_failure. observe(k, X, G, gn, inside, rows),
+    when given, sees the working set at every iteration after the region
+    update and before the step; rows holds the original indices of its rows.
 
     Returns per-row arrays: final (m, n), grad_norm, k (the iteration the row
     stopped at), status, entered (an event opened) and closed (an event ended).
     """
     X = np.array(X, dtype=float)
     m = len(X)
-    theta = cfg.theta
+    theta = np.broadcast_to(cfg.theta if theta is None else theta, (m,)).astype(float)
+    regularize = bool(np.count_nonzero(theta))
+    theta[theta == 0.0] = -np.inf  # a plain row's threshold, which no gradient norm reaches
     center = np.mean(np.asarray(f.domain_box, dtype=float), axis=1)
     out = {
         "final": X.copy(),
@@ -172,23 +177,23 @@ def _descend(f, X, cfg, gamma, observe=None):
             # rows that left the escape ball or met a non-finite gradient
             if np.count_nonzero(halt):
                 status = np.where(diverged[halt], STATUS_DIVERGED, STATUS_NUMERICAL_FAILURE)
-                X, G, gn, L, inside, rows = retire(halt, status, X, G, gn, L, inside, rows)
+                X, G, gn, L, inside, theta, rows = retire(
+                    halt, status, X, G, gn, L, inside, theta, rows)
             if not rows.size:
                 break
-            if theta > 0:
+            if regularize:
                 now = gn <= theta
                 if np.count_nonzero(now != inside):
-                    entering, exiting = now & ~inside, inside & ~now
+                    entering = now & ~inside
                     L[entering] = G[entering]
-                    L[exiting] = 0.0
                     out["entered"][rows[entering]] = True
-                    out["closed"][rows[exiting]] = True
+                    out["closed"][rows[inside & ~now]] = True
                     inside = now
             if observe is not None:
-                observe(k, X, G, gn, inside)
+                observe(k, X, G, gn, inside, rows)
 
             # convergence tests the active map's gradient, grad f + l inside the region
-            if theta > 0 and np.count_nonzero(inside):
+            if regularize and np.count_nonzero(inside):
                 S = np.where(inside[:, None], G + L, G)
                 converged = _norms(S) < cfg.eps_converge
             else:
@@ -201,7 +206,8 @@ def _descend(f, X, cfg, gamma, observe=None):
             # converged rows, and steps that left the finite numbers
             if np.count_nonzero(halt):
                 status = np.where(converged[halt], STATUS_CONVERGED, STATUS_NUMERICAL_FAILURE)
-                X_next, L, inside, rows = retire(halt, status, X_next, L, inside, rows)
+                X_next, L, inside, theta, rows = retire(
+                    halt, status, X_next, L, inside, theta, rows)
                 if not rows.size:
                     break
 
@@ -230,7 +236,7 @@ def _run(f, x0, cfg, record_stride):
         rec.modes.append(MODE_PLAIN if event_id is None else MODE_REGULARIZED)
         rec.event_ids.append(event_id)
 
-    def observe(k, X, G, gn, inside):
+    def observe(k, X, G, gn, inside, rows):
         nonlocal event_id
         if inside[0] != (event_id is not None):
             if inside[0]:

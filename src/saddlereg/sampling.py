@@ -26,11 +26,12 @@ from .optimizer import _descend
 def run_gd_batch(f, x0_batch, cfg):
     """Run many descent trajectories in lockstep; returns per-row outcomes.
 
-    cfg.theta > 0 regularizes every row, theta = 0 is plain descent. Every row
-    ends exactly as the sequential run from the same start with the same gamma
-    does (the same engine runs both). Result dict keys: final (m, n), status
-    (m,), entered (m,), closed (m,), and the final grad_norm (m,) and
-    iteration k (m,). `entered` marks rows whose run opened at least one
+    cfg.theta > 0 regularizes every row, theta = 0 is plain descent; a batch
+    that mixes the two, as `mlp-compare` runs, calls the engine with theta per
+    row. Every row ends exactly as the sequential run from the same start with
+    the same gamma does (the same engine runs both). Result dict keys: final
+    (m, n), status (m,), entered (m,), closed (m,), and the final grad_norm
+    (m,) and iteration k (m,). `entered` marks rows whose run opened at least one
     regularization event, `closed` rows whose first event finished (the
     iterate left the small-gradient region again).
     """

@@ -17,8 +17,6 @@ from saddlereg import (
     OptimizerConfig,
     check_boundary_assumption,
     continuation_trace,
-    fd_gradient,
-    fd_hessian,
     find_critical_points,
     get_objective,
     init_params,
@@ -34,6 +32,8 @@ from saddlereg import (
     theta_region,
     unpack_params,
 )
+
+from oracles import fd_gradient, fd_hessian
 
 
 def _report(num, name, ok, detail=""):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import saddlereg
-from saddlereg.cli import main
+from saddlereg.cli import _compare_trials, main, write_json
 
 
 def _read_json(path):
@@ -185,6 +186,132 @@ def test_mlp_compare_quick(tmp_path):
             rows = list(csv.reader(fh))
         assert rows[0] == ["epoch", "loss_plain", "gnorm_plain", "loss_reg", "gnorm_reg"]
         assert len(rows) > 100
+
+
+def _prefix_equal(plain, reg, theta):
+    """Bit-identical iterates up to and including the plain run's first one inside the region."""
+    k_stop = None
+    for k, gn in zip(plain.ks, plain.grad_norms):
+        if gn <= theta:
+            k_stop = k
+            break
+    if k_stop is None:
+        k_stop = plain.ks[-1]
+    for k, xp, xr in zip(plain.ks, plain.iterates, reg.iterates):
+        if k > k_stop:
+            break
+        if not np.array_equal(xp, xr):
+            return False
+    return True
+
+
+def _mlp_compare_oracle(out, trials, seed, gamma=0.5, theta=0.04, max_iters=800):
+    """mlp-compare's files and stdout from one recorded run per row and one
+    loss evaluation per stored iterate."""
+    out.mkdir()
+    spec = saddlereg.MlpSpec((2, 8, 8, 2))
+    f = saddlereg.mlp_objective(spec, saddlereg.make_blobs(50, 2, 2, 1.0, seed=seed))
+    cfg = saddlereg.OptimizerConfig(gamma=gamma, theta=theta, eps_converge=1e-10,
+                                    max_iters=max_iters, escape_radius=1e6)
+    triggered, prefix_equal, finals_plain, finals_reg = [], [], [], []
+    for t, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
+        params0 = saddlereg.init_params(spec, child)
+        plain = saddlereg.run_plain_gd(f, params0, cfg)
+        reg = saddlereg.run_regularized_gd(f, params0, cfg)
+        triggered.append(len(reg.events) > 0)
+        prefix_equal.append(_prefix_equal(plain, reg, theta))
+        finals_plain.append(plain.final_value)
+        finals_reg.append(reg.final_value)
+        with open(out / f"trial_{t:03d}.csv", "w", newline="") as fh, np.errstate(all="ignore"):
+            writer = csv.writer(fh)
+            writer.writerow(["epoch", "loss_plain", "gnorm_plain", "loss_reg", "gnorm_reg"])
+            for i in range(max(len(plain.ks), len(reg.ks))):
+                row = [i]
+                for rec in (plain, reg):
+                    if i < len(rec.ks):
+                        row += [repr(float(f.value(rec.iterates[i]))),
+                                repr(float(rec.grad_norms[i]))]
+                    else:
+                        row += ["", ""]
+                writer.writerow(row)
+    trig = [i for i, t in enumerate(triggered) if t]
+    summary = {
+        "trials": trials, "widths": [2, 8, 8, 2], "theta": theta, "gamma": gamma,
+        "max_iters": max_iters, "seed": seed, "triggered": triggered,
+        "prefix_equal": prefix_equal, "final_loss_plain": finals_plain,
+        "final_loss_reg": finals_reg, "fraction_triggered": len(trig) / trials,
+        "mean_final_plain": float(np.mean(finals_plain)),
+        "mean_final_reg": float(np.mean(finals_reg)),
+        "mean_final_plain_triggered":
+            float(np.mean([finals_plain[i] for i in trig])) if trig else None,
+        "mean_final_reg_triggered":
+            float(np.mean([finals_reg[i] for i in trig])) if trig else None,
+    }
+    write_json(out / "mlp_summary.json", summary)
+    stdout = (f"mlp-compare: {len(trig)}/{trials} trials triggered, "
+              f"prefix equality {'holds' if all(prefix_equal) else 'VIOLATED'}\n")
+    if trig:
+        stdout += (f"  mean final loss (triggered trials): plain "
+                   f"{summary['mean_final_plain_triggered']:.6f}, "
+                   f"regularized {summary['mean_final_reg_triggered']:.6f}\n")
+    return stdout
+
+
+@pytest.mark.parametrize("flags, oracle", [
+    (["--trials", "3", "--seed", "1"], dict(trials=3, seed=1)),
+    # a step size this large sends rows out of the escape ball at different k
+    (["--trials", "4", "--seed", "2", "--gamma", "80", "--theta", "0.5", "--max-iters", "200"],
+     dict(trials=4, seed=2, gamma=80.0, theta=0.5, max_iters=200)),
+    (["--trials", "3", "--seed", "1", "--theta", "0", "--max-iters", "200"],
+     dict(trials=3, seed=1, theta=0.0, max_iters=200)),
+])
+def test_mlp_compare_batch_equals_recorded_runs(tmp_path, capsys, flags, oracle):
+    # the batched command against its trials run one recorded row at a time
+    assert main(["mlp-compare", *flags, "--out", str(tmp_path / "batch")]) == 0
+    stdout = capsys.readouterr().out
+    assert stdout == _mlp_compare_oracle(tmp_path / "oracle", **oracle)
+    names = sorted(p.name for p in (tmp_path / "oracle").iterdir())
+    assert sorted(p.name for p in (tmp_path / "batch").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "batch" / name).read_bytes() == (tmp_path / "oracle" / name).read_bytes()
+    if oracle.get("gamma"):
+        lengths = set()
+        for t in range(oracle["trials"]):
+            with open(tmp_path / "batch" / f"trial_{t:03d}.csv", newline="") as fh:
+                rows = list(csv.reader(fh))
+            lengths.add(rows[-1].count(""))
+        assert lengths != {0}, "every trial's two rows stopped at the same k"
+
+
+def test_prefix_equality_sees_a_row_that_halts_unobserved():
+    # A gradient that depends on the row's position in the batch (never true of
+    # a real objective) makes trial 0's plain row step twice as far as its
+    # regularized row; at k = 1 the plain row leaves the escape ball before
+    # the observer sees it, so the two rows' k = 1 iterates are compared after the run.
+    def gradient(X):
+        return np.asarray(X) * np.arange(1, len(X) + 1)[::-1, None]
+
+    f = saddlereg.make_objective(
+        "position_dependent", 1,
+        value=lambda x: 0.5 * np.asarray(x, dtype=float)[..., 0] ** 2,
+        gradient=lambda X: gradient(X) if np.ndim(X) == 2 else np.asarray(X, dtype=float),
+        hessian=lambda x: np.ones(np.shape(x) + (1,)),
+        domain_box=[[-2.0, 2.0]])
+    cfg = saddlereg.OptimizerConfig(gamma=2.0, theta=1e-3, max_iters=5, escape_radius=2.5)
+    res, finals, loss, gnorm, prefix_equal = _compare_trials(f, np.array([[1.0]]), cfg)
+    assert list(res["k"]) == [1, 5] and res["status"][0] == "diverged"
+    assert prefix_equal == [False]
+
+
+def test_mlp_compare_keeps_no_iterates(tmp_path):
+    # 40 recorded runs of 801 iterates with 114 parameters would need about 30 MiB
+    tracemalloc.start()
+    try:
+        assert main(["mlp-compare", "--trials", "20", "--out", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
 def test_outputs_are_deterministic(tmp_path):

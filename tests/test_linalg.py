@@ -3,12 +3,11 @@ import pytest
 
 from saddlereg import (
     NumericalError,
-    fd_gradient,
-    fd_hessian,
     spectral_norm,
     sym_eigen,
-    third_directional,
 )
+
+from oracles import fd_gradient, fd_hessian, third_directional
 
 
 def test_sym_eigen_diagonal():

@@ -7,7 +7,6 @@ from saddlereg import (
     MlpSpec,
     OptimizerConfig,
     classify_point,
-    fd_gradient,
     init_params,
     make_blobs,
     mlp_objective,
@@ -15,6 +14,8 @@ from saddlereg import (
     run_plain_gd,
     unpack_params,
 )
+
+from oracles import fd_gradient
 
 
 def test_spec_validation():

@@ -5,8 +5,6 @@ from saddlereg import (
     MlpSpec,
     classify_point,
     corpus,
-    fd_gradient,
-    fd_hessian,
     get_objective,
     make_blobs,
     make_objective,
@@ -14,6 +12,8 @@ from saddlereg import (
     mlp_objective,
     quadratic_bowl,
 )
+
+from oracles import fd_gradient, fd_hessian
 
 
 def _random_points(entry, n, seed):

@@ -1,23 +1,32 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from saddlereg import (
     MODE_REGULARIZED,
     STATUS_CONVERGED,
     STATUS_DIVERGED,
     STATUS_NUMERICAL_FAILURE,
+    MlpSpec,
     OptimizerConfig,
+    corpus,
     get_objective,
+    init_params,
+    make_blobs,
     make_regularized,
+    mlp_objective,
     quadratic_bowl,
     run_plain_gd,
     run_regularized_gd,
     spectral_norm,
 )
 from saddlereg.cli import write_json
+from saddlereg.optimizer import _descend
 
 
 def test_config_validation():
@@ -210,3 +219,52 @@ def test_explicit_gamma_above_lipschitz_warns():
     cfg = OptimizerConfig(gamma=0.5, theta=0.0, eps_converge=1e-8, max_iters=5)
     with pytest.warns(UserWarning):
         run_plain_gd(f, [0.1, 0.1], cfg)
+
+
+_NET_SPEC = MlpSpec((2, 8, 8, 2))
+_NET = mlp_objective(_NET_SPEC, make_blobs(25, 2, 2, 1.0, seed=0))
+
+
+@st.composite
+def _mixed_theta_batches(draw):
+    """A batch whose rows carry their own theta, at least one of them 0."""
+    m = draw(st.integers(2, 6))
+    if draw(st.integers(0, 2)) == 2:  # the 2-8-8-2 net beside the 5 corpus objectives
+        f = _NET
+        X0 = np.array([init_params(_NET_SPEC, draw(st.integers(0, 2 ** 16))) for _ in range(m)])
+        gamma = draw(st.sampled_from([0.5, 2.0, 80.0]))
+        thetas = [draw(st.sampled_from([0.04, 0.5])) for _ in range(m - 1)]
+        cfg = OptimizerConfig(eps_converge=1e-10, max_iters=draw(st.integers(1, 60)),
+                              escape_radius=draw(st.sampled_from([1e6, 3.0])))
+    else:
+        f = draw(st.sampled_from([entry.objective for entry in corpus()]))
+        # starts reach past the domain box so that some rows diverge at once
+        X0 = np.array([[draw(st.floats(1.5 * float(lo), 1.5 * float(hi)))
+                        for lo, hi in f.domain_box] for _ in range(m)])
+        gamma = draw(st.floats(1e-3, 0.7))
+        thetas = [draw(st.floats(1e-2, 5.0)) for _ in range(m - 1)]
+        cfg = OptimizerConfig(eps_converge=draw(st.floats(1e-10, 1e-3)),
+                              max_iters=draw(st.integers(1, 200)),
+                              escape_radius=draw(st.floats(0.5, 20.0)))
+    theta = np.array(draw(st.permutations([0.0] + thetas)))
+    return f, X0, cfg, gamma, theta
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=_mixed_theta_batches())
+# both rows start with a zero gradient, which is <= every theta, 0 included
+@example(case=(quadratic_bowl(), np.zeros((2, 2)), OptimizerConfig(), 0.5, np.array([0.0, 0.5])))
+def test_mixed_theta_batch_rows_equal_single_runs(case):
+    f, X0, cfg, gamma, theta = case
+    seen = []
+    out = _descend(f, X0, cfg, gamma, lambda *args: seen.append(args[-1]), theta=theta)
+    # the observer gets the original row ids of the working set, which only shrinks
+    assert all(np.isin(later, earlier).all() for earlier, later in zip(seen, seen[1:]))
+    for i, th in enumerate(theta):
+        one = _descend(f, X0[i:i + 1], dataclasses.replace(cfg, theta=th), gamma)
+        assert out["final"][i].tobytes() == one["final"][0].tobytes()
+        assert out["grad_norm"][i].tobytes() == one["grad_norm"][0].tobytes()
+        for key in ("k", "status", "entered", "closed"):
+            assert out[key][i] == one[key][0], key
+        if th == 0.0:
+            assert not out["entered"][i]
