@@ -428,60 +428,36 @@ def _compare_trials(f, starts, cfg):
     """Every trial's plain and regularized run as one lockstep batch of 2T rows.
 
     Rows 0..T-1 run plain descent and rows T..2T-1 the regularized algorithm,
-    both from `starts` (T, n). Per row and step only the loss and the gradient
-    norm are kept, in columns that double in length as the run goes on. Trial
-    t's two rows are compared bit for bit at every step both reach, up to and
-    including the plain row's first step with gn <= theta. Returns the
-    engine's result, the final losses, the loss and gradient-norm columns
-    (2T, > max k; entries past a row's k are unset) and the per-trial prefix
-    equality as a list.
+    both from `starts` (T, n). The observer, which sees every row up to and
+    including its last step, keeps only the loss and the gradient norm per row
+    and step, in columns that double in length as the run goes on, and
+    compares trial t's two rows bit for bit at every step both reach, up to and
+    including the plain row's first step with gn <= theta. Returns the engine's
+    result, the final losses, the loss and gradient-norm columns (2T, > max k;
+    entries past a row's k are unset) and the per-trial prefix equality.
     """
     T = len(starts)
     loss, gnorm = np.empty((2, 2 * T, 64))
     pending = np.ones(T, dtype=bool)  # equal so far, the plain row's stop step not reached
     equal = np.ones(T, dtype=bool)
-    last_seen = np.full(2 * T, -1)
-    lone = np.empty_like(starts)  # a row's iterate at the step its partner halted unobserved
-    lone_set = np.zeros(T, dtype=bool)
 
-    def grow(k):
+    def observe(k, X, G, gn, inside, rows):
         nonlocal loss, gnorm
         if k >= loss.shape[1]:
             loss, gnorm = (np.concatenate([a, np.empty_like(a)], axis=1) for a in (loss, gnorm))
-
-    def observe(k, X, G, gn, inside, rows):
-        grow(k)
         loss[rows, k] = f.value(X)
         gnorm[rows, k] = gn
-        last_seen[rows] = k
         at = np.full(2 * T, -1)  # each row's place in the working set, -1 once it halted
         at[rows] = np.arange(len(rows))
         p, r = at.reshape(2, T)
         t = np.flatnonzero(pending & (p >= 0) & (r >= 0))
-        if t.size:
-            same = (X[p[t]] == X[r[t]]).all(axis=1)
-            equal[t[~same]] = False
-            pending[t[~same | (gn[p[t]] <= cfg.theta)]] = False
-        t = np.flatnonzero(pending & ((p >= 0) != (r >= 0)) & ~lone_set)
-        lone[t] = X[np.maximum(p[t], r[t])]
-        lone_set[t] = True
+        same = (X[p[t]] == X[r[t]]).all(axis=1)
+        equal[t[~same]] = False
+        pending[t[~same | (gn[p[t]] <= cfg.theta)]] = False
 
     res = _descend(f, np.concatenate([starts, starts]), cfg, float(cfg.gamma), observe,
                    theta=np.repeat([0.0, cfg.theta], T))
-    # the last step both rows reach, when one of them halted there unobserved
-    for t in np.flatnonzero(pending):
-        pair = (t, t + T)
-        j = min(res["k"][i] for i in pair)
-        if any(last_seen[i] < j for i in pair):
-            equal[t] = np.array_equal(*(res["final"][i] if res["k"][i] == j else lone[t]
-                                        for i in pair))
-    with np.errstate(all="ignore"):
-        finals = f.value(res["final"])
-    # each row's last entry is its final iterate, observed or not
-    grow(res["k"].max())
-    ends = (np.arange(2 * T), res["k"])
-    loss[ends], gnorm[ends] = finals, res["grad_norm"]
-    return res, finals, loss, gnorm, equal.tolist()
+    return res, loss[np.arange(2 * T), res["k"]], loss, gnorm, equal.tolist()
 
 
 def _write_trial_csv(path, loss, gnorm, ks, plain, reg):

@@ -56,8 +56,9 @@ class OptimizerConfig:
             raise ValueError(f"eps_converge must be positive, got {self.eps_converge}")
         if self.theta > 0 and self.theta <= self.eps_converge:
             raise ValueError("theta must exceed eps_converge")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        if (not isinstance(self.max_iters, (int, np.integer)) or isinstance(self.max_iters, bool)
+                or self.max_iters < 1):
+            raise ValueError(f"max_iters must be an integer of at least 1, got {self.max_iters!r}")
         if not self.escape_radius > 0:
             raise ValueError(f"escape_radius must be positive, got {self.escape_radius}")
 
@@ -135,7 +136,8 @@ def _descend(f, X, cfg, gamma, observe=None, theta=None):
     gradient; a step that leaves the finite numbers halts the row at its last
     finite iterate with numerical_failure. observe(k, X, G, gn, inside, rows),
     when given, sees the working set at every iteration after the region
-    update and before the step; rows holds the original indices of its rows.
+    update and before the step, the step a row halts at included (with its
+    region state unchanged); rows holds the original indices of its rows.
 
     Returns per-row arrays: final (m, n), grad_norm, k (the iteration the row
     stopped at), status, entered (an event opened) and closed (an event ended).
@@ -175,14 +177,11 @@ def _descend(f, X, cfg, gamma, observe=None, theta=None):
         k = 0
         while True:
             # rows that left the escape ball or met a non-finite gradient
-            if np.count_nonzero(halt):
-                status = np.where(diverged[halt], STATUS_DIVERGED, STATUS_NUMERICAL_FAILURE)
-                X, G, gn, L, inside, theta, rows = retire(
-                    halt, status, X, G, gn, L, inside, theta, rows)
-            if not rows.size:
-                break
+            halting = np.count_nonzero(halt)
             if regularize:
                 now = gn <= theta
+                if halting:
+                    now[halt] = inside[halt]  # a halting row keeps its region state
                 if np.count_nonzero(now != inside):
                     entering = now & ~inside
                     L[entering] = G[entering]
@@ -191,6 +190,12 @@ def _descend(f, X, cfg, gamma, observe=None, theta=None):
                     inside = now
             if observe is not None:
                 observe(k, X, G, gn, inside, rows)
+            if halting:
+                status = np.where(diverged[halt], STATUS_DIVERGED, STATUS_NUMERICAL_FAILURE)
+                X, G, gn, L, inside, theta, rows = retire(
+                    halt, status, X, G, gn, L, inside, theta, rows)
+            if not rows.size:
+                break
 
             # convergence tests the active map's gradient, grad f + l inside the region
             if regularize and np.count_nonzero(inside):
@@ -251,7 +256,7 @@ def _run(f, x0, cfg, record_stride):
 
     out = _descend(f, x[np.newaxis], cfg, gamma, observe)
     k = int(out["k"][0])
-    if not rec.ks or rec.ks[-1] != k:
+    if rec.ks[-1] != k:
         store(k, out["final"][0], out["grad_norm"][0])
     rec.status = out["status"][0]
     rec.final_x = out["final"][0]

@@ -286,8 +286,8 @@ def test_mlp_compare_batch_equals_recorded_runs(tmp_path, capsys, flags, oracle)
 def test_prefix_equality_sees_a_row_that_halts_unobserved():
     # A gradient that depends on the row's position in the batch (never true of
     # a real objective) makes trial 0's plain row step twice as far as its
-    # regularized row; at k = 1 the plain row leaves the escape ball before
-    # the observer sees it, so the two rows' k = 1 iterates are compared after the run.
+    # regularized row; at k = 1 the plain row leaves the escape ball, and the
+    # observer sees both rows at that step, so their k = 1 iterates are compared there.
     def gradient(X):
         return np.asarray(X) * np.arange(1, len(X) + 1)[::-1, None]
 

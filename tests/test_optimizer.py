@@ -41,11 +41,23 @@ def test_config_validation():
     OptimizerConfig(theta=0.0, eps_converge=1e-8)  # theta=0 disables regularization
 
 
-@pytest.mark.parametrize("field", ["gamma", "theta", "eps_converge", "escape_radius"])
+@pytest.mark.parametrize("field", ["gamma", "theta", "eps_converge", "max_iters",
+                                   "escape_radius"])
 def test_config_rejects_nan(field):
     # NaN fails every comparison, so it must not slip past the range checks
     with pytest.raises(ValueError, match=field):
         OptimizerConfig(**{field: float("nan")})
+
+
+@pytest.mark.parametrize("value", [float("inf"), 2.5, 10.0, True])
+def test_config_rejects_max_iters_that_is_not_an_integer(value):
+    # `k >= max_iters` never holds for NaN or inf, so the run would not stop
+    with pytest.raises(ValueError, match="max_iters"):
+        OptimizerConfig(max_iters=value)
+
+
+def test_config_accepts_numpy_integer_max_iters():
+    assert OptimizerConfig(max_iters=np.int64(7)).max_iters == 7
 
 
 def test_plain_descent_into_nonstrict_saddle():
@@ -268,3 +280,30 @@ def test_mixed_theta_batch_rows_equal_single_runs(case):
             assert out[key][i] == one[key][0], key
         if th == 0.0:
             assert not out["entered"][i]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=_mixed_theta_batches())
+# row 0 starts inside the region and its first step leaves the escape ball,
+# row 1 diverges on plain steps, row 2 meets an infinite gradient at k = 0
+@example(case=(quadratic_bowl(), np.array([[0.1, 0.0], [100.0, 100.0], [np.inf, 0.0], [0.0, 0.0]]),
+               OptimizerConfig(max_iters=20), 100.0, np.array([0.5, 0.0, 0.5, 0.0])))
+def test_observer_sees_every_row_through_its_last_step(case):
+    f, X0, cfg, gamma, theta = case
+    ks, last, insides = ([[] for _ in X0] for _ in range(3))
+
+    def observe(k, X, G, gn, inside, rows):
+        for j, i in enumerate(rows):
+            ks[i].append(k)
+            insides[i].append(bool(inside[j]))
+            last[i] = (X[j].copy(), gn[j])
+
+    out = _descend(f, X0, cfg, gamma, observe, theta=theta)
+    for i in range(len(X0)):
+        assert ks[i] == list(range(out["k"][i] + 1))
+        x, gn = last[i]
+        assert x.tobytes() == out["final"][i].tobytes()
+        assert gn.tobytes() == out["grad_norm"][i].tobytes()
+        if out["status"][i] in (STATUS_DIVERGED, STATUS_NUMERICAL_FAILURE):
+            # a halting row keeps its region state on its last step
+            assert insides[i][-1] == ([False] + insides[i])[-2]
