@@ -85,8 +85,7 @@ def continuation_trace(
         return np.abs(np.linalg.det(H)) < det_tol * scale ** f.dim
 
     residual = _norms(np.asarray(f.gradient(X), dtype=float) + L)
-    X, polished = newton_root(lambda Y: f.gradient(Y) + L, f.hessian, X, tol=tol,
-                              max_steps=max_newton)
+    X, polished = newton_root(f, X, L, tol=tol, max_steps=max_newton)
     flat = singular(np.asarray(f.hessian(X), dtype=float))
     for row in range(len(X)):
         if residual[row] > start_slack:
@@ -109,9 +108,8 @@ def continuation_trace(
         live, H = live[~flat], H[~flat]
         if not live.size:
             break
-        tangent = np.linalg.solve(H, -L[live, :, np.newaxis])[..., 0]
-        X_new, ok = newton_root(lambda Y, shift=mu * L[live]: f.gradient(Y) + shift, f.hessian,
-                                X[live] + (mu - mu_prev) * tangent, tol=tol, max_steps=max_newton)
+        X_pred = X[live] + (mu - mu_prev) * np.linalg.solve(H, -L[live, :, np.newaxis])[..., 0]
+        X_new, ok = newton_root(f, X_pred, mu * L[live], tol=tol, max_steps=max_newton)
         for i in live[~ok]:
             paths[i].stop = CORRECTOR_FAILED
         X[live[ok]] = X_new[ok]

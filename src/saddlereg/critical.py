@@ -1,11 +1,11 @@
 """Critical-point location and classification.
 
-Classification is by the sign pattern of Hessian eigenvalues under a
-relative zero tolerance tau: an eigenvalue counts as zero when
-|lambda| <= tau * max(1, |lambda|_max). Strata record the sign of the
-smallest eigenvalue; the classification refines that into minimum,
-strict saddle, maximum, or non-strict/degenerate. Every critical-point solve
-is one call of `newton_root`, which runs a whole batch of starts in lockstep.
+Classification is by the sign pattern of Hessian eigenvalues under a relative zero
+tolerance tau: an eigenvalue counts as zero when |lambda| <= tau * max(1, |lambda|_max).
+Strata record the sign of the smallest eigenvalue; the classification refines that into
+minimum, strict saddle, maximum, or non-strict/degenerate. Every critical-point solve is
+one call of `newton_root(f, x0, shift)`, which runs a whole batch of starts in lockstep
+and evaluates only the rows still running.
 """
 
 import logging
@@ -82,31 +82,30 @@ def classify_point(f, x, tau=DEFAULT_ZERO_TAU):
     )
 
 
-def newton_root(grad, hess, x0, tol=1e-8, max_steps=50, min_damping=2.0 ** -10):
-    """Damped Newton iteration on grad(x) = 0 with Jacobian hess(x), from one
-    start (n,) or from every row of a batch (m, n) in lockstep.
+def newton_root(f, x0, shift, tol=1e-8, max_steps=50, min_damping=2.0 ** -10):
+    """Damped Newton on f.gradient(x) + shift = 0 with Jacobian f.hessian(x), from one
+    start (n,) or every row of a batch (m, n) in lockstep; `shift` is (n,) or (m, n).
 
-    grad and hess take batches, (k, n) -> (k, n) and (k, n, n), as every
-    Objective's do: grad always gets the whole stack in row order (so it may add
-    a per-row shift), hess the rows still running. Each row's damping starts at
-    1 and halves until its gradient norm decreases; no decrease at the minimum
-    damping, a singular Newton system or a non-finite step ends the row. Steps
-    continue past `tol` until improvement stalls, polishing degenerate roots.
-    Returns (x, converged), converged = gradient norm below tol or zero; per row
-    for a batch, each row equal bit for bit to the single start from it.
+    After the first call both evaluators get only the rows still running. Each row's
+    damping starts at 1 and halves until its gradient norm decreases; no decrease at
+    the minimum damping, a singular Newton system or a non-finite step ends the row.
+    Steps continue past `tol` until improvement stalls, polishing degenerate roots.
+    Returns (x, converged), converged = gradient norm below tol or zero; per row for
+    a batch, each row equal bit for bit to the single start from it.
     """
     X = np.atleast_2d(np.array(x0, dtype=float))
     if X.ndim != 2 or not np.all(np.isfinite(X)):
         raise ValueError(f"starts must be a finite (m, n) array, got shape {X.shape}")
+    S = np.broadcast_to(np.asarray(shift, dtype=float), X.shape)
     with np.errstate(all="ignore"):
-        G = np.asarray(grad(X), dtype=float)
+        G = np.asarray(f.gradient(X), dtype=float) + S
         gn = _norms(G)
         running = np.isfinite(gn)
         for _ in range(max_steps):
             rows = (running & (gn != 0.0)).nonzero()[0]
             if not rows.size:
                 break
-            H = np.asarray(hess(X[rows]), dtype=float)
+            H = np.asarray(f.hessian(X[rows]), dtype=float)
             # slogdet's LU is solve's: a zero sign marks the systems solve rejects
             ok = np.linalg.slogdet(H)[0] != 0.0
             D = np.full((rows.size, X.shape[1]), np.nan)
@@ -116,20 +115,17 @@ def newton_root(grad, hess, x0, tol=1e-8, max_steps=50, min_damping=2.0 ** -10):
             running[:] = False  # rows run on only when their damped step improves
             lam = 1.0
             while rows.size and lam >= min_damping:
-                trial = X.copy()
-                trial[rows] += lam * D
-                G_trial = np.asarray(grad(trial), dtype=float)
-                gn_trial = _norms(G_trial[rows])
+                trial = X[rows] + lam * D
+                G_trial = np.asarray(f.gradient(trial), dtype=float) + S[rows]
+                gn_trial = _norms(G_trial)
                 ok = gn_trial < gn[rows]  # False for NaN and inf, as gn[rows] is finite
                 done = rows[ok]
-                X[done], G[done], gn[done] = trial[done], G_trial[done], gn_trial[ok]
+                X[done], G[done], gn[done] = trial[ok], G_trial[ok], gn_trial[ok]
                 running[done] = True
                 rows, D = rows[~ok], D[~ok]
                 lam *= 0.5
     converged = (gn < tol) | (gn == 0.0)
-    if np.ndim(x0) < 2:
-        return X[0], bool(converged[0])
-    return X, converged
+    return (X, converged) if np.ndim(x0) == 2 else (X[0], bool(converged[0]))
 
 
 def _grid_seeds(box, grid_density):
@@ -146,9 +142,7 @@ def solve_gradient_equation(f, rhs, seeds, tol=1e-8, max_steps=50, dedup_radius=
     Returns deduplicated solutions (within `dedup_radius`, the earliest seed's
     kept), restricted to `box` when given, in deterministic lexicographic order.
     """
-    rhs = as_vector(rhs)
-    X, ok = newton_root(lambda x: f.gradient(x) - rhs, f.hessian, np.atleast_2d(seeds),
-                        tol=tol, max_steps=max_steps)
+    X, ok = newton_root(f, np.atleast_2d(seeds), -as_vector(rhs), tol=tol, max_steps=max_steps)
     logger.debug("solve_gradient_equation: %d seeds skipped (no convergence)", np.sum(~ok))
     return _distinct_in_box(X, ok, box, dedup_radius)
 

@@ -117,6 +117,8 @@ def _erode(mask):
 def _grad_norm_grid(f, box, resolution):
     """||grad f|| at every cell center, with the arithmetic of `RegionGrid.cell_center`
     and of the descent engine's region test."""
+    if resolution < 1:
+        raise ValueError("resolution must be at least 1")
     widths = (box[:, 1] - box[:, 0]) / resolution
     axes = [lo + (np.arange(resolution) + 0.5) * w for lo, w in zip(box[:, 0], widths)]
     mesh = np.meshgrid(*axes, indexing="ij")

@@ -168,8 +168,7 @@ def milnor_sample(
     kept = []  # per draw, its distinct critical points in the box
     for first in range(0, n_l, draws):
         shifts = np.repeat(L[first:first + draws], k, axis=0)
-        X, ok = newton_root(lambda Y: f.gradient(Y) + shifts, f.hessian,
-                            np.tile(seeds, (len(shifts) // k, 1)), tol=tol)
+        X, ok = newton_root(f, np.tile(seeds, (len(shifts) // k, 1)), shifts, tol=tol)
         kept += [_distinct_in_box(Xd, okd, box, 1e-4)  # dedup within a draw, never across
                  for Xd, okd in zip(X.reshape(-1, k, n), ok.reshape(-1, k))]
     points = [x for draw in kept for x in draw]
@@ -192,22 +191,25 @@ def pl_error_check(f, xstar, theta, n_l=200, seed=0, tol=1e-10):
     Polyak-Lojasiewicz inequality with constant c on the region, the result is
     bounded by theta^2 / (2 c).
     """
+    if n_l < 1:
+        raise ValueError("n_l must be at least 1")
+    if not 0.0 <= theta < np.inf:
+        raise ValueError(f"theta must be finite and non-negative, got {theta}")
     xstar = as_vector(xstar)
     if classify_point(f, xstar).classification != "local_min":
         raise ValueError("xstar must be a local minimum")
     rng = np.random.default_rng(seed)
-    f_star = float(f.value(xstar))
     L = np.empty((n_l, f.dim))
     for i in range(n_l):
         radius = theta if i % 2 == 0 else rng.uniform(0.0, theta)
         L[i] = radius * _sphere_direction(rng, f.dim)
-    X, ok = newton_root(lambda Y: f.gradient(Y) + L, f.hessian, np.tile(xstar, (n_l, 1)), tol=tol)
+    X, ok = newton_root(f, np.tile(xstar, (n_l, 1)), L, tol=tol)
     for x_l, ok_l in zip(X, ok):
         if not ok_l:
             raise NumericalError("Newton solve for the shifted minimizer failed")
         if classify_point(f, x_l).stratum != STRATUM_POSITIVE:
             raise NumericalError("shifted critical point left the positive-definite stratum")
-    return max(0.0, float(np.max(f.value(X), initial=-np.inf)) - f_star)
+    return max(0.0, float(np.max(f.value(X))) - float(f.value(xstar)))
 
 
 def psi_witness_check(f, region, x0, tau=1e-6, tol=1e-9, max_seeds=200):
@@ -220,6 +222,8 @@ def psi_witness_check(f, region, x0, tau=1e-6, tol=1e-9, max_seeds=200):
     the witness's report, or None when every solution is a strict saddle or
     no solution exists.
     """
+    if max_seeds < 1:
+        raise ValueError("max_seeds must be at least 1")
     x0 = as_vector(x0)
     if not region.contains_point(x0):
         raise ValueError("x0 must lie inside the region")

@@ -59,9 +59,7 @@ def test_false_minimum_traces_back_to_saddle():
     # ends at the degenerate ancestor x = 1, inside its own small-gradient region
     f = get_objective("double_degenerate")
     l = np.array([-0.01])
-    fl = make_regularized(f, l)
-    from saddlereg.critical import newton_root
-    start, ok = newton_root(fl.gradient, fl.hessian, [1.02], tol=1e-12)
+    start, ok = newton_root(f, [1.02], l, tol=1e-12)
     assert ok and abs(start[0] - 1.0204) < 1e-3
     path = continuation_trace(f, start, l, steps=200)
     assert abs(path.points[-1][0] - 1.0) < 1e-3
@@ -201,8 +199,7 @@ def _assert_same_path(batched, single):
 
 def _trace_one_at_a_time(f, x, l, steps, det_tol, tol=1e-9, max_newton=60):
     # the single-start reference: one Newton call per mu step; (samples, fold)
-    x, _ = newton_root(lambda y: f.gradient(y) + l, f.hessian, np.array(x, dtype=float),
-                       tol=tol, max_steps=max_newton)
+    x, _ = newton_root(f, np.array(x, dtype=float), l, tol=tol, max_steps=max_newton)
 
     def singular(h):
         return abs(float(np.linalg.det(h))) < det_tol * max(1.0, float(np.linalg.norm(h))) ** f.dim
@@ -214,8 +211,7 @@ def _trace_one_at_a_time(f, x, l, steps, det_tol, tol=1e-9, max_newton=60):
         if singular(h):
             return samples, True
         x_pred = x + (mu - mu_prev) * np.linalg.solve(h, -l)
-        x, ok = newton_root(lambda y, _mu=mu: f.gradient(y) + _mu * l, f.hessian, x_pred,
-                            tol=tol, max_steps=max_newton)
+        x, ok = newton_root(f, x_pred, mu * l, tol=tol, max_steps=max_newton)
         if not ok:
             return samples, True
         samples.append((float(mu), x.copy(), float(np.linalg.norm(f.gradient(x)))))

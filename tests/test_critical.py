@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -141,22 +143,48 @@ def test_stratum_partition_and_regularization_invariance():
             assert classify_point(fl, x).stratum == s
 
 
+# gradient x^2: one degenerate root, at 0
+_SQUARE = make_objective(
+    "square", 1,
+    value=lambda x: np.asarray(x, dtype=float)[..., 0] ** 3 / 3.0,
+    gradient=lambda x: np.asarray(x, dtype=float) ** 2,
+    hessian=lambda x: 2.0 * np.asarray(x, dtype=float)[..., None],
+    domain_box=[[-3.0, 3.0]],
+)
+# gradient x^2 + 1: no root anywhere, so Newton stalls without converging
+_NO_ROOT = make_objective(
+    "no_root", 1,
+    value=lambda x: np.asarray(x, dtype=float)[..., 0] ** 3 / 3.0 + np.asarray(x)[..., 0],
+    gradient=lambda x: np.asarray(x, dtype=float) ** 2 + 1.0,
+    hessian=lambda x: 2.0 * np.asarray(x, dtype=float)[..., None],
+    domain_box=[[-3.0, 3.0]],
+)
+
+
 def test_newton_root_polishes_degenerate_roots():
     # gradient x^2 has a degenerate root at 0: linear convergence must still
     # drive the iterate far below the tolerance scale
-    grad = lambda x: np.array([x[0] ** 2])
-    hess = lambda x: np.array([[2.0 * x[0]]])
-    x, ok = newton_root(grad, hess, [2.0], tol=1e-8)
+    x, ok = newton_root(_SQUARE, [2.0], 0.0, tol=1e-8)
     assert ok
     assert abs(x[0]) < 1e-7
 
 
 def test_newton_root_reports_failure():
     # gradient x^2 + 1 has no roots
-    grad = lambda x: np.array([x[0] ** 2 + 1.0])
-    hess = lambda x: np.array([[2.0 * x[0]]])
-    _, ok = newton_root(grad, hess, [3.0], tol=1e-8)
+    _, ok = newton_root(_NO_ROOT, [3.0], 0.0, tol=1e-8)
     assert not ok
+
+
+def test_newton_root_evaluates_only_running_rows():
+    # the three rows at the root (0, 0) stop before the first step, so every
+    # gradient call after the first gets the one row still running
+    f = get_objective("cubic_valley")
+    g, batches = dataclasses.replace(f), []
+    g.gradient = lambda x: batches.append(len(x)) or f.gradient(x)
+    _, ok = newton_root(g, [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0]], 0.0)
+    assert ok.all()
+    assert batches[0] == 4 and len(batches) > 1
+    assert batches[1:] == [1] * (len(batches) - 1)
 
 
 def test_solve_gradient_equation_dedup_and_box():
@@ -169,14 +197,6 @@ def test_solve_gradient_equation_dedup_and_box():
     assert len(sols) == 1
 
 
-# gradient x^2 + 1: no root anywhere, so Newton stalls without converging
-_NO_ROOT = make_objective(
-    "no_root", 1,
-    value=lambda x: np.asarray(x, dtype=float)[..., 0] ** 3 / 3.0 + np.asarray(x)[..., 0],
-    gradient=lambda x: np.asarray(x, dtype=float) ** 2 + 1.0,
-    hessian=lambda x: 2.0 * np.asarray(x, dtype=float)[..., None],
-    domain_box=[[-3.0, 3.0]],
-)
 _VALLEY = get_objective("cubic_valley")
 
 
@@ -196,24 +216,22 @@ def _newton_cases(draw):
 @example(case=(_VALLEY, np.array([[0.0, 0.5], [1.0, 1.0], [0.0, -2.0]]), np.zeros((3, 2))))
 @example(case=(_NO_ROOT, np.array([[3.0], [0.5], [-1.0]]), np.zeros((3, 1))))
 def test_newton_batch_rows_equal_single_starts(case):
-    # each row of one batched call ends where the single-start call from it does,
-    # with a per-row shift added to the gradient of the whole stack
+    # each row of one batched call, with its own row of the shift, ends where the
+    # single-start call from it with that shift does
     f, X0, L = case
-    X, ok = newton_root(lambda Y: f.gradient(Y) + L, f.hessian, X0)
+    X, ok = newton_root(f, X0, L)
     assert X.shape == X0.shape and ok.shape == (len(X0),)
     for i, x0 in enumerate(X0):
-        x, ok_i = newton_root(lambda y: f.gradient(y) + L[i], f.hessian, x0)
+        x, ok_i = newton_root(f, x0, L[i])
         assert X[i].tobytes() == x.tobytes()
         assert ok[i] == ok_i
 
 
 def test_newton_root_rejects_non_finite_start():
-    grad = lambda x: np.asarray(x) ** 2
-    hess = lambda x: 2.0 * np.asarray(x)[..., np.newaxis]
     with pytest.raises(ValueError):
-        newton_root(grad, hess, [np.nan])
+        newton_root(_SQUARE, [np.nan], 0.0)
     with pytest.raises(ValueError):
-        newton_root(grad, hess, [[1.0], [np.inf]])
+        newton_root(_SQUARE, [[1.0], [np.inf]], 0.0)
 
 
 def test_find_critical_points_rejects_grid_density_below_one():

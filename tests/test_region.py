@@ -68,6 +68,16 @@ def test_seed_outside_region_rejected():
         theta_region(f, [1.5, 0.0], 1.0, box=[[-2, 2], [-2, 2]], resolution=100)
 
 
+@pytest.mark.parametrize("build", [
+    lambda f, r: theta_region(f, [0.0, 0.0], 1.0, resolution=r),
+    lambda f, r: check_assumption_separation(f, 1.0, resolution=r, points=[[0.0, 0.0]]),
+], ids=["theta_region", "check_assumption_separation"])
+@pytest.mark.parametrize("resolution", [0, -1])
+def test_resolution_below_one_rejected(build, resolution):
+    with pytest.raises(ValueError, match="resolution must be at least 1"):
+        build(get_objective("cubic_valley"), resolution)
+
+
 def test_high_dimension_rejected():
     f = quadratic_bowl(1.0, dim=4)
     with pytest.raises(ValueError):

@@ -214,7 +214,7 @@ def test_pl_error_check_bowl():
 def test_pl_zero_regularizer_zero_excess():
     # a zero shift leaves the minimizer where it is
     bowl = quadratic_bowl(1.0)
-    x, ok = newton_root(bowl.gradient, bowl.hessian, [0.0, 0.0], tol=1e-12)
+    x, ok = newton_root(bowl, [0.0, 0.0], 0.0, tol=1e-12)
     assert ok
     assert bowl.value(x) - bowl.value(np.zeros(2)) == 0.0
 
@@ -223,6 +223,23 @@ def test_pl_requires_minimum():
     f = get_objective("cubic_valley")
     with pytest.raises(ValueError):
         pl_error_check(f, [0.0, 0.0], theta=0.5, n_l=10, seed=0)
+
+
+@pytest.mark.parametrize("theta, n_l, param", [
+    (0.5, 0, "n_l"),
+    (0.5, -1, "n_l"),
+    (-0.5, 1, "theta"),
+    (-0.5, 10, "theta"),
+    (np.nan, 10, "theta"),
+    (np.inf, 10, "theta"),
+])
+def test_pl_rejects_bad_parameters(theta, n_l, param):
+    with pytest.raises(ValueError, match=param):
+        pl_error_check(quadratic_bowl(1.0), [0.0, 0.0], theta=theta, n_l=n_l, seed=0)
+
+
+def test_pl_zero_theta_zero_excess():
+    assert pl_error_check(quadratic_bowl(1.0), [0.0, 0.0], theta=0.0, n_l=4, seed=0) == 0.0
 
 
 def test_psi_cone_has_no_witness():
@@ -273,6 +290,13 @@ def test_psi_probe_outside_region_rejected():
     region = theta_region(f, [0.0, 0.0], 3.0, resolution=100)
     with pytest.raises(ValueError):
         psi_witness_check(f, region, np.array([3.0, 3.0]))
+
+
+def test_psi_rejects_max_seeds_below_one():
+    f = get_objective("cubic_cone")
+    region = theta_region(f, [0.0, 0.0], 3.0, resolution=100)
+    with pytest.raises(ValueError, match="max_seeds must be at least 1"):
+        psi_witness_check(f, region, np.array([1.5, 0.5]), max_seeds=0)
 
 
 def _milnor_per_draw(f, n_l, l_scale, seed, l_min, grid_density=7, tau=1e-6, tol=1e-8):
