@@ -187,9 +187,9 @@ def cmd_run(args):
         box = np.asarray(f.domain_box, dtype=float)
         x0 = box[:, 0] + (box[:, 1] - box[:, 0]) * 5.0 / 6.0
     cfg = _optimizer_config(args)
-    out = _outdir(args)
 
     rec = run_regularized_gd(f, x0, cfg)
+    out = _outdir(args)
     write_json(out / "trajectory.json", rec)
     rec.save_csv(out / "trajectory.csv")
     write_json(out / "events.json", {"events": rec.events})

@@ -18,6 +18,9 @@ from .critical import newton_root
 from .linalg import _norms
 
 COMPLETED, SINGULAR_HESSIAN, CORRECTOR_FAILED = "completed", "singular_hessian", "corrector_failed"
+# a start's largest residual ||grad f(x) + l||; Newton's tolerance and step cap for
+# polishing a start and for each corrector
+START_SLACK, CORRECTOR_TOL, CORRECTOR_STEPS = 1e-6, 1e-9, 60
 
 
 @dataclass
@@ -52,23 +55,15 @@ class StartError(ValueError):
         self.row = row
 
 
-def continuation_trace(
-    f,
-    x_at_mu1,
-    l,
-    steps=100,
-    tol=1e-9,
-    start_slack=1e-6,
-    det_tol=1e-10,
-    max_newton=60,
-):
+def continuation_trace(f, x_at_mu1, l, steps=100, det_tol=1e-10):
     """Trace the critical-point curve of f + mu * l^T x from mu = 1 to mu = 0.
 
     One start (n,) gives a ContinuationPath; a batch (m, n), with l (n,) or (m, n),
     a list of them, each equal bit for bit to its row's single trace. A start must
-    satisfy ||grad f(x) + l|| <= start_slack, polish to `tol` and have a nonsingular
-    Hessian, else StartError names the first bad row. A row stops early, `stop`
-    saying why, when |det hess| < det_tol * max(1, ||hess||_F)^n or its corrector fails.
+    satisfy ||grad f(x) + l|| <= START_SLACK, polish to CORRECTOR_TOL and have a
+    nonsingular Hessian, else StartError names the first bad row. A row stops early,
+    `stop` saying why, when |det hess| < det_tol * max(1, ||hess||_F)^n or its
+    corrector fails.
     """
     X = np.atleast_1d(np.array(x_at_mu1, dtype=float))
     L = np.atleast_1d(np.array(l, dtype=float))
@@ -85,12 +80,12 @@ def continuation_trace(
         return np.abs(np.linalg.det(H)) < det_tol * scale ** f.dim
 
     residual = _norms(np.asarray(f.gradient(X), dtype=float) + L)
-    X, polished = newton_root(f, X, L, tol=tol, max_steps=max_newton)
+    X, polished = newton_root(f, X, L, CORRECTOR_TOL, CORRECTOR_STEPS)
     flat = singular(np.asarray(f.hessian(X), dtype=float))
     for row in range(len(X)):
-        if residual[row] > start_slack:
+        if residual[row] > START_SLACK:
             raise StartError(f"start point is not a critical point of the regularized objective "
-                             f"(residual {residual[row]:.3g} > {start_slack:.3g})", row)
+                             f"(residual {residual[row]:.3g} > {START_SLACK:.3g})", row)
         if not polished[row]:
             raise StartError("start point could not be polished to a regularized critical "
                              "point", row)
@@ -109,7 +104,7 @@ def continuation_trace(
         if not live.size:
             break
         X_pred = X[live] + (mu - mu_prev) * np.linalg.solve(H, -L[live, :, np.newaxis])[..., 0]
-        X_new, ok = newton_root(f, X_pred, mu * L[live], tol=tol, max_steps=max_newton)
+        X_new, ok = newton_root(f, X_pred, mu * L[live], CORRECTOR_TOL, CORRECTOR_STEPS)
         for i in live[~ok]:
             paths[i].stop = CORRECTOR_FAILED
         X[live[ok]] = X_new[ok]

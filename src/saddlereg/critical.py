@@ -28,6 +28,10 @@ NON_STRICT_OR_DEGENERATE = "non_strict_or_degenerate"
 LOCAL_MAX = "local_max"
 
 DEFAULT_ZERO_TAU = 1e-6
+# Newton's tolerance and the radius within which two roots count as one; every
+# critical-point search reads both, so a Milnor draw's is find_critical_points's
+NEWTON_TOL = 1e-8
+DEDUP_RADIUS = 1e-4
 
 
 @dataclass
@@ -82,13 +86,13 @@ def classify_point(f, x, tau=DEFAULT_ZERO_TAU):
     )
 
 
-def newton_root(f, x0, shift, tol=1e-8, max_steps=50, min_damping=2.0 ** -10):
+def newton_root(f, x0, shift, tol=NEWTON_TOL, max_steps=50):
     """Damped Newton on f.gradient(x) + shift = 0 with Jacobian f.hessian(x), from one
     start (n,) or every row of a batch (m, n) in lockstep; `shift` is (n,) or (m, n).
 
     After the first call both evaluators get only the rows still running. Each row's
     damping starts at 1 and halves until its gradient norm decreases; no decrease at
-    the minimum damping, a singular Newton system or a non-finite step ends the row.
+    damping 2^-10, a singular Newton system or a non-finite step ends the row.
     Steps continue past `tol` until improvement stalls, polishing degenerate roots.
     Returns (x, converged), converged = gradient norm below tol or zero; per row for
     a batch, each row equal bit for bit to the single start from it.
@@ -114,7 +118,7 @@ def newton_root(f, x0, shift, tol=1e-8, max_steps=50, min_damping=2.0 ** -10):
             rows, D = rows[ok], D[ok]
             running[:] = False  # rows run on only when their damped step improves
             lam = 1.0
-            while rows.size and lam >= min_damping:
+            while rows.size and lam >= 2.0 ** -10:
                 trial = X[rows] + lam * D
                 G_trial = np.asarray(f.gradient(trial), dtype=float) + S[rows]
                 gn_trial = _norms(G_trial)
@@ -136,15 +140,15 @@ def _grid_seeds(box, grid_density):
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def solve_gradient_equation(f, rhs, seeds, tol=1e-8, max_steps=50, dedup_radius=1e-4, box=None):
+def solve_gradient_equation(f, rhs, seeds, tol=NEWTON_TOL, box=None):
     """Multistart damped Newton solve of grad f(x) = rhs, all seeds in one batch.
 
-    Returns deduplicated solutions (within `dedup_radius`, the earliest seed's
+    Returns deduplicated solutions (within DEDUP_RADIUS, the earliest seed's
     kept), restricted to `box` when given, in deterministic lexicographic order.
     """
-    X, ok = newton_root(f, np.atleast_2d(seeds), -as_vector(rhs), tol=tol, max_steps=max_steps)
+    X, ok = newton_root(f, np.atleast_2d(seeds), -as_vector(rhs), tol=tol)
     logger.debug("solve_gradient_equation: %d seeds skipped (no convergence)", np.sum(~ok))
-    return _distinct_in_box(X, ok, box, dedup_radius)
+    return _distinct_in_box(X, ok, box, DEDUP_RADIUS)
 
 
 def _distinct_in_box(X, ok, box, dedup_radius):
@@ -161,23 +165,14 @@ def _distinct_in_box(X, ok, box, dedup_radius):
     return solutions
 
 
-def find_critical_points(
-    f,
-    box=None,
-    grid_density=10,
-    tol=1e-8,
-    dedup_radius=1e-4,
-    tau=DEFAULT_ZERO_TAU,
-    max_steps=50,
-):
+def find_critical_points(f, box=None, grid_density=10, tol=NEWTON_TOL, tau=DEFAULT_ZERO_TAU):
     """Locate and classify all critical points of `f` inside `box`.
 
     Damped Newton iteration on grad f = 0 is seeded from every node of a
     `grid_density`-per-axis grid; converged points with gradient norm below
-    `tol` are deduplicated at `dedup_radius` and classified by Hessian
-    eigenvalues. Seeds that hit a singular Newton system are skipped.
+    `tol` are deduplicated at DEDUP_RADIUS and classified by Hessian
+    eigenvalues under `tau`. Seeds that hit a singular Newton system are skipped.
     """
     box = np.asarray(f.domain_box if box is None else box, dtype=float)
-    points = solve_gradient_equation(f, np.zeros(f.dim), _grid_seeds(box, grid_density), tol=tol,
-                                     max_steps=max_steps, dedup_radius=dedup_radius, box=box)
+    points = solve_gradient_equation(f, np.zeros(f.dim), _grid_seeds(box, grid_density), tol, box)
     return [classify_point(f, x, tau) for x in points]

@@ -104,14 +104,15 @@ def make_regularized(f, l):
     )
 
 
-def _grid_lipschitz(hessian, box, pts_per_axis=41):
-    """Max spectral norm of the Hessian over a grid on the box (offline estimate).
+def _grid_lipschitz(hessian, box):
+    """Max spectral norm of the Hessian over a grid on the box (offline estimate),
+    41 points per axis up to dimension 2 and 5 above.
 
     Stacked `eigh` runs the same LAPACK routine on every matrix, so each
     eigenvalue equals the single-matrix one bit for bit.
     """
     box = np.asarray(box, dtype=float)
-    points = _grid_seeds(box, pts_per_axis if box.shape[0] <= 2 else 5)
+    points = _grid_seeds(box, 41 if box.shape[0] <= 2 else 5)
     return float(np.max(np.abs(np.linalg.eigh(hessian(points)).eigenvalues)))
 
 

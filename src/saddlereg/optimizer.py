@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .linalg import _norms, as_vector, spectral_norm
+from .linalg import NumericalError, _norms, as_vector, spectral_norm
 
 STATUS_CONVERGED = "converged"
 STATUS_DIVERGED = "diverged"
@@ -110,7 +110,8 @@ def resolve_gamma(f, x0, cfg):
     """Step size for a run: the user's value, or 1 / (2 * Lhat) at the start point.
 
     A user-supplied gamma at or above 1 / lipschitz_hint gets a warning but is
-    used as given.
+    used as given. The default rule raises NumericalError where the Hessian at
+    x0 is not finite.
     """
     if cfg.gamma is not None:
         if f.lipschitz_hint is not None and cfg.gamma >= 1.0 / f.lipschitz_hint:
@@ -120,7 +121,11 @@ def resolve_gamma(f, x0, cfg):
                 stacklevel=2,
             )
         return float(cfg.gamma)
-    lhat = max(spectral_norm(f.hessian(as_vector(x0))), 1e-3)
+    with np.errstate(all="ignore"):
+        H = np.asarray(f.hessian(as_vector(x0)), dtype=float)
+    if not np.all(np.isfinite(H)):
+        raise NumericalError("the default gamma needs a finite Hessian at x0; pass gamma")
+    lhat = max(spectral_norm(H), 1e-3)
     return 1.0 / (2.0 * lhat)
 
 

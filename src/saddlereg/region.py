@@ -19,6 +19,8 @@ from .linalg import _norms, as_vector
 EXIT = "exit"
 ENTER = "enter"
 TANGENT = "tangent"
+# |s| at or below FLOW_TOL counts as tangent in the boundary flow sign test
+FLOW_TOL = 1e-9
 
 
 @dataclass
@@ -175,23 +177,23 @@ def _flow_sign(g, H, l):
     return (((g + l)[..., None, :] @ H) @ g[..., :, None])[..., 0, 0]
 
 
-def boundary_classify(f, x, l, tol=1e-9):
+def boundary_classify(f, x, l):
     """Sign test for the regularized flow against the region boundary normal.
 
-    s = (grad f(x) + l)^T hess f(x) grad f(x); s < -tol means the regularized
-    negative gradient points out of the region ("exit"), s > tol into it
+    s = (grad f(x) + l)^T hess f(x) grad f(x); s < -FLOW_TOL means the regularized
+    negative gradient points out of the region ("exit"), s > FLOW_TOL into it
     ("enter"), otherwise "tangent".
     """
     x = as_vector(x)
     s = float(_flow_sign(np.asarray(f.gradient(x), dtype=float), f.hessian(x), as_vector(l)))
-    if s < -tol:
+    if s < -FLOW_TOL:
         return EXIT
-    if s > tol:
+    if s > FLOW_TOL:
         return ENTER
     return TANGENT
 
 
-def check_boundary_assumption(f, region, l, tol=1e-9):
+def check_boundary_assumption(f, region, l):
     """Verify exit-under-l implies exit-under-0 on every boundary cell.
 
     One sign test per boundary cell center, as `boundary_classify` makes it,
@@ -201,12 +203,13 @@ def check_boundary_assumption(f, region, l, tol=1e-9):
     centers = region.boundary_cell_centers()
     g = np.asarray(f.gradient(centers), dtype=float)
     H = f.hessian(centers)
-    violated = (_flow_sign(g, H, as_vector(l)) < -tol) & ~(_flow_sign(g, H, 0.0) < -tol)
+    violated = (_flow_sign(g, H, as_vector(l)) < -FLOW_TOL) & ~(_flow_sign(g, H, 0.0) < -FLOW_TOL)
     return not violated.any(), centers[violated]
 
 
-def halfspace_check(f, region, v, zero_tol=1e-12):
-    """True when v^T grad f > 0 at every inside cell center except where grad f = 0.
+def halfspace_check(f, region, v):
+    """True when v^T grad f > 0 at every inside cell center except where grad f = 0,
+    both to 1e-12.
 
     A gradient image confined to such a half-space rules out critical points
     of the shifted objective anywhere in the region, for any regularizer
@@ -218,31 +221,30 @@ def halfspace_check(f, region, v, zero_tol=1e-12):
     grads = np.asarray(f.gradient(region.inside_cell_centers()), dtype=float)
     s = grads @ v
     norms = np.linalg.norm(grads, axis=-1)
-    ok = (s > zero_tol) | (norms <= zero_tol)
+    ok = (s > 1e-12) | (norms <= 1e-12)
     return bool(np.all(ok))
 
 
-def check_assumption_separation(
-    f, theta, box=None, resolution=200, points=None, phi_tol=1e-8, **finder_kwargs
-):
+def check_assumption_separation(f, theta, box=None, resolution=200, points=None, grid_density=10):
     """Check that each critical point's region contains no foreign critical points.
 
-    For every located critical point, the flood-filled region through it must
-    contain no other critical point except those connected to it through
-    near-critical cells (gradient norm <= phi_tol), which represent the same
-    connected critical subset. Returns one dict per point with a pass flag
-    and the indices of violating partners.
+    `points` defaults to find_critical_points(f, box, grid_density). For every
+    such point, the flood-filled region through it must contain no other
+    critical point except those connected to it through near-critical cells
+    (gradient norm <= 1e-8), which represent the same connected critical
+    subset. Returns one dict per point with a pass flag and the indices of
+    violating partners.
     """
     box = _grid_box(f, box)
     if points is None:
-        points = [r.location for r in find_critical_points(f, box, **finder_kwargs)]
+        points = [r.location for r in find_critical_points(f, box, grid_density)]
     points = [as_vector(p) for p in points]
     gn = _grad_norm_grid(f, box, resolution)  # one grid serves every region and phi
     regions = [_fill(f, p, theta, box, resolution, gn) for p in points]
 
     # near-critical connectivity at the grid resolution stands in for connected
     # critical subsets (e.g. a whole critical line)
-    phi_mask = gn <= phi_tol
+    phi_mask = gn <= 1e-8
     for region in regions:  # every region shares the grid; its seed cell is its point's
         phi_mask[region.seed_cell] = True
 

@@ -10,6 +10,8 @@ The PL error check solves all its shifted minimizers in one batched Newton call.
 import numpy as np
 
 from .critical import (
+    DEDUP_RADIUS,
+    DEFAULT_ZERO_TAU,
     STRATUM_NEGATIVE,
     STRATUM_POSITIVE,
     _distinct_in_box,
@@ -43,12 +45,13 @@ def run_gd_batch(f, x0_batch, cfg):
     return _descend(f, X, cfg, float(cfg.gamma))
 
 
-def sample_in_box(rng, box, n_samples, exclude=None, max_tries=1000):
-    """Uniform samples over a box, rejecting points where `exclude` is true."""
+def sample_in_box(rng, box, n_samples, exclude=None):
+    """Uniform samples over a box, rejecting points where `exclude` is true; each of
+    at most 1,000 rounds draws as many candidates as samples are still missing."""
     box = np.asarray(box, dtype=float)
     out = np.empty((n_samples, box.shape[0]))
     filled = 0
-    for _ in range(max_tries):
+    for _ in range(1000):
         need = n_samples - filled
         if need == 0:
             break
@@ -62,23 +65,13 @@ def sample_in_box(rng, box, n_samples, exclude=None, max_tries=1000):
     return out
 
 
-def sample_in_region(rng, region, n_samples, max_tries=1000):
+def sample_in_region(rng, region, n_samples):
     """Uniform samples over the inside cells of a region grid."""
-    return sample_in_box(rng, region.box, n_samples, max_tries=max_tries,
-                         exclude=lambda points: ~region.contains_point(points))
+    return sample_in_box(rng, region.box, n_samples, lambda points: ~region.contains_point(points))
 
 
-def stable_set_fraction(
-    f,
-    target,
-    box=None,
-    n_samples=2000,
-    cfg=None,
-    seed=0,
-    tol=1e-2,
-    exclude=None,
-):
-    """Fraction of uniform starts whose descent ends within `tol` of the target.
+def stable_set_fraction(f, target, box=None, n_samples=2000, cfg=None, seed=0, exclude=None):
+    """Fraction of uniform starts whose descent ends within 0.01 of the target.
 
     `target` is either a point or a callable mapping a batch of final points
     (m, n) to distances (m,), which lets callers measure convergence to a
@@ -101,7 +94,7 @@ def stable_set_fraction(
     else:
         dist = np.linalg.norm(final - as_vector(target), axis=1)
     with np.errstate(invalid="ignore"):
-        hits = dist <= tol
+        hits = dist <= 1e-2
     return float(np.count_nonzero(hits)) / n_samples
 
 
@@ -129,23 +122,13 @@ def _sphere_direction(rng, dim):
 MILNOR_BLOCK_ROWS = 1024
 
 
-def milnor_sample(
-    f,
-    box=None,
-    n_l=500,
-    l_scale=1.0,
-    seed=0,
-    l_min=0.0,
-    grid_density=7,
-    tau=1e-6,
-    tol=1e-8,
-):
+def milnor_sample(f, box=None, n_l=500, l_scale=1.0, seed=0, l_min=0.0, grid_density=7):
     """Fraction of random linear shifts whose critical points stay near-singular.
 
     Draws regularizers uniformly from the ball of radius `l_scale` (or the
     annulus [l_min, l_scale]), finds all critical points of the shifted
     objective in the box, and flags a draw when any of them has
-    min |lambda| <= tau * max(1, |lambda|_max). Almost every draw should
+    min |lambda| <= DEFAULT_ZERO_TAU * max(1, |lambda|_max). Almost every draw should
     produce only non-singular Hessians, so the returned fraction is a
     statistical check that the shift restores strictness. Each draw's search is
     find_critical_points's on make_regularized(f, l), bit for bit, in Newton blocks.
@@ -168,25 +151,25 @@ def milnor_sample(
     kept = []  # per draw, its distinct critical points in the box
     for first in range(0, n_l, draws):
         shifts = np.repeat(L[first:first + draws], k, axis=0)
-        X, ok = newton_root(f, np.tile(seeds, (len(shifts) // k, 1)), shifts, tol=tol)
-        kept += [_distinct_in_box(Xd, okd, box, 1e-4)  # dedup within a draw, never across
+        X, ok = newton_root(f, np.tile(seeds, (len(shifts) // k, 1)), shifts)
+        kept += [_distinct_in_box(Xd, okd, box, DEDUP_RADIUS)  # within a draw, never across
                  for Xd, okd in zip(X.reshape(-1, k, n), ok.reshape(-1, k))]
     points = [x for draw in kept for x in draw]
     if not points:
         return 0.0
     # eigh, not eigvalsh: its eigenvalues are sym_eigen's, bit for bit
     eig = np.abs(np.linalg.eigh(f.hessian(np.array(points))).eigenvalues)
-    flat = eig.min(axis=1) <= tau * np.maximum(1.0, eig.max(axis=1))
+    flat = eig.min(axis=1) <= DEFAULT_ZERO_TAU * np.maximum(1.0, eig.max(axis=1))
     owners = np.repeat(np.arange(n_l), [len(draw) for draw in kept])
     return len(set(owners[flat].tolist())) / n_l
 
 
-def pl_error_check(f, xstar, theta, n_l=200, seed=0, tol=1e-10):
+def pl_error_check(f, xstar, theta, n_l=200, seed=0):
     """Largest value increase of the shifted minimizer over `n_l` regularizers.
 
     Draws regularizers with norm at most theta (every other draw sits exactly
     on the sphere of radius theta so the bound's supremum is probed), Newton
-    solves grad f(x) + l = 0 from `xstar` for all draws in one batch, and
+    solves grad f(x) + l = 0 to 1e-10 from `xstar` for all draws in one batch, and
     returns the maximum of f(x_l) - f(xstar). When f satisfies the
     Polyak-Lojasiewicz inequality with constant c on the region, the result is
     bounded by theta^2 / (2 c).
@@ -203,7 +186,7 @@ def pl_error_check(f, xstar, theta, n_l=200, seed=0, tol=1e-10):
     for i in range(n_l):
         radius = theta if i % 2 == 0 else rng.uniform(0.0, theta)
         L[i] = radius * _sphere_direction(rng, f.dim)
-    X, ok = newton_root(f, np.tile(xstar, (n_l, 1)), L, tol=tol)
+    X, ok = newton_root(f, np.tile(xstar, (n_l, 1)), L, tol=1e-10)
     for x_l, ok_l in zip(X, ok):
         if not ok_l:
             raise NumericalError("Newton solve for the shifted minimizer failed")
@@ -212,15 +195,16 @@ def pl_error_check(f, xstar, theta, n_l=200, seed=0, tol=1e-10):
     return max(0.0, float(np.max(f.value(X))) - float(f.value(xstar)))
 
 
-def psi_witness_check(f, region, x0, tau=1e-6, tol=1e-9, max_seeds=200):
+def psi_witness_check(f, region, x0, max_seeds=200):
     """Search the region for a point where grad f = -grad f(x0) outside the
     strictly indefinite stratum.
 
     Such a point witnesses that choosing the regularizer l = grad f(x0) would
     plant a minimum or degenerate critical point of the shifted objective
-    inside the region (a false minimum the descent could fall into). Returns
-    the witness's report, or None when every solution is a strict saddle or
-    no solution exists.
+    inside the region (a false minimum the descent could fall into). Newton
+    solves to 1e-9 from at most `max_seeds` evenly strided inside cell centers;
+    each solution is classified under DEFAULT_ZERO_TAU. Returns the witness's
+    report, or None when every solution is a strict saddle or none exists.
     """
     if max_seeds < 1:
         raise ValueError("max_seeds must be at least 1")
@@ -229,13 +213,13 @@ def psi_witness_check(f, region, x0, tau=1e-6, tol=1e-9, max_seeds=200):
         raise ValueError("x0 must lie inside the region")
     l = np.asarray(f.gradient(x0), dtype=float)
     centers = region.inside_cell_centers()
-    stride = max(1, len(centers) // max_seeds)
-    solutions = solve_gradient_equation(f, -l, centers[::stride], tol=tol, box=region.box)
+    stride = -(-len(centers) // max_seeds)  # ceiling: at most max_seeds seeds
+    solutions = solve_gradient_equation(f, -l, centers[::stride], tol=1e-9, box=region.box)
     f_reg = make_regularized(f, l)
     for y in solutions:
         if not region.contains_point(y):
             continue
-        rep = classify_point(f_reg, y, tau)
+        rep = classify_point(f_reg, y)
         if rep.stratum != STRATUM_NEGATIVE:
             return rep
     return None

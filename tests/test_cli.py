@@ -84,6 +84,19 @@ def test_numerical_failure_exit_code(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("objective, x0", [("cubic_valley", "1e308,0"),
+                                           ("double_degenerate", "1e160")])
+def test_run_default_gamma_with_overflowing_hessian(tmp_path, capsys, objective, x0):
+    # the default gamma reads the Hessian at x0, which overflows at these starts
+    out = tmp_path / "none"
+    code = main(["run", "--objective", objective, "--x0", x0, "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and err.count("\n") == 1, err
+    assert "finite Hessian" in err and "gamma" in err
+    assert not out.exists()
+
+
 def test_analyze_valley(tmp_path):
     out = tmp_path / "an"
     code = main(["analyze", "--objective", "cubic_valley", "--box", "-2,2",

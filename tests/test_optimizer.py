@@ -307,3 +307,68 @@ def test_observer_sees_every_row_through_its_last_step(case):
         if out["status"][i] in (STATUS_DIVERGED, STATUS_NUMERICAL_FAILURE):
             # a halting row keeps its region state on its last step
             assert insides[i][-1] == ([False] + insides[i])[-2]
+
+
+# The descent engine's contract as properties of recorded runs: random corpus
+# objectives, starts in the box, gamma below 1 / lipschitz_hint, theta,
+# eps_converge and max_iters.
+@st.composite
+def _recorded_runs(draw):
+    f = draw(st.sampled_from([entry.objective for entry in corpus()]))
+    x0 = np.array([draw(st.floats(float(lo), float(hi))) for lo, hi in f.domain_box])
+    cfg = OptimizerConfig(gamma=draw(st.floats(0.01, 0.99)) / f.lipschitz_hint,
+                          theta=draw(st.floats(1e-2, 5.0)),
+                          eps_converge=draw(st.floats(1e-10, 1e-3)),
+                          max_iters=draw(st.integers(1, 300)))
+    return f, x0, cfg
+
+
+# two events, each closed: the second entry freezes a fresh l
+_REENTRY = (get_objective("cubic_valley"), np.array([0.668, -2.558]),
+            OptimizerConfig(gamma=0.0955, theta=1.24, max_iters=300))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=_recorded_runs(), plain=st.booleans())
+@example(case=_REENTRY, plain=False)
+def test_every_step_replays_bit_for_bit(case, plain):
+    # x_{k+1} = x_k - gamma (grad f(x_k) + l) inside an event, x_k - gamma grad f(x_k) outside
+    f, x0, cfg = case
+    rec = (run_plain_gd if plain else run_regularized_gd)(f, x0, cfg)
+    assert rec.ks == list(range(len(rec.ks)))
+    for x, x_next, eid in zip(rec.iterates, rec.iterates[1:], rec.event_ids):
+        g = f.gradient(x)
+        step = g if eid is None else g + rec.events[eid].l
+        assert x_next.tobytes() == (x - cfg.gamma * step).tobytes()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=_recorded_runs())
+@example(case=_REENTRY)
+def test_each_event_freezes_the_entry_gradient(case):
+    # the paper's selection rule: l = grad f(x_entry) exactly, so ||l|| <= theta
+    f, x0, cfg = case
+    rec = run_regularized_gd(f, x0, cfg)
+    for ev in rec.events:
+        assert ev.x_entry.tobytes() == rec.iterates[ev.k_entry].tobytes()
+        assert ev.l.tobytes() == f.gradient(ev.x_entry).tobytes()
+        assert np.linalg.norm(ev.l) <= cfg.theta
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=_recorded_runs(), stride=st.integers(2, 40))
+@example(case=_REENTRY, stride=5)
+def test_strided_record_is_the_full_record_decimated(case, stride):
+    f, x0, cfg = case
+    full = run_regularized_gd(f, x0, cfg)
+    rec = run_regularized_gd(f, x0, cfg, record_stride=stride)
+    keep = [j for j, k in enumerate(full.ks) if k % stride == 0]
+    if keep[-1] != len(full.ks) - 1:
+        keep.append(len(full.ks) - 1)  # the final entry is always stored
+    assert rec.ks == [full.ks[j] for j in keep]
+    assert [x.tobytes() for x in rec.iterates] == [full.iterates[j].tobytes() for j in keep]
+    for column in ("grad_norms", "modes", "event_ids"):
+        assert getattr(rec, column) == [getattr(full, column)[j] for j in keep], column
+    assert rec.status == full.status and rec.final_x.tobytes() == full.final_x.tobytes()
+    assert [(e.k_entry, e.k_exit, e.l.tobytes()) for e in rec.events] == [
+        (e.k_entry, e.k_exit, e.l.tobytes()) for e in full.events]

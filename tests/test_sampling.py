@@ -299,6 +299,26 @@ def test_psi_rejects_max_seeds_below_one():
         psi_witness_check(f, region, np.array([1.5, 0.5]), max_seeds=0)
 
 
+@pytest.mark.parametrize("name, seed, theta, resolution, x0, max_seeds", [
+    ("double_degenerate", [1.0], 2.0, 400, [-0.5], 200),  # 246 inside cells
+    ("cubic_cone", [0.0, 0.0], 3.0, 200, [1.5, 0.5], 200),  # 8,728 inside cells
+    ("cubic_cone", [0.0, 0.0], 3.0, 200, [1.5, 0.5], 7),
+])
+def test_psi_starts_newton_from_at_most_max_seeds(monkeypatch, name, seed, theta, resolution,
+                                                  x0, max_seeds):
+    f = get_objective(name)
+    region = theta_region(f, seed, theta, resolution=resolution)
+    seeds_seen, solve = [], sampling.solve_gradient_equation
+
+    def spy(f, rhs, seeds, **kwargs):
+        seeds_seen.append(len(seeds))
+        return solve(f, rhs, seeds, **kwargs)
+
+    monkeypatch.setattr(sampling, "solve_gradient_equation", spy)
+    psi_witness_check(f, region, np.array(x0), max_seeds=max_seeds)
+    assert len(seeds_seen) == 1 and 0 < seeds_seen[0] <= max_seeds
+
+
 def _milnor_per_draw(f, n_l, l_scale, seed, l_min, grid_density=7, tau=1e-6, tol=1e-8):
     # the per-draw reference: one critical-point search of f + l^T x per draw
     rng = np.random.default_rng(seed)

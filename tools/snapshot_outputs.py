@@ -1,0 +1,74 @@
+"""Snapshot every deterministic CLI output and demo of a saddlereg checkout.
+
+    python tools/snapshot_outputs.py OUTDIR [--source CHECKOUT]
+
+Each run below executes in its own empty directory OUTDIR/<run>/files, with
+the checkout's `src` on PYTHONPATH and the interpreter running this script.
+Next to `files` it stores `stdout`, `stderr` and `exit_code`; the checkout's
+path is written as `<source>` in stdout and stderr, so that warnings name the
+same file in every checkout. Snapshot two checkouts and compare them with
+`diff -r OUTDIR_A OUTDIR_B`: an empty diff means byte-identical outputs.
+"""
+
+import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+CLI_RUNS = {
+    # the README's command lines
+    "run": "run --objective cubic_cone --x0 1.5,0.5 --theta 3 --out out/run",
+    "analyze_regularizer": "analyze --objective cubic_valley --regularizer -1,0",
+    "analyze_milnor": "analyze --objective cubic_valley --milnor 500 --seed 0",
+    "bifurcate": "bifurcate",
+    "stable_set": "stable-set --objective cubic_valley --x0 0,0 --box -2,2 --trials 2000 "
+                  "--gamma 0.15 --eps 1e-6 --max-iters 2000",
+    "region": "region --objective cubic_cone --x0 0,0 --theta 3 --resolution 200",
+    "mlp_compare": "mlp-compare --trials 20 --seed 0",
+    # Milnor draws, the separation check, sweeps and a short mlp-compare beyond them
+    "analyze_milnor_monkey_line": "analyze --objective monkey_line --milnor 200 --seed 3",
+    "analyze_milnor_double_degenerate":
+        "analyze --objective double_degenerate --milnor 300 --seed 1",
+    "analyze_milnor_cubic_cone": "analyze --objective cubic_cone --milnor 100 --seed 2",
+    "analyze_separation": "analyze --objective cubic_cone --theta 3 --x0 0,0 --resolution 150",
+    "bifurcate_cubic_valley": "bifurcate --objective cubic_valley --regularizer -1,0",
+    "bifurcate_monkey_line":
+        "bifurcate --objective monkey_line --regularizer 0.3,-0.2 --regularizer 0,1",
+    "mlp_compare_5": "mlp-compare --trials 5 --seed 0",
+}
+
+DEMOS = ["escape_nonstrict_saddle", "bifurcation_sweep", "stable_set_measurement",
+         "regularization_error_bound", "mlp_training_comparison", "region_geometry"]
+
+
+def snapshot(source, outdir):
+    env = {**os.environ, "PYTHONPATH": str(source / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    runs = {f"cli_{name}": [sys.executable, "-m", "saddlereg.cli", *line.split()]
+            for name, line in CLI_RUNS.items()}
+    runs.update({f"demo_{name}": [sys.executable, str(source / "demos" / f"{name}.py")]
+                 for name in DEMOS})
+    for name, command in runs.items():
+        files = outdir / name / "files"
+        files.mkdir(parents=True)
+        done = subprocess.run(command, cwd=files, env=env, capture_output=True, text=True)
+        for stream in ("stdout", "stderr"):
+            text = getattr(done, stream).replace(str(source), "<source>")
+            (outdir / name / stream).write_text(text)
+        (outdir / name / "exit_code").write_text(f"{done.returncode}\n")
+        print(f"{name}: exit {done.returncode}")
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("outdir", type=Path, help="new directory for the snapshot")
+    parser.add_argument("--source", type=Path, default=Path(__file__).resolve().parents[1],
+                        help="checkout to run (default: the one holding this script)")
+    args = parser.parse_args()
+    if args.outdir.exists():
+        parser.error(f"{args.outdir} already exists")
+    snapshot(args.source.resolve(), args.outdir.resolve())
+
+
+if __name__ == "__main__":
+    main()
