@@ -40,7 +40,7 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # accept vector/box values like "-2,2" without mistaking them for flags
-        self._negative_number_matcher = re.compile(r"^-\d+[\d.,eE+-]*$")
+        self._negative_number_matcher = re.compile(r"^-\.?\d[\d.,eE+-]*$")
 
     def error(self, message):
         raise ConfigError(message)
@@ -95,8 +95,10 @@ def _parse_box(text, dim):
         box = vals.reshape(dim, 2)
     else:
         raise ConfigError(f"box needs 2 or {2 * dim} numbers, got {vals.size}")
-    if np.any(box[:, 0] >= box[:, 1]):
-        raise ConfigError("box lower bounds must be below upper bounds")
+    with np.errstate(over="ignore"):
+        widths = box[:, 1] - box[:, 0]
+    if not np.all((widths > 0) & np.isfinite(widths)):
+        raise ConfigError("box lower bounds must be below upper bounds by a finite width")
     return box
 
 

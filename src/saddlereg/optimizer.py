@@ -136,13 +136,17 @@ def _descend(f, X, cfg, gamma, observe=None, theta=None):
     cfg.theta for every row); theta_i > 0 alone turns row i's regularization
     on. Each row runs plain steps while its gradient norm exceeds its theta
     and, when that theta > 0, steps with l frozen to the gradient at its entry
-    point while inside the region. A row leaves the working set when it
-    converges, reaches max_iters, leaves the escape ball or meets a non-finite
-    gradient; a step that leaves the finite numbers halts the row at its last
-    finite iterate with numerical_failure. observe(k, X, G, gn, inside, rows),
-    when given, sees the working set at every iteration after the region
-    update and before the step, the step a row halts at included (with its
-    region state unchanged); rows holds the original indices of its rows.
+    point while inside the region. observe(k, X, G, gn, inside, rows), when
+    given, sees the working set at every iteration after the region update
+    and before the step, the step a row halts at included; rows holds the
+    original indices of its rows.
+
+    A row halts at its current iterate, with the status of the first of these
+    that holds: 1. it left the escape ball (diverged; never at k = 0); 2. its
+    gradient is not finite (numerical_failure); 3. the active map's gradient,
+    grad f + l inside the region, is below eps_converge (converged); 4. k has
+    reached max_iters (max_iters); 5. its step would leave the finite numbers
+    (numerical_failure). A row halting on 1 or 2 keeps its region state.
 
     Returns per-row arrays: final (m, n), grad_norm, k (the iteration the row
     stopped at), status, entered (an event opened) and closed (an event ended).
@@ -150,14 +154,13 @@ def _descend(f, X, cfg, gamma, observe=None, theta=None):
     X = np.array(X, dtype=float)
     m = len(X)
     theta = np.broadcast_to(cfg.theta if theta is None else theta, (m,)).astype(float)
-    regularize = bool(np.count_nonzero(theta))
     theta[theta == 0.0] = -np.inf  # a plain row's threshold, which no gradient norm reaches
     center = np.mean(np.asarray(f.domain_box, dtype=float), axis=1)
     out = {
-        "final": X.copy(),
+        "final": np.empty_like(X),
         "grad_norm": np.empty(m),
-        "k": np.zeros(m, dtype=int),
-        "status": np.full(m, STATUS_MAX_ITERS, dtype=object),
+        "k": np.empty(m, dtype=int),
+        "status": np.empty(m, dtype=object),
         "entered": np.zeros(m, dtype=bool),
         "closed": np.zeros(m, dtype=bool),
     }
@@ -165,69 +168,53 @@ def _descend(f, X, cfg, gamma, observe=None, theta=None):
     L = np.zeros_like(X)
     inside = np.zeros(m, dtype=bool)
     diverged = np.zeros(m, dtype=bool)
-
-    def retire(halt, status, *arrays):
-        """Record the halted rows at the current (X, gn, k); return `arrays` without them."""
-        r = rows[halt]
-        out["final"][r] = X[halt]
-        out["grad_norm"][r] = gn[halt]
-        out["k"][r] = k
-        out["status"][r] = status
-        return [a[~halt] for a in arrays]
-
     with np.errstate(all="ignore"):
         G = np.asarray(f.gradient(X), dtype=float)
         gn = _norms(G)
-        halt = ~np.isfinite(gn)
         k = 0
         while True:
-            # rows that left the escape ball or met a non-finite gradient
-            halting = np.count_nonzero(halt)
-            if regularize:
-                now = gn <= theta
-                if halting:
-                    now[halt] = inside[halt]  # a halting row keeps its region state
-                if np.count_nonzero(now != inside):
-                    entering = now & ~inside
-                    L[entering] = G[entering]
-                    out["entered"][rows[entering]] = True
-                    out["closed"][rows[inside & ~now]] = True
-                    inside = now
+            # rows that halt on cause 1 or 2, which keep their region state
+            held = diverged | ~np.isfinite(gn)
+            now = gn <= theta
+            if np.count_nonzero(now != inside):
+                now[held] = inside[held]
+                entering = now & ~inside
+                L[entering] = G[entering]
+                out["entered"][rows[entering]] = True
+                out["closed"][rows[inside & ~now]] = True
+                inside = now
             if observe is not None:
                 observe(k, X, G, gn, inside, rows)
-            if halting:
-                status = np.where(diverged[halt], STATUS_DIVERGED, STATUS_NUMERICAL_FAILURE)
-                X, G, gn, L, inside, theta, rows = retire(
-                    halt, status, X, G, gn, L, inside, theta, rows)
-            if not rows.size:
-                break
 
-            # convergence tests the active map's gradient, grad f + l inside the region
-            if regularize and np.count_nonzero(inside):
+            if np.count_nonzero(inside):
                 S = np.where(inside[:, None], G + L, G)
                 converged = _norms(S) < cfg.eps_converge
             else:
                 S, converged = G, gn < cfg.eps_converge
-            if k >= cfg.max_iters:
-                retire(rows >= 0, np.where(converged, STATUS_CONVERGED, STATUS_MAX_ITERS))
-                break
             X_next = X - gamma * S
-            halt = converged | ~np.isfinite(X_next).all(axis=1)
-            # converged rows, and steps that left the finite numbers
+            at_max = k >= cfg.max_iters
+            halt = held | converged | at_max | ~np.isfinite(X_next).all(axis=1)
             if np.count_nonzero(halt):
-                status = np.where(converged[halt], STATUS_CONVERGED, STATUS_NUMERICAL_FAILURE)
-                X_next, L, inside, theta, rows = retire(
-                    halt, status, X_next, L, inside, theta, rows)
+                r = rows[halt]
+                out["final"][r] = X[halt]
+                out["grad_norm"][r] = gn[halt]
+                out["k"][r] = k
+                # the first cause that holds, in the docstring's order
+                out["status"][r] = np.where(diverged[halt], STATUS_DIVERGED, np.where(
+                    held[halt], STATUS_NUMERICAL_FAILURE, np.where(
+                        converged[halt], STATUS_CONVERGED,
+                        STATUS_MAX_ITERS if at_max else STATUS_NUMERICAL_FAILURE)))
+                keep = ~halt
+                X_next, L, inside, theta, rows = (
+                    X_next[keep], L[keep], inside[keep], theta[keep], rows[keep])
                 if not rows.size:
-                    break
+                    return out
 
             X = X_next
             k += 1
             G = np.asarray(f.gradient(X), dtype=float)
             gn = _norms(G)
             diverged = _norms(X - center) > cfg.escape_radius
-            halt = diverged | ~np.isfinite(gn)
-    return out
 
 
 def _run(f, x0, cfg, record_stride):

@@ -1,13 +1,20 @@
-"""Finite-difference oracles for the exact derivatives the library computes.
+"""Reference implementations the tests compare the library against.
 
 Central-difference gradients, Hessians and third directional derivatives of a
-scalar field, evaluated one point at a time. The tests compare the closed-form
-and backpropagated derivatives against them; nothing in the library uses them.
+scalar field, evaluated one point at a time, for the closed-form and
+backpropagated derivatives; and the descent algorithm for one start, written
+as a plain loop, for the lockstep engine. Nothing in the library uses them.
 """
 
 import numpy as np
 
-from saddlereg.linalg import NumericalError, as_vector, symmetrize
+from saddlereg.linalg import NumericalError, _norms, as_vector, symmetrize
+from saddlereg.optimizer import (
+    STATUS_CONVERGED,
+    STATUS_DIVERGED,
+    STATUS_MAX_ITERS,
+    STATUS_NUMERICAL_FAILURE,
+)
 
 
 def _default_h(x, base):
@@ -93,3 +100,44 @@ def third_directional(f, x, v, h=None):
         + 2.0 * _eval(f, x - h * v)
         - _eval(f, x - 2.0 * h * v)
     ) / (2.0 * h ** 3)
+
+
+def descend_one(f, x0, cfg, gamma, theta):
+    """The descent algorithm from one start, one iteration at a time.
+
+    Plain steps x - gamma * g while ||g|| > theta; from the first iterate with
+    ||g|| <= theta (theta > 0 only) steps x - gamma * (g + l) with l frozen to
+    that iterate's gradient, until ||g|| > theta again. The run stops at its
+    current iterate on the first of: leaving the escape ball (from k = 1 on),
+    a non-finite gradient, a converged active gradient, k = max_iters, and a
+    step that leaves the finite numbers. Arithmetic is the engine's, row by
+    row, so the results must agree bit for bit. Returns (final, grad_norm, k,
+    status, entered, closed).
+    """
+    center = np.mean(np.asarray(f.domain_box, dtype=float), axis=1)
+    x = np.array(x0, dtype=float)
+    l = None  # the frozen regularizer while inside the region
+    entered = closed = False
+    k = 0
+    with np.errstate(all="ignore"):
+        while True:
+            g = f.gradient(x[None])[0]
+            gn = _norms(g)
+            if k > 0 and _norms(x - center) > cfg.escape_radius:
+                return x, gn, k, STATUS_DIVERGED, entered, closed
+            if not np.isfinite(gn):
+                return x, gn, k, STATUS_NUMERICAL_FAILURE, entered, closed
+            if l is None and theta > 0 and gn <= theta:
+                l, entered = g, True
+            elif l is not None and not gn <= theta:
+                l, closed = None, True
+            step = g if l is None else g + l
+            if _norms(step) < cfg.eps_converge:
+                return x, gn, k, STATUS_CONVERGED, entered, closed
+            if k >= cfg.max_iters:
+                return x, gn, k, STATUS_MAX_ITERS, entered, closed
+            x_next = x - gamma * step
+            if not np.isfinite(x_next).all():
+                return x, gn, k, STATUS_NUMERICAL_FAILURE, entered, closed
+            x = x_next
+            k += 1

@@ -458,6 +458,37 @@ def test_seed_outside_box_is_named(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    _VALLEY_SET + ["--trials", "10"],
+    ["region", "--objective", "cubic_valley", "--x0", "0,0", "--theta", "0.5"],
+    ["analyze", "--objective", "cubic_valley"],
+])
+def test_box_of_overflowing_width_is_config_error(tmp_path, capsys, command):
+    # each bound is finite, but hi - lo is not
+    out = tmp_path / "none"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(command + ["--box", "-1e308,1e308", "--out", str(out)])
+    assert code == 1
+    assert "finite width" in _one_line_error(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    (["run", "--objective", "cubic_valley", "--gamma", "0.1"], "--x0", ".5,1"),
+    (_VALLEY_SET + ["--trials", "10"], "--box", ".5,2"),
+    (["analyze", "--objective", "cubic_valley"], "--regularizer", ".5,0"),
+])
+def test_vector_starting_with_minus_point_is_a_value(tmp_path, command, flag, value):
+    # "-.5,1" must parse as "-0.5,1" does, not as an unknown flag
+    outputs = []
+    for text in ("-" + value, "-0" + value):
+        out = tmp_path / text
+        assert main(command + [flag, text, "--out", str(out)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("theta", ["0", "-1"])
 def test_analyze_theta_below_critical_gradient_is_config_error(tmp_path, capsys, theta):
     # the separation check's regions cannot hold the located critical point

@@ -28,6 +28,8 @@ from saddlereg import (
 from saddlereg.cli import write_json
 from saddlereg.optimizer import _descend
 
+from oracles import descend_one
+
 
 def test_config_validation():
     with pytest.raises(ValueError):
@@ -309,6 +311,41 @@ def test_observer_sees_every_row_through_its_last_step(case):
             assert insides[i][-1] == ([False] + insides[i])[-2]
 
 
+# Ties between halt causes. The step from (1, 1) lands on the bowl's minimum
+# at k = 1 = max_iters: converged outranks max_iters. The step from (1e50, 0)
+# leaves the escape ball at k = 1, where the gradient norm overflows to inf:
+# diverged outranks the non-finite gradient.
+_CONVERGES_AT_MAX_ITERS = (quadratic_bowl(), np.array([[1.0, 1.0]]), OptimizerConfig(max_iters=1),
+                           1.0, np.array([0.0]))
+_DIVERGES_TO_INFINITE_GRADIENT = (get_objective("cubic_valley"), np.array([[1e50, 0.0]]),
+                                  OptimizerConfig(), 1.0, np.array([0.0]))
+
+
+@pytest.mark.parametrize("case, status, grad_norm", [
+    (_CONVERGES_AT_MAX_ITERS, STATUS_CONVERGED, 0.0),
+    (_DIVERGES_TO_INFINITE_GRADIENT, STATUS_DIVERGED, np.inf),
+])
+def test_halt_cause_ties(case, status, grad_norm):
+    f, X0, cfg, gamma, theta = case
+    out = _descend(f, X0, cfg, gamma, theta=theta)
+    assert (out["status"][0], out["k"][0], out["grad_norm"][0]) == (status, 1, grad_norm)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=_mixed_theta_batches())
+@example(case=_CONVERGES_AT_MAX_ITERS)
+@example(case=_DIVERGES_TO_INFINITE_GRADIENT)
+def test_batch_rows_equal_the_reference_loop(case):
+    f, X0, cfg, gamma, theta = case
+    out = _descend(f, X0, cfg, gamma, theta=theta)
+    for i, th in enumerate(theta):
+        final, gn, k, status, entered, closed = descend_one(f, X0[i], cfg, gamma, th)
+        assert out["final"][i].tobytes() == final.tobytes()
+        assert out["grad_norm"][i].tobytes() == gn.tobytes()
+        assert (out["k"][i], out["status"][i], out["entered"][i], out["closed"][i]) == (
+            k, status, entered, closed)
+
+
 # The descent engine's contract as properties of recorded runs: random corpus
 # objectives, starts in the box, gamma below 1 / lipschitz_hint, theta,
 # eps_converge and max_iters.
@@ -372,3 +409,63 @@ def test_strided_record_is_the_full_record_decimated(case, stride):
     assert rec.status == full.status and rec.final_x.tobytes() == full.final_x.tobytes()
     assert [(e.k_entry, e.k_exit, e.l.tobytes()) for e in rec.events] == [
         (e.k_entry, e.k_exit, e.l.tobytes()) for e in full.events]
+
+
+def _assert_local_regularization(f, x0, cfg):
+    # plain and regularized runs agree bit for bit up to and including the first entry
+    plain, reg = run_plain_gd(f, x0, cfg), run_regularized_gd(f, x0, cfg)
+    n = reg.events[0].k_entry + 1 if reg.events else len(reg.ks)
+    assert plain.ks[:n] == reg.ks[:n] == list(range(n))
+    assert [x.tobytes() for x in plain.iterates[:n]] == [x.tobytes() for x in reg.iterates[:n]]
+    assert np.array(plain.grad_norms[:n]).tobytes() == np.array(reg.grad_norms[:n]).tobytes()
+    if not reg.events:  # never regularized: the same run throughout
+        assert len(plain.ks) == n and plain.status == reg.status
+        assert plain.final_x.tobytes() == reg.final_x.tobytes()
+
+
+def _assert_bookkeeping(rec, theta):
+    assert all(e.k_exit is not None for e in rec.events[:-1])  # only the last may be open
+    for k, mode, eid in zip(rec.ks, rec.modes, rec.event_ids):
+        holding = [j for j, e in enumerate(rec.events)
+                   if e.k_entry <= k and (e.k_exit is None or k < e.k_exit)]
+        assert holding == ([] if eid is None else [eid])
+        assert (mode == MODE_REGULARIZED) == (eid is not None)
+    # every iterate but the last stepped, so its mode is the selection rule's
+    for gn, mode in zip(rec.grad_norms[:-1], rec.modes[:-1]):
+        assert (mode == MODE_REGULARIZED) == (gn <= theta)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=_recorded_runs())
+@example(case=_REENTRY)
+def test_plain_and_regularized_runs_agree_through_the_first_entry(case):
+    _assert_local_regularization(*case)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=_recorded_runs())
+@example(case=_REENTRY)
+def test_modes_and_event_ids_follow_the_events(case):
+    f, x0, cfg = case
+    _assert_bookkeeping(run_regularized_gd(f, x0, cfg), cfg.theta)
+
+
+# the 2-8-8-2 network has no lipschitz_hint: an open last event, closed
+# events, and a run that diverges after its first event
+@pytest.mark.parametrize("gamma, theta, seed", [(0.5, 0.04, 0), (2.0, 0.5, 1), (80.0, 0.5, 0)])
+def test_network_runs_keep_the_descent_contract(gamma, theta, seed):
+    x0 = init_params(_NET_SPEC, seed)
+    cfg = OptimizerConfig(gamma=gamma, theta=theta, eps_converge=1e-10, max_iters=60,
+                          escape_radius=1e6)
+    rec = run_regularized_gd(_NET, x0, cfg)
+    assert rec.events
+    for x, x_next, eid in zip(rec.iterates, rec.iterates[1:], rec.event_ids):  # step replay
+        g = _NET.gradient(x)
+        step = g if eid is None else g + rec.events[eid].l
+        assert x_next.tobytes() == (x - gamma * step).tobytes()
+    for ev in rec.events:  # selection rule
+        assert ev.x_entry.tobytes() == rec.iterates[ev.k_entry].tobytes()
+        assert ev.l.tobytes() == _NET.gradient(ev.x_entry).tobytes()
+        assert np.linalg.norm(ev.l) <= theta
+    _assert_local_regularization(_NET, x0, cfg)
+    _assert_bookkeeping(rec, theta)

@@ -3,15 +3,19 @@
     python tools/snapshot_outputs.py OUTDIR [--source CHECKOUT]
 
 Each run below executes in its own empty directory OUTDIR/<run>/files, with
-the checkout's `src` on PYTHONPATH and the interpreter running this script.
-Next to `files` it stores `stdout`, `stderr` and `exit_code`; the checkout's
-path is written as `<source>` in stdout and stderr, so that warnings name the
-same file in every checkout. Snapshot two checkouts and compare them with
-`diff -r OUTDIR_A OUTDIR_B`: an empty diff means byte-identical outputs.
+the checkout's `src` on PYTHONPATH and the interpreter running this script;
+the `run` lines between them end in every termination status of the descent
+engine. Next to `files` it stores `stdout`, `stderr` and `exit_code`; the
+checkout's path is written as `<source>` in stdout and stderr, and the line
+number after a `<source>` file as `<line>`, so that a warning names the same
+place in every checkout whatever lines an edit moved. Snapshot two checkouts
+and compare them with `diff -r OUTDIR_A OUTDIR_B`: an empty diff means
+byte-identical outputs.
 """
 
 import argparse
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -36,6 +40,13 @@ CLI_RUNS = {
     "bifurcate_monkey_line":
         "bifurcate --objective monkey_line --regularizer 0.3,-0.2 --regularizer 0,1",
     "mlp_compare_5": "mlp-compare --trials 5 --seed 0",
+    # one run per termination status, and the regularized stable-set batch
+    "run_diverged": "run --objective cubic_valley --x0 -1,0.5 --gamma 0.15",
+    "run_numerical_failure": "run --objective cubic_valley --x0 1.5,0.5 --gamma 1e308",
+    "run_max_iters": "run --objective cubic_cone --x0 1.5,0.5 --theta 3 --max-iters 5",
+    "run_converged": "run --objective quadratic_bowl --x0 2,1 --theta 0.5",
+    "stable_set_regularized": "stable-set --objective cubic_valley --x0 0,0 --box -2,2 "
+                              "--trials 2000 --gamma 0.15 --eps 1e-6 --max-iters 2000 --theta 0.5",
 }
 
 DEMOS = ["escape_nonstrict_saddle", "bifurcation_sweep", "stable_set_measurement",
@@ -54,6 +65,7 @@ def snapshot(source, outdir):
         done = subprocess.run(command, cwd=files, env=env, capture_output=True, text=True)
         for stream in ("stdout", "stderr"):
             text = getattr(done, stream).replace(str(source), "<source>")
+            text = re.sub(r"(<source>[^:\n]*\.py):\d+", r"\1:<line>", text)
             (outdir / name / stream).write_text(text)
         (outdir / name / "exit_code").write_text(f"{done.returncode}\n")
         print(f"{name}: exit {done.returncode}")
