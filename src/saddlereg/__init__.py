@@ -3,6 +3,8 @@ saddle points, and analysis tools for the surrounding geometry: critical-point
 classification, small-gradient regions, bifurcation continuation, basin
 sampling, and regularization-error bounds."""
 
+import types
+
 from .continuation import ContinuationPath, continuation_trace
 from .critical import (
     LOCAL_MAX,
@@ -82,68 +84,6 @@ from .sampling import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ContinuationPath",
-    "CorpusEntry",
-    "CriticalPointReport",
-    "Dataset",
-    "ENTER",
-    "EXIT",
-    "LOCAL_MAX",
-    "LOCAL_MIN",
-    "MODE_PLAIN",
-    "MODE_REGULARIZED",
-    "MlpSpec",
-    "NON_STRICT_OR_DEGENERATE",
-    "NumericalError",
-    "Objective",
-    "OptimizerConfig",
-    "RegionGrid",
-    "RegularizationEvent",
-    "STATUS_CONVERGED",
-    "STATUS_DIVERGED",
-    "STATUS_MAX_ITERS",
-    "STATUS_NUMERICAL_FAILURE",
-    "STRATUM_NEGATIVE",
-    "STRATUM_POSITIVE",
-    "STRATUM_ZERO",
-    "STRICT_SADDLE",
-    "TANGENT",
-    "TrajectoryRecord",
-    "boundary_classify",
-    "check_assumption_separation",
-    "check_boundary_assumption",
-    "classify_eigenvalues",
-    "classify_point",
-    "continuation_trace",
-    "corpus",
-    "corpus_names",
-    "cubic_cone",
-    "cubic_valley",
-    "double_degenerate",
-    "escape_fraction",
-    "find_critical_points",
-    "get_objective",
-    "halfspace_check",
-    "init_params",
-    "make_blobs",
-    "make_objective",
-    "make_regularized",
-    "milnor_sample",
-    "mlp_objective",
-    "monkey_line",
-    "pack_params",
-    "pl_error_check",
-    "psi_witness_check",
-    "quadratic_bowl",
-    "run_gd_batch",
-    "run_plain_gd",
-    "run_regularized_gd",
-    "sample_in_box",
-    "sample_in_region",
-    "spectral_norm",
-    "stable_set_fraction",
-    "sym_eigen",
-    "theta_region",
-    "unpack_params",
-]
+# every imported public name that is not a module
+__all__ = sorted(name for name, obj in globals().items()
+                 if not name.startswith("_") and not isinstance(obj, types.ModuleType))

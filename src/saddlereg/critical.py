@@ -44,46 +44,41 @@ class CriticalPointReport:
 
 
 def classify_eigenvalues(eigenvalues, tau=DEFAULT_ZERO_TAU):
-    """Map an ascending eigenvalue list to (stratum, classification)."""
+    """Map ascending eigenvalues (n,) to (stratum, classification), or each row of a
+    stack (m, n) to a pair of string arrays (m,)."""
     eigenvalues = np.asarray(eigenvalues, dtype=float)
-    zero = tau * max(1.0, float(np.max(np.abs(eigenvalues))))
-    lo = float(eigenvalues[0])
-    hi = float(eigenvalues[-1])
-    if lo > zero:
-        stratum = STRATUM_POSITIVE
-    elif lo < -zero:
-        stratum = STRATUM_NEGATIVE
-    else:
-        stratum = STRATUM_ZERO
-
-    if lo > zero:
-        classification = LOCAL_MIN
-    elif hi < -zero:
-        classification = LOCAL_MAX
-    elif lo < -zero and hi > zero:
-        classification = STRICT_SADDLE
-    else:
-        classification = NON_STRICT_OR_DEGENERATE
+    zero = tau * np.maximum(1.0, np.max(np.abs(eigenvalues), axis=-1))
+    lo, hi = eigenvalues[..., 0], eigenvalues[..., -1]
+    stratum = np.select([lo > zero, lo < -zero], [STRATUM_POSITIVE, STRATUM_NEGATIVE],
+                        STRATUM_ZERO)
+    classification = np.select([lo > zero, hi < -zero, (lo < -zero) & (hi > zero)],
+                               [LOCAL_MIN, LOCAL_MAX, STRICT_SADDLE], NON_STRICT_OR_DEGENERATE)
+    if eigenvalues.ndim == 1:
+        return str(stratum), str(classification)
     return stratum, classification
 
 
 def classify_point(f, x, tau=DEFAULT_ZERO_TAU):
-    """Classify a point of an objective by its Hessian eigenvalues.
+    """Classify a point (n,) of an objective by its Hessian eigenvalues, or every row
+    of a batch (m, n) with one gradient, one Hessian and one eigensolver call.
 
-    The gradient norm is reported as-is; callers decide whether the point is
-    close enough to critical for the label to be meaningful.
+    Returns a report for a point and a list of reports for a batch, each equal bit
+    for bit to the single point's. The gradient norm is reported as-is; callers
+    decide whether the point is close enough to critical for the label to be
+    meaningful.
     """
-    x = as_vector(x)
-    grad_norm = float(np.linalg.norm(f.gradient(x)))
-    dec = sym_eigen(f.hessian(x))
-    stratum, classification = classify_eigenvalues(dec.eigenvalues, tau)
-    return CriticalPointReport(
-        location=x.copy(),
-        grad_norm=grad_norm,
-        eigenvalues=dec.eigenvalues,
-        stratum=stratum,
-        classification=classification,
-    )
+    X = np.array(x, dtype=float)
+    if X.ndim != 2:
+        X = as_vector(X)
+    elif not np.all(np.isfinite(X)):
+        raise ValueError("points have non-finite entries")
+    grad_norm = _norms(np.asarray(f.gradient(X), dtype=float))
+    eigenvalues = sym_eigen(f.hessian(X)).eigenvalues
+    stratum, classification = classify_eigenvalues(eigenvalues, tau)
+    if X.ndim == 1:
+        return CriticalPointReport(X, float(grad_norm), eigenvalues, stratum, classification)
+    return [CriticalPointReport(*row) for row in zip(
+        X, grad_norm.tolist(), eigenvalues, stratum.tolist(), classification.tolist())]
 
 
 def newton_root(f, x0, shift, tol=NEWTON_TOL, max_steps=50):
@@ -143,8 +138,8 @@ def _grid_seeds(box, grid_density):
 def solve_gradient_equation(f, rhs, seeds, tol=NEWTON_TOL, box=None):
     """Multistart damped Newton solve of grad f(x) = rhs, all seeds in one batch.
 
-    Returns deduplicated solutions (within DEDUP_RADIUS, the earliest seed's
-    kept), restricted to `box` when given, in deterministic lexicographic order.
+    Returns the deduplicated solutions (k, n) (within DEDUP_RADIUS, the earliest
+    seed's kept), restricted to `box` when given, in lexicographic row order.
     """
     X, ok = newton_root(f, np.atleast_2d(seeds), -as_vector(rhs), tol=tol)
     logger.debug("solve_gradient_equation: %d seeds skipped (no convergence)", np.sum(~ok))
@@ -153,7 +148,7 @@ def solve_gradient_equation(f, rhs, seeds, tol=NEWTON_TOL, box=None):
 
 def _distinct_in_box(X, ok, box, dedup_radius):
     """Rows of X flagged `ok` in `box` (1e-9 margin) and not within `dedup_radius` of
-    an earlier such row, in lexicographic order."""
+    an earlier such row, as an array (k, n) in lexicographic row order."""
     if box is not None:
         box, margin = np.asarray(box, dtype=float), 1e-9
         ok = ok & np.all((X >= box[:, 0] - margin) & (X <= box[:, 1] + margin), axis=1)
@@ -162,7 +157,7 @@ def _distinct_in_box(X, ok, box, dedup_radius):
         if all(np.linalg.norm(x - s) > dedup_radius for s in solutions):
             solutions.append(x)
     solutions.sort(key=tuple)
-    return solutions
+    return np.reshape(solutions, (-1, X.shape[1]))
 
 
 def find_critical_points(f, box=None, grid_density=10, tol=NEWTON_TOL, tau=DEFAULT_ZERO_TAU):
@@ -175,4 +170,4 @@ def find_critical_points(f, box=None, grid_density=10, tol=NEWTON_TOL, tau=DEFAU
     """
     box = np.asarray(f.domain_box if box is None else box, dtype=float)
     points = solve_gradient_equation(f, np.zeros(f.dim), _grid_seeds(box, grid_density), tol, box)
-    return [classify_point(f, x, tau) for x in points]
+    return classify_point(f, points, tau)

@@ -28,13 +28,13 @@ def _norms(A):
 
 
 def check_symmetric(a):
-    """Validate a square, finite, exactly symmetric matrix and return it."""
+    """Validate a square, finite, exactly symmetric matrix or stack (..., n, n) and return it."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
-    if not np.array_equal(a, a.T):
+    if not np.array_equal(a, a.mT):
         raise ValueError("matrix is not symmetric")
     return a
 
@@ -46,11 +46,14 @@ def symmetrize(a):
 
 
 def sym_eigen(a):
-    """Full eigendecomposition of a symmetric matrix (LAPACK, via numpy.linalg.eigh).
+    """Full eigendecomposition of a symmetric matrix or a stack (..., n, n) (LAPACK,
+    via numpy.linalg.eigh), the package's only eigensolver call.
 
-    Returns numpy's EighResult: eigenvalues ascending, eigenvectors[:, i] the
-    unit vector for eigenvalues[i]. The input is validated by check_symmetric.
-    Raises NumericalError if LAPACK does not converge.
+    Returns numpy's EighResult: eigenvalues ascending, eigenvectors[..., :, i] the
+    unit vector for eigenvalues[..., i]. A stack runs the same LAPACK routine on
+    every matrix, so each result equals its single-matrix solve bit for bit. The
+    input is validated by check_symmetric. Raises NumericalError if LAPACK does not
+    converge.
     """
     a = check_symmetric(a)
     try:
@@ -60,6 +63,5 @@ def sym_eigen(a):
 
 
 def spectral_norm(a):
-    """Largest absolute eigenvalue of a symmetric matrix."""
-    dec = sym_eigen(a)
-    return float(np.max(np.abs(dec.eigenvalues)))
+    """Largest absolute eigenvalue of a symmetric matrix, or over a stack (..., n, n)."""
+    return float(np.max(np.abs(sym_eigen(a).eigenvalues)))

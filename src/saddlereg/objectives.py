@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .critical import LOCAL_MIN, NON_STRICT_OR_DEGENERATE, _grid_seeds
-from .linalg import as_vector
+from .linalg import as_vector, spectral_norm
 
 
 @dataclass
@@ -106,14 +106,9 @@ def make_regularized(f, l):
 
 def _grid_lipschitz(hessian, box):
     """Max spectral norm of the Hessian over a grid on the box (offline estimate),
-    41 points per axis up to dimension 2 and 5 above.
-
-    Stacked `eigh` runs the same LAPACK routine on every matrix, so each
-    eigenvalue equals the single-matrix one bit for bit.
-    """
+    41 points per axis up to dimension 2 and 5 above."""
     box = np.asarray(box, dtype=float)
-    points = _grid_seeds(box, 41 if box.shape[0] <= 2 else 5)
-    return float(np.max(np.abs(np.linalg.eigh(hessian(points)).eigenvalues)))
+    return spectral_norm(hessian(_grid_seeds(box, 41 if box.shape[0] <= 2 else 5)))
 
 
 def _sym2(h11, h12, h22):

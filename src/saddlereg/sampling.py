@@ -4,7 +4,8 @@ Batched descent runs all samples in lockstep through the optimizer's single
 descent engine, with per-sample regularization state, so basin fractions over
 thousands of starts stay cheap. Each row evolves exactly as the sequential run
 from the same start would, and leaves the working set when it terminates.
-The PL error check solves all its shifted minimizers in one batched Newton call.
+The PL error check solves all its shifted minimizers in one batched Newton call
+and classifies them in one batched call.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ import numpy as np
 from .critical import (
     DEDUP_RADIUS,
     DEFAULT_ZERO_TAU,
+    LOCAL_MIN,
     STRATUM_NEGATIVE,
     STRATUM_POSITIVE,
     _distinct_in_box,
@@ -20,7 +22,7 @@ from .critical import (
     newton_root,
     solve_gradient_equation,
 )
-from .linalg import NumericalError, as_vector
+from .linalg import NumericalError, as_vector, sym_eigen
 from .objectives import make_regularized
 from .optimizer import _descend
 
@@ -70,7 +72,7 @@ def sample_in_region(rng, region, n_samples):
     return sample_in_box(rng, region.box, n_samples, lambda points: ~region.contains_point(points))
 
 
-def stable_set_fraction(f, target, box=None, n_samples=2000, cfg=None, seed=0, exclude=None):
+def stable_set_fraction(f, target, box=None, n_samples=2000, *, cfg, seed=0, exclude=None):
     """Fraction of uniform starts whose descent ends within 0.01 of the target.
 
     `target` is either a point or a callable mapping a batch of final points
@@ -79,8 +81,6 @@ def stable_set_fraction(f, target, box=None, n_samples=2000, cfg=None, seed=0, e
     plain descent. `exclude` removes a sampling subset (e.g. a thin strip
     around a basin boundary).
     """
-    if cfg is None:
-        raise ValueError("stable_set_fraction needs an explicit OptimizerConfig")
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     if box is None:
@@ -154,11 +154,7 @@ def milnor_sample(f, box=None, n_l=500, l_scale=1.0, seed=0, l_min=0.0, grid_den
         X, ok = newton_root(f, np.tile(seeds, (len(shifts) // k, 1)), shifts)
         kept += [_distinct_in_box(Xd, okd, box, DEDUP_RADIUS)  # within a draw, never across
                  for Xd, okd in zip(X.reshape(-1, k, n), ok.reshape(-1, k))]
-    points = [x for draw in kept for x in draw]
-    if not points:
-        return 0.0
-    # eigh, not eigvalsh: its eigenvalues are sym_eigen's, bit for bit
-    eig = np.abs(np.linalg.eigh(f.hessian(np.array(points))).eigenvalues)
+    eig = np.abs(sym_eigen(f.hessian(np.concatenate(kept))).eigenvalues)
     flat = eig.min(axis=1) <= DEFAULT_ZERO_TAU * np.maximum(1.0, eig.max(axis=1))
     owners = np.repeat(np.arange(n_l), [len(draw) for draw in kept])
     return len(set(owners[flat].tolist())) / n_l
@@ -179,7 +175,7 @@ def pl_error_check(f, xstar, theta, n_l=200, seed=0):
     if not 0.0 <= theta < np.inf:
         raise ValueError(f"theta must be finite and non-negative, got {theta}")
     xstar = as_vector(xstar)
-    if classify_point(f, xstar).classification != "local_min":
+    if classify_point(f, xstar).classification != LOCAL_MIN:
         raise ValueError("xstar must be a local minimum")
     rng = np.random.default_rng(seed)
     L = np.empty((n_l, f.dim))
@@ -187,11 +183,13 @@ def pl_error_check(f, xstar, theta, n_l=200, seed=0):
         radius = theta if i % 2 == 0 else rng.uniform(0.0, theta)
         L[i] = radius * _sphere_direction(rng, f.dim)
     X, ok = newton_root(f, np.tile(xstar, (n_l, 1)), L, tol=1e-10)
-    for x_l, ok_l in zip(X, ok):
-        if not ok_l:
-            raise NumericalError("Newton solve for the shifted minimizer failed")
-        if classify_point(f, x_l).stratum != STRATUM_POSITIVE:
-            raise NumericalError("shifted critical point left the positive-definite stratum")
+    # the first failing row decides the error; rows past the first unconverged one
+    # are never classified
+    n_ok = n_l if ok.all() else int(np.argmin(ok))
+    if any(rep.stratum != STRATUM_POSITIVE for rep in classify_point(f, X[:n_ok])):
+        raise NumericalError("shifted critical point left the positive-definite stratum")
+    if n_ok < n_l:
+        raise NumericalError("Newton solve for the shifted minimizer failed")
     return max(0.0, float(np.max(f.value(X))) - float(f.value(xstar)))
 
 
@@ -215,11 +213,8 @@ def psi_witness_check(f, region, x0, max_seeds=200):
     centers = region.inside_cell_centers()
     stride = -(-len(centers) // max_seeds)  # ceiling: at most max_seeds seeds
     solutions = solve_gradient_equation(f, -l, centers[::stride], tol=1e-9, box=region.box)
-    f_reg = make_regularized(f, l)
-    for y in solutions:
-        if not region.contains_point(y):
-            continue
-        rep = classify_point(f_reg, y)
+    inside = solutions[region.contains_point(solutions)]
+    for rep in classify_point(make_regularized(f, l), inside):
         if rep.stratum != STRATUM_NEGATIVE:
             return rep
     return None

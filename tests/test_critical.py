@@ -25,6 +25,7 @@ from saddlereg import (
 from saddlereg.critical import (
     DEFAULT_ZERO_TAU,
     _distinct_in_box,
+    _grid_seeds,
     newton_root,
     solve_gradient_equation,
 )
@@ -67,6 +68,45 @@ def test_classification_invariant_under_positive_scaling(raw, radius, scaled_rad
         band = DEFAULT_ZERO_TAU * max(1.0, float(np.max(np.abs(lam))))
         assume(np.all(np.abs(np.abs(lam) - band) > 1e-9 * band))
     assert classify_eigenvalues(scaled) == classify_eigenvalues(eigenvalues)
+
+
+@st.composite
+def _eigenvalue_stacks(draw):
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(_EIGENVALUE, min_size=n, max_size=n), max_size=8))
+    return np.sort(np.array(rows, dtype=float).reshape(-1, n), axis=1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(eigenvalues=_eigenvalue_stacks())
+def test_classify_eigenvalues_stack_equals_rows(eigenvalues):
+    strata, classifications = classify_eigenvalues(eigenvalues)
+    assert strata.shape == classifications.shape == (len(eigenvalues),)
+    assert list(zip(strata.tolist(), classifications.tolist())) == [
+        classify_eigenvalues(row) for row in eigenvalues]
+
+
+def _report_bytes(rep):
+    return (rep.location.tobytes(), rep.grad_norm.hex(), rep.eigenvalues.tobytes(),
+            rep.stratum, rep.classification)
+
+
+@pytest.mark.parametrize("entry", corpus(), ids=lambda entry: entry.objective.name)
+def test_batch_classify_point_equals_single_points(entry):
+    # one gradient, Hessian and eigensolver call for the batch; every report bit
+    # for bit the single point's, over the 7-per-axis seed grid and an empty batch
+    f = entry.objective
+    X = _grid_seeds(f.domain_box, 7)
+    reports = classify_point(f, X)
+    assert isinstance(reports, list) and len(reports) == len(X)
+    assert [_report_bytes(rep) for rep in reports] == [
+        _report_bytes(classify_point(f, x)) for x in X]
+    assert classify_point(f, np.empty((0, f.dim))) == []
+
+
+def test_classify_point_rejects_non_finite_batch():
+    with pytest.raises(ValueError, match="non-finite"):
+        classify_point(quadratic_bowl(1.0), [[0.0, 0.0], [np.nan, 1.0]])
 
 
 def test_classify_monkey_off_axis_strict_saddle():

@@ -72,6 +72,40 @@ def test_spectral_norm():
     assert spectral_norm(np.diag([-3.0, 2.0])) == pytest.approx(3.0)
 
 
+def _symmetric_stack(rng, m, n):
+    b = rng.standard_normal((m, n, n))
+    return 0.5 * (b + b.mT)
+
+
+@pytest.mark.parametrize("shape", [(7, 1), (30, 2), (5, 3), (4, 20), (2, 114), (0, 2)])
+def test_sym_eigen_stack_equals_single_solves(shape):
+    # one LAPACK routine per matrix, stacked or not: every result bit for bit
+    A = _symmetric_stack(np.random.default_rng(shape[1]), *shape)
+    dec = sym_eigen(A)
+    assert dec.eigenvalues.shape == shape and dec.eigenvectors.shape == A.shape
+    for a, lam, v in zip(A, dec.eigenvalues, dec.eigenvectors):
+        single = sym_eigen(a)
+        assert lam.tobytes() == single.eigenvalues.tobytes()
+        assert v.tobytes() == single.eigenvectors.tobytes()
+    if len(A):
+        assert spectral_norm(A) == max(spectral_norm(a) for a in A)
+
+
+@pytest.mark.parametrize("entry, value, match", [
+    ((2, 0, 1), 5.0, "not symmetric"),
+    ((3, 1, 1), np.nan, "non-finite"),
+    ((0, 0, 0), np.inf, "non-finite"),
+])
+def test_sym_eigen_rejects_stack_with_one_bad_matrix(entry, value, match):
+    A = _symmetric_stack(np.random.default_rng(3), 4, 2)
+    sym_eigen(A)
+    A[entry] = value
+    with pytest.raises(ValueError, match=match):
+        sym_eigen(A)
+    with pytest.raises(ValueError, match=match):
+        spectral_norm(A)
+
+
 def _valley(x):
     return x[0] ** 3 / 3.0 + x[1] ** 2 / 2.0
 

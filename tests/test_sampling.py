@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from saddlereg import (
     STATUS_DIVERGED,
     STRATUM_NEGATIVE,
+    NumericalError,
     OptimizerConfig,
     corpus,
     escape_fraction,
@@ -236,6 +237,22 @@ def test_pl_requires_minimum():
 def test_pl_rejects_bad_parameters(theta, n_l, param):
     with pytest.raises(ValueError, match=param):
         pl_error_check(quadratic_bowl(1.0), [0.0, 0.0], theta=theta, n_l=n_l, seed=0)
+
+
+def test_pl_error_check_never_classifies_an_unconverged_row():
+    # tanh(x) + l = 0 has no root for |l| >= 1; Newton stalls near |x| = 16.7,
+    # where this Hessian is NaN. The Newton failure is raised, not the Hessian's
+    # ValueError from the eigensolver.
+    sech2 = lambda x: 1.0 / np.cosh(np.asarray(x, dtype=float)[..., None]) ** 2
+    f = make_objective(
+        "log_cosh", 1,
+        value=lambda x: np.log(np.cosh(np.asarray(x, dtype=float)[..., 0])),
+        gradient=np.tanh,
+        hessian=lambda x: np.where(np.abs(np.asarray(x)[..., None]) > 5.0, np.nan, sech2(x)),
+        domain_box=[[-3.0, 3.0]],
+    )
+    with pytest.raises(NumericalError, match="Newton solve"):
+        pl_error_check(f, [0.0], theta=2.0, n_l=4, seed=0)
 
 
 def test_pl_zero_theta_zero_excess():

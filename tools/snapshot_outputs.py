@@ -30,7 +30,9 @@ CLI_RUNS = {
                   "--gamma 0.15 --eps 1e-6 --max-iters 2000",
     "region": "region --objective cubic_cone --x0 0,0 --theta 3 --resolution 200",
     "mlp_compare": "mlp-compare --trials 20 --seed 0",
-    # Milnor draws, the separation check, sweeps and a short mlp-compare beyond them
+    # Milnor draws, the separation check, sweeps and a short mlp-compare beyond them;
+    # analyze on the 1-D objective classifies its three critical points in one stack
+    "analyze_double_degenerate": "analyze --objective double_degenerate",
     "analyze_milnor_monkey_line": "analyze --objective monkey_line --milnor 200 --seed 3",
     "analyze_milnor_double_degenerate":
         "analyze --objective double_degenerate --milnor 300 --seed 1",
