@@ -443,11 +443,11 @@ def _compare_trials(f, starts, cfg):
     pending = np.ones(T, dtype=bool)  # equal so far, the plain row's stop step not reached
     equal = np.ones(T, dtype=bool)
 
-    def observe(k, X, G, gn, inside, rows):
+    def observe(k, X, G, gn, inside, rows, F):
         nonlocal loss, gnorm
         if k >= loss.shape[1]:
             loss, gnorm = (np.concatenate([a, np.empty_like(a)], axis=1) for a in (loss, gnorm))
-        loss[rows, k] = f.value(X)
+        loss[rows, k] = F
         gnorm[rows, k] = gn
         at = np.full(2 * T, -1)  # each row's place in the working set, -1 once it halted
         at[rows] = np.arange(len(rows))
@@ -458,7 +458,7 @@ def _compare_trials(f, starts, cfg):
         pending[t[~same | (gn[p[t]] <= cfg.theta)]] = False
 
     res = _descend(f, np.concatenate([starts, starts]), cfg, float(cfg.gamma), observe,
-                   theta=np.repeat([0.0, cfg.theta], T))
+                   theta=np.repeat([0.0, cfg.theta], T), values=True)
     return res, loss[np.arange(2 * T), res["k"]], loss, gnorm, equal.tolist()
 
 

@@ -3,9 +3,9 @@
 The loss is softmax cross-entropy averaged over the dataset; gradients come
 from exact backpropagation with subgradient 0 at the ReLU kink, and Hessians
 are exact too: Pearlmutter's R-operator differentiates that backpropagation
-along unit directions with the ReLU masks frozen. All three evaluators take
-one parameter vector (n,) or a batch (..., n) natively: the layers carry the
-leading axes through stacked matrix products, and nothing loops over rows.
+along unit directions with the ReLU masks frozen. Each evaluator, and the
+one-pass value_and_gradient, takes a vector (n,) or a batch (..., n) natively:
+stacked matrix products carry the leading axes, and nothing loops over rows.
 With two or more hidden layers the loss surface carries non-strict saddle
 points (the all-zero parameter vector is one for class-balanced data), which
 makes these networks the natural stress test for regularized descent.
@@ -16,6 +16,7 @@ bias vector of length fan_out.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -124,7 +125,7 @@ def init_params(spec, seed):
 
 
 def _forward(Ws, bs, X):
-    """Returns (pre-activations per layer, activations per layer, logits), each (..., m, width)."""
+    """(pre-activations per layer, activations per layer, log-softmax), each (..., m, width)."""
     zs, activations = [], [X]
     a = X
     for i, (W, b) in enumerate(zip(Ws, bs)):
@@ -133,7 +134,7 @@ def _forward(Ws, bs, X):
         if i < len(Ws) - 1:
             a = np.maximum(z, 0.0)
             activations.append(a)
-    return zs, activations, zs[-1]
+    return zs, activations, _log_softmax(zs[-1])
 
 
 def _backward(Ws, zs, p, onehot):
@@ -145,6 +146,11 @@ def _backward(Ws, zs, p, onehot):
 
 
 def _log_softmax(logits):
+    # column-wise ufuncs cost far less than reduces over a narrow class axis; as
+    # numpy's pairwise sum unrolls by 8, they equal sum(axis=-1) only below 8 columns
+    if logits.shape[-1] < 8:
+        shifted = logits - reduce(np.maximum, logits.T).T[..., None]
+        return shifted - np.log(reduce(np.add, np.exp(shifted).T).T[..., None])
     shifted = logits - logits.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
@@ -158,22 +164,29 @@ def mlp_objective(spec, dataset):
     X = dataset.inputs
     y = dataset.labels
     m = len(y)
-    onehot = np.zeros((m, spec.layer_widths[-1]))
-    onehot[np.arange(m), y] = 1.0
+    onehot = np.eye(spec.layer_widths[-1])[y]
 
-    def value(params):
-        Ws, bs = unpack_params(spec, params)
-        _, _, logits = _forward(Ws, bs, X)
+    def loss(ls):
         # the fancy index leaves each row's picked entries strided, and a
         # strided mean rounds differently from the contiguous one-point mean
-        return -np.ascontiguousarray(_log_softmax(logits)[..., np.arange(m), y]).mean(axis=-1)
+        return -np.ascontiguousarray(ls[..., np.arange(m), y]).mean(axis=-1)
+
+    def value(params):
+        return loss(_forward(*unpack_params(spec, params), X)[2])
+
+    def backprop(params):
+        Ws, bs = unpack_params(spec, params)
+        zs, activations, ls = _forward(Ws, bs, X)
+        deltas = _backward(Ws, zs, np.exp(ls), onehot)
+        return ls, pack_params([d.mT @ a for d, a in zip(deltas, activations)],
+                               [d.sum(axis=-2) for d in deltas])
 
     def gradient(params):
-        Ws, bs = unpack_params(spec, params)
-        zs, activations, logits = _forward(Ws, bs, X)
-        deltas = _backward(Ws, zs, np.exp(_log_softmax(logits)), onehot)
-        return pack_params([d.mT @ a for d, a in zip(deltas, activations)],
-                           [d.sum(axis=-2) for d in deltas])
+        return backprop(params)[1]
+
+    def value_and_gradient(params):
+        ls, g = backprop(params)
+        return loss(ls), g
 
     n = spec.n_params
     # one block per unit: its incoming weights and its bias (at most fan_in + 1
@@ -186,13 +199,13 @@ def mlp_objective(spec, dataset):
         # along e_j with the ReLU masks frozen; one unit's directions at a
         # time, on a directions axis placed before each layer's last two axes
         Ws, bs = unpack_params(spec, params)
-        zs, activations, logits = _forward(Ws, bs, X)
-        p = np.exp(_log_softmax(logits))
+        zs, activations, ls = _forward(Ws, bs, X)
+        p = np.exp(ls)
         deltas = _backward(Ws, zs, p, onehot)
         Ws, zs, activations, deltas = ([A[..., None, :, :] for A in arrays]
                                        for arrays in (Ws, zs, activations, deltas))
         p = p[..., None, :, :]
-        H = np.empty(logits.shape[:-2] + (n, n))
+        H = np.empty(ls.shape[:-2] + (n, n))
         for block in unit_blocks:
             V = np.zeros((len(block), n))
             V[np.arange(len(block)), block] = 1.0
@@ -219,4 +232,5 @@ def mlp_objective(spec, dataset):
         hessian=hessian,
         domain_box=np.repeat([[-5.0, 5.0]], n, axis=0),
         lipschitz_hint=None,
+        value_and_gradient=value_and_gradient,
     )

@@ -24,7 +24,8 @@ class Objective:
 
     value/gradient/hessian map (..., dim) -> (...)/(..., dim)/(..., dim, dim),
     each Hessian symmetric. Objectives are immutable after construction and
-    their evaluators must be pure.
+    their evaluators must be pure, the optional value_and_gradient too: it
+    gives (value, gradient) from one pass, bit for bit equal to the two.
     """
 
     name: str
@@ -34,6 +35,7 @@ class Objective:
     hessian: callable
     domain_box: np.ndarray  # (dim, 2) rows of [lo, hi]
     lipschitz_hint: float | None = None
+    value_and_gradient: callable = None
 
 
 @dataclass

@@ -129,7 +129,7 @@ def resolve_gamma(f, x0, cfg):
     return 1.0 / (2.0 * lhat)
 
 
-def _descend(f, X, cfg, gamma, observe=None, theta=None):
+def _descend(f, X, cfg, gamma, observe=None, theta=None, *, values=False):
     """Advance the rows of X (m, n) in lockstep until each one terminates.
 
     theta is the small-gradient threshold per row, an (m,) array (default:
@@ -139,7 +139,8 @@ def _descend(f, X, cfg, gamma, observe=None, theta=None):
     point while inside the region. observe(k, X, G, gn, inside, rows), when
     given, sees the working set at every iteration after the region update
     and before the step, the step a row halts at included; rows holds the
-    original indices of its rows.
+    original indices of its rows. values=True hands it f(X) as a seventh
+    argument, from the gradient's own pass where f has value_and_gradient.
 
     A row halts at its current iterate, with the status of the first of these
     that holds: 1. it left the escape ball (diverged; never at k = 0); 2. its
@@ -169,10 +170,15 @@ def _descend(f, X, cfg, gamma, observe=None, theta=None):
     inside = np.zeros(m, dtype=bool)
     diverged = np.zeros(m, dtype=bool)
     with np.errstate(all="ignore"):
-        G = np.asarray(f.gradient(X), dtype=float)
-        gn = _norms(G)
         k = 0
         while True:
+            if values:
+                F, G = (f.value_and_gradient(X) if f.value_and_gradient is not None
+                        else (f.value(X), f.gradient(X)))
+            else:
+                G = f.gradient(X)
+            G = np.asarray(G, dtype=float)
+            gn = _norms(G)
             # rows that halt on cause 1 or 2, which keep their region state
             held = diverged | ~np.isfinite(gn)
             now = gn <= theta
@@ -184,7 +190,7 @@ def _descend(f, X, cfg, gamma, observe=None, theta=None):
                 out["closed"][rows[inside & ~now]] = True
                 inside = now
             if observe is not None:
-                observe(k, X, G, gn, inside, rows)
+                observe(k, X, G, gn, inside, rows, *((F,) if values else ()))
 
             if np.count_nonzero(inside):
                 S = np.where(inside[:, None], G + L, G)
@@ -212,8 +218,6 @@ def _descend(f, X, cfg, gamma, observe=None, theta=None):
 
             X = X_next
             k += 1
-            G = np.asarray(f.gradient(X), dtype=float)
-            gn = _norms(G)
             diverged = _norms(X - center) > cfg.escape_radius
 
 

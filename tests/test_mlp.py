@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from saddlereg import (
     NON_STRICT_OR_DEGENERATE,
@@ -14,6 +16,7 @@ from saddlereg import (
     run_plain_gd,
     unpack_params,
 )
+from saddlereg.mlp import _log_softmax
 
 from oracles import fd_gradient
 
@@ -254,3 +257,35 @@ def test_dead_unit_has_zero_hessian_rows():
     H = f.hessian(params)
     assert np.all(H[rows] == 0.0)
     assert np.any(H != 0.0)
+
+
+# one small network per output width: the column-wise class axis at 2 and 3
+# outputs, the reduce at 9
+_NETS = {k: mlp_objective(MlpSpec((2, 5, 4, k)), make_blobs(6, k, 2, 1.5, seed=k))
+         for k in (2, 3, 9)}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(k=st.sampled_from(sorted(_NETS)), rows=st.sampled_from([None, 1, 5]),
+       seed=st.integers(0, 2**32 - 1), scale=st.floats(0.05, 5.0))
+def test_value_and_gradient_equal_the_separate_evaluators(k, rows, seed, scale):
+    f = _NETS[k]
+    params = scale * np.random.default_rng(seed).standard_normal(
+        f.dim if rows is None else (rows, f.dim))
+    value, gradient = f.value_and_gradient(params)
+    assert np.shape(value) == np.shape(params)[:-1]
+    assert value.tobytes() == f.value(params).tobytes()
+    assert gradient.tobytes() == f.gradient(params).tobytes()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(2, 10), lead=st.sampled_from([(), (3,), (2, 3)]),
+       seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1e3))
+def test_log_softmax_keeps_the_bits_of_the_reduce_form(k, lead, seed, scale):
+    # the column-wise form must round exactly as max/sum(axis=-1) do, which
+    # pins its switch to the reduce at 8 classes: numpy's pairwise sum adds
+    # 8 terms at a time, so a column sum over 8 or more rounds differently
+    logits = scale * np.random.default_rng(seed).standard_normal(lead + (50, k))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    reduced = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    assert _log_softmax(logits).tobytes() == reduced.tobytes()

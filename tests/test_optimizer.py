@@ -392,6 +392,26 @@ def test_each_event_freezes_the_entry_gradient(case):
         assert np.linalg.norm(ev.l) <= cfg.theta
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=_recorded_runs())
+@example(case=_REENTRY)
+def test_each_event_descends_on_its_regularized_objective(case):
+    # the descent lemma (Nesterov 2004, Lemma 1.2.3): inside an event every
+    # step is a plain step on f + l^T x, whose Hessian is f's, so with gamma
+    # below 1 / L the step cannot raise f + l^T x where its segment stays in
+    # the box that L bounds the Hessian over; the slack is rounding only
+    f, x0, cfg = case
+    assert cfg.gamma < 1.0 / f.lipschitz_hint
+    rec = run_regularized_gd(f, x0, cfg)
+    lo, hi = np.asarray(f.domain_box, dtype=float).T
+    for ev in rec.events:
+        fl = make_regularized(f, ev.l)
+        end = rec.ks[-1] if ev.k_exit is None else ev.k_exit
+        for x, x_next in zip(rec.iterates[ev.k_entry:end], rec.iterates[ev.k_entry + 1:end + 1]):
+            if np.all((lo <= x) & (x <= hi) & (lo <= x_next) & (x_next <= hi)):
+                assert fl.value(x_next) <= fl.value(x) + 1e-12
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(case=_recorded_runs(), stride=st.integers(2, 40))
 @example(case=_REENTRY, stride=5)

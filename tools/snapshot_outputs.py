@@ -42,6 +42,9 @@ CLI_RUNS = {
     "bifurcate_monkey_line":
         "bifurcate --objective monkey_line --regularizer 0.3,-0.2 --regularizer 0,1",
     "mlp_compare_5": "mlp-compare --trials 5 --seed 0",
+    # output widths on both sides of the log-softmax's 8-class switch
+    "mlp_compare_widths_3": "mlp-compare --widths 2,8,8,3 --trials 3 --seed 1",
+    "mlp_compare_widths_9": "mlp-compare --widths 2,8,8,9 --trials 3 --seed 1",
     # one run per termination status, and the regularized stable-set batch
     "run_diverged": "run --objective cubic_valley --x0 -1,0.5 --gamma 0.15",
     "run_numerical_failure": "run --objective cubic_valley --x0 1.5,0.5 --gamma 1e308",
