@@ -3,7 +3,10 @@
 Subcommands: run, analyze, bifurcate, mlp-compare, stable-set, region.
 All outputs are machine-readable (JSON whose schemas the test suite checks,
 RFC-4180 CSV) and byte-identical for identical configs and seeds. Exit codes:
-0 success, 1 configuration error, 2 numerical failure.
+0 success, 1 configuration error, 2 numerical failure. `main` is the one error
+boundary: any input that the CLI or the library rejects (a ValueError) prints
+one `error:` line and exits 1, and each subcommand runs every computation that
+can fail before it writes anything, so a rejected input writes nothing.
 """
 
 import argparse
@@ -88,6 +91,10 @@ def _parse_vector(text, dim=None, name="vector"):
 
 
 def _parse_box(text, dim):
+    """The (dim, 2) box of a --box value; None (flag unset) means the objective's
+    domain box, which every library function takes for box=None."""
+    if not text:
+        return None
     vals = _parse_vector(text, name="box")
     if vals.size == 2:
         box = np.tile(vals, (dim, 1))
@@ -114,23 +121,13 @@ def _optimizer_config(args, **defaults):
     for dest, (field, _) in _CONFIG_FLAGS.items():
         if getattr(args, dest, None) is not None:
             defaults[field] = getattr(args, dest)
-    try:
-        return OptimizerConfig(**defaults)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return OptimizerConfig(**defaults)
 
 
-def _get_objective(args):
-    name = args.objective
+def _get_objective(name):
     if name is None:
         raise ConfigError("--objective is required")
-    try:
-        f = get_objective(name)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if getattr(args, "regularizer", None):
-        f = make_regularized(f, _parse_vector(args.regularizer, f.dim, "regularizer"))
-    return f
+    return get_objective(name)
 
 
 def _count(value, default, flag, minimum=1):
@@ -181,11 +178,11 @@ def _outdir(args):
 # subcommands
 
 def cmd_run(args):
-    f = _get_objective(args)
+    f = _get_objective(args.objective)
     if args.x0:
         x0 = _parse_vector(args.x0, f.dim, "x0")
     else:
-        # deterministic default: two-thirds of the way to the box's upper corner
+        # deterministic default: two-thirds of the way from the box's centre to its upper corner
         box = np.asarray(f.domain_box, dtype=float)
         x0 = box[:, 0] + (box[:, 1] - box[:, 0]) * 5.0 / 6.0
     cfg = _optimizer_config(args)
@@ -214,8 +211,10 @@ def cmd_run(args):
 
 
 def cmd_analyze(args):
-    f = _get_objective(args)
-    box = _parse_box(args.box, f.dim) if args.box else f.domain_box
+    f = _get_objective(args.objective)
+    if args.regularizer:
+        f = make_regularized(f, _parse_vector(args.regularizer, f.dim, "regularizer"))
+    box = _parse_box(args.box, f.dim)
     resolution = _count(args.resolution, 200, "--resolution")
     n_l = None if args.milnor is None else _count(args.milnor, None, "--milnor")
     seed = None if n_l is None else _count(args.seed, 0, "--seed", minimum=0)
@@ -224,14 +223,12 @@ def cmd_analyze(args):
     reports = find_critical_points(f, box)
     checks = region = None
     if args.theta is not None:
-        try:
-            checks = check_assumption_separation(
-                f, args.theta, box, resolution, points=[r.location for r in reports])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        checks = check_assumption_separation(
+            f, args.theta, box, resolution, points=[r.location for r in reports])
         if args.x0 is not None:
             seed_pt = _parse_vector(args.x0, f.dim, "x0")
-            region = _theta_region(f, seed_pt, args.theta, box, resolution)
+            region = theta_region(f, seed_pt, args.theta, box, resolution)
+    frac = None if n_l is None else milnor_sample(f, box, n_l=n_l, seed=seed)
     out = _outdir(args)
 
     write_json(out / "critical_points.json",
@@ -252,7 +249,6 @@ def cmd_analyze(args):
         print(f"  region: {int(region.inside.sum())} inside cells")
 
     if n_l is not None:
-        frac = milnor_sample(f, box, n_l=n_l, seed=seed)
         write_json(out / "milnor.json",
                    {"objective": f.name, "n_l": n_l, "l_scale": 1.0,
                     "fraction_degenerate": frac})
@@ -261,12 +257,8 @@ def cmd_analyze(args):
 
 
 def cmd_bifurcate(args):
-    name = args.objective if args.objective else "double_degenerate"
-    try:
-        f = get_objective(name)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    box = _parse_box(args.box, f.dim) if args.box else f.domain_box
+    f = get_objective(args.objective or "double_degenerate")
+    box = _parse_box(args.box, f.dim)
     if args.regularizer:
         ls = [_parse_vector(t, f.dim, "regularizer") for t in args.regularizer]
     elif f.dim == 1:
@@ -308,33 +300,25 @@ def cmd_bifurcate(args):
 
 
 def cmd_stable_set(args):
-    f = _get_objective(args)
+    f = _get_objective(args.objective)
     if args.x0 is None:
         raise ConfigError("--x0 (the target point) is required for stable-set")
     target = _parse_vector(args.x0, f.dim, "x0")
-    box = _parse_box(args.box, f.dim) if args.box else f.domain_box
+    box = _parse_box(args.box, f.dim)
     n_samples = _count(args.trials, 2000, "--trials")
     seed = _count(args.seed, 0, "--seed", minimum=0)
     if args.gamma is None:
         raise ConfigError("--gamma is required for stable-set")
     cfg = _optimizer_config(args)
     method = "regularized" if cfg.theta > 0 else "plain"
+    frac = stable_set_fraction(f, target, box, n_samples=n_samples, cfg=cfg, seed=seed)
     out = _outdir(args)
 
-    frac = stable_set_fraction(f, target, box, n_samples=n_samples, cfg=cfg, seed=seed)
     write_json(out / "stable_set.json",
                {"objective": f.name, "method": method, "fraction": frac,
                 "n_samples": n_samples, "target": target, "theta": cfg.theta})
     print(f"stable-set: fraction {frac:.4f} of {n_samples} samples ({method})")
     return 0
-
-
-def _theta_region(f, seed_pt, theta, box, resolution):
-    """theta_region with its input errors reported as configuration errors."""
-    try:
-        return theta_region(f, seed_pt, theta, box, resolution)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _save_region(f, region, seed_pt, out):
@@ -352,13 +336,13 @@ def _save_region(f, region, seed_pt, out):
 
 
 def cmd_region(args):
-    f = _get_objective(args)
+    f = _get_objective(args.objective)
     if args.x0 is None or args.theta is None:
         raise ConfigError("--x0 and --theta are required for region")
     seed_pt = _parse_vector(args.x0, f.dim, "x0")
-    box = _parse_box(args.box, f.dim) if args.box else f.domain_box
+    box = _parse_box(args.box, f.dim)
     resolution = _count(args.resolution, 200, "--resolution")
-    region = _theta_region(f, seed_pt, args.theta, box, resolution)
+    region = theta_region(f, seed_pt, args.theta, box, resolution)
     out = _outdir(args)
 
     _save_region(f, region, seed_pt, out)
@@ -384,13 +368,12 @@ def cmd_mlp_compare(args):
         data = make_blobs(n_samples // classes, classes, widths[0], separation, seed=seed)
     except ValueError as exc:
         raise ConfigError(f"--separation: {exc}") from exc
-    out = _outdir(args)
 
     f = mlp_objective(spec, data)
-
     child_seeds = np.random.SeedSequence(seed).spawn(trials)
     starts = np.array([init_params(spec, child) for child in child_seeds])
     res, finals, loss, gnorm, prefix_equal = _compare_trials(f, starts, cfg)
+    out = _outdir(args)
     for t in range(trials):
         _write_trial_csv(out / f"trial_{t:03d}.csv", loss, gnorm, res["k"], t, t + trials)
     triggered = res["entered"][trials:].tolist()
@@ -560,7 +543,7 @@ def main(argv=None):
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"--{dest.replace('_', '-')} must be finite, got {value}")
         return args.func(args)
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError, and every input the library rejects
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:

@@ -69,10 +69,10 @@ class RegionGrid:
         return bool(hit) if hit.ndim == 0 else hit
 
     def inside_cell_centers(self):
-        return self.box[:, 0] + (np.argwhere(self.inside) + 0.5) * self.cell_widths
+        return self.cell_center(np.argwhere(self.inside))
 
     def boundary_cell_centers(self):
-        return self.box[:, 0] + (np.argwhere(self.boundary) + 0.5) * self.cell_widths
+        return self.cell_center(np.argwhere(self.boundary))
 
     def save_csv(self, path):
         """Cell centers with inside/boundary flags, one row per grid cell."""

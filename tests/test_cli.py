@@ -366,6 +366,20 @@ def _one_line_error(capsys):
     return err
 
 
+@pytest.mark.parametrize("argv", [
+    ["stable-set", "--objective", "cubic_valley", "--x0", "0,0", "--gamma", "0.15",
+     "--trials", str(10**18)],
+    ["analyze", "--objective", "cubic_valley", "--milnor", str(10**18)],
+])
+def test_library_rejection_is_one_line_error_and_writes_nothing(tmp_path, capsys, argv):
+    # numpy rejects the (10**18, 2) sample array's size before allocating anything;
+    # no CLI check wraps that ValueError, so only main's boundary reports it
+    out = tmp_path / "none"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert "array is too big" in _one_line_error(capsys)
+    assert not out.exists()
+
+
 def test_config_file_value_of_wrong_type(tmp_path, capsys):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"objective": "cubic_cone", "x0": "1.5,0.5", "theta": "3"}))

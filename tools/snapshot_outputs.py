@@ -52,6 +52,19 @@ CLI_RUNS = {
     "run_converged": "run --objective quadratic_bowl --x0 2,1 --theta 0.5",
     "stable_set_regularized": "stable-set --objective cubic_valley --x0 0,0 --box -2,2 "
                               "--trials 2000 --gamma 0.15 --eps 1e-6 --max-iters 2000 --theta 0.5",
+    # explicit boxes, where the CLI's box and not the objective's domain box is searched
+    "analyze_box": "analyze --objective cubic_cone --box -2,2 --theta 3 --x0 0,0 "
+                   "--resolution 100",
+    "bifurcate_box": "bifurcate --box -1.5,0.5",
+    "region_box": "region --objective cubic_cone --x0 0,0 --theta 3 --box -2,2,-1,1 "
+                  "--resolution 100",
+    # inputs the CLI or the library rejects: one error line, exit 1, nothing written
+    "error_run_objective": "run --objective nope",
+    "error_run_gamma": "run --objective cubic_valley --x0 1,0 --gamma -0.5",
+    "error_region_seed": "region --objective cubic_cone --x0 5,5 --theta 100 --resolution 40",
+    "error_analyze_separation": "analyze --objective cubic_valley --theta 0 --resolution 40",
+    "error_mlp_compare_widths": "mlp-compare --widths 2,8,2",
+    "error_bifurcate_objective": "bifurcate --objective nope",
 }
 
 DEMOS = ["escape_nonstrict_saddle", "bifurcation_sweep", "stable_set_measurement",
