@@ -10,7 +10,6 @@ can fail before it writes anything, so a rejected input writes nothing.
 """
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
@@ -33,6 +32,10 @@ from .optimizer import (
 )
 from .region import check_assumption_separation, theta_region
 from .sampling import milnor_sample, stable_set_fraction
+
+
+# a trial keeps 32 KiB of per-step loss and gradient norm at 800 steps: 330 MB in all
+MLP_MAX_TRIALS = 10_000
 
 
 class ConfigError(ValueError):
@@ -130,11 +133,13 @@ def _get_objective(name):
     return get_objective(name)
 
 
-def _count(value, default, flag, minimum=1):
-    """A count flag's value (the default when unset); below `minimum` is a ConfigError."""
+def _count(value, default, flag, minimum=1, maximum=None):
+    """A count flag's value (the default when unset); outside [minimum, maximum] raises."""
     value = default if value is None else value
     if value < minimum:
         raise ConfigError(f"{flag} must be at least {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"{flag} must be at most {maximum}, got {value}")
     return value
 
 
@@ -357,7 +362,7 @@ def cmd_mlp_compare(args):
         spec = MlpSpec(tuple(widths))
     except ValueError as exc:
         raise ConfigError(f"--widths {args.widths!r}: {exc}") from exc
-    trials = _count(args.trials, 20, "--trials")
+    trials = _count(args.trials, 20, "--trials", maximum=MLP_MAX_TRIALS)
     seed = _count(args.seed, 0, "--seed", minimum=0)
     classes = widths[-1]
     n_samples = _count(args.samples, 100, "--samples", minimum=classes)
@@ -448,14 +453,13 @@ def _compare_trials(f, starts, cfg):
 def _write_trial_csv(path, loss, gnorm, ks, plain, reg):
     """One row per step: loss and gradient norm of the plain and the regularized row."""
     n = max(ks[plain], ks[reg]) + 1
-    columns = [range(n)]
+    columns = [map(str, range(n))]
     for i in (plain, reg):
         blank = [""] * (n - 1 - ks[i])
         columns += [[repr(v) for v in a[i, :ks[i] + 1].tolist()] + blank for a in (loss, gnorm)]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "loss_plain", "gnorm_plain", "loss_reg", "gnorm_reg"])
-        writer.writerows(zip(*columns))
+        fh.write("epoch,loss_plain,gnorm_plain,loss_reg,gnorm_reg\r\n")
+        fh.writelines(",".join(row) + "\r\n" for row in zip(*columns))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ run does. Plain and regularized iterates are bit-identical up to and
 including the first iterate inside the small-gradient region.
 """
 
-import csv
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -94,16 +93,15 @@ class TrajectoryRecord:
 
     def save_csv(self, path):
         dim = len(self.final_x)
+        header = ["k"] + [f"x{i}" for i in range(dim)] + ["grad_norm", "mode", "event_id"]
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k"] + [f"x{i}" for i in range(dim)] + ["grad_norm", "mode", "event_id"])
+            fh.write(",".join(header) + "\r\n")
             for k, x, gn, mode, eid in zip(
                 self.ks, self.iterates, self.grad_norms, self.modes, self.event_ids
             ):
-                writer.writerow(
-                    [k] + [repr(float(v)) for v in x]
-                    + [repr(float(gn)), mode, "" if eid is None else eid]
-                )
+                fields = [str(k), *(repr(float(v)) for v in x), repr(float(gn)), mode,
+                          "" if eid is None else str(eid)]
+                fh.write(",".join(fields) + "\r\n")
 
 
 def resolve_gamma(f, x0, cfg):
@@ -166,6 +164,7 @@ def _descend(f, X, cfg, gamma, observe=None, theta=None, *, values=False):
         "closed": np.zeros(m, dtype=bool),
     }
     rows = np.arange(m)
+    ones = np.ones(X.shape[1])
     L = np.zeros_like(X)
     inside = np.zeros(m, dtype=bool)
     diverged = np.zeros(m, dtype=bool)
@@ -199,7 +198,8 @@ def _descend(f, X, cfg, gamma, observe=None, theta=None, *, values=False):
                 S, converged = G, gn < cfg.eps_converge
             X_next = X - gamma * S
             at_max = k >= cfg.max_iters
-            halt = held | converged | at_max | ~np.isfinite(X_next).all(axis=1)
+            # x * 0.0 is NaN only where x is not finite, and a sum of zeros cannot overflow
+            halt = held | converged | at_max | ~np.isfinite((X_next * 0.0) @ ones)
             if np.count_nonzero(halt):
                 r = rows[halt]
                 out["final"][r] = X[halt]

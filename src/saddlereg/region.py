@@ -7,7 +7,6 @@ in-grid neighbor outside. Grids are limited to dimension <= 3; higher
 dimensions must test membership pointwise along trajectories instead.
 """
 
-import csv
 import itertools
 from dataclasses import dataclass
 
@@ -75,15 +74,20 @@ class RegionGrid:
         return self.cell_center(np.argwhere(self.boundary))
 
     def save_csv(self, path):
-        """Cell centers with inside/boundary flags, one row per grid cell."""
+        """Cell centers with inside/boundary flags, one row per cell, streamed by grid line."""
+        # coordinate i depends on index i alone; row k is cell_center((k,) * n)
+        centers = self.cell_center(np.arange(self.resolution)[:, None])
+        texts = [[repr(v) + "," for v in col] for col in centers.T.tolist()]
+        # a last-axis cell's text and flags, at (inside + 2 * boundary) * resolution + j
+        tails = [t + flags for flags in ("0,0\r\n", "1,0\r\n", "0,1\r\n", "1,1\r\n")
+                 for t in texts[-1]]
+        codes = (self.inside + 2 * self.boundary) * self.resolution + np.arange(self.resolution)
+        heads = map("".join, itertools.product(*texts[:-1]))  # one empty head in 1-D
+        header = [f"x{i}" for i in range(self.dim)] + ["inside", "boundary"]
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"x{i}" for i in range(self.dim)] + ["inside", "boundary"])
-            # coordinate i depends on index i alone; row k is cell_center((k,) * n)
-            centers = self.cell_center(np.arange(self.resolution)[:, None])
-            rows = itertools.product(*[[repr(v) for v in col] for col in centers.T.tolist()])
-            flags = zip(*(m.ravel().astype(int).tolist() for m in (self.inside, self.boundary)))
-            writer.writerows(map(tuple.__add__, rows, flags))
+            fh.write(",".join(header) + "\r\n")
+            fh.writelines(head + head.join(map(tails.__getitem__, row.tolist()))
+                          for head, row in zip(heads, codes.reshape(-1, self.resolution)))
 
 
 def _component(mask, cell):

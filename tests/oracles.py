@@ -2,9 +2,13 @@
 
 Central-difference gradients, Hessians and third directional derivatives of a
 scalar field, evaluated one point at a time, for the closed-form and
-backpropagated derivatives; and the descent algorithm for one start, written
-as a plain loop, for the lockstep engine. Nothing in the library uses them.
+backpropagated derivatives; the descent algorithm for one start, written
+as a plain loop, for the lockstep engine; and the region grid's CSV written
+through `csv.writer`, for the streamed writer. Nothing in the library uses them.
 """
+
+import csv
+import itertools
 
 import numpy as np
 
@@ -141,3 +145,15 @@ def descend_one(f, x0, cfg, gamma, theta):
                 return x, gn, k, STATUS_NUMERICAL_FAILURE, entered, closed
             x = x_next
             k += 1
+
+
+def region_csv(grid, path):
+    """A RegionGrid's CSV through `csv.writer`: one row tuple per cell, in np.ndindex order."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"x{i}" for i in range(grid.dim)] + ["inside", "boundary"])
+        # coordinate i depends on index i alone; row k is cell_center((k,) * n)
+        centers = grid.cell_center(np.arange(grid.resolution)[:, None])
+        rows = itertools.product(*[[repr(v) for v in col] for col in centers.T.tolist()])
+        flags = zip(*(m.ravel().astype(int).tolist() for m in (grid.inside, grid.boundary)))
+        writer.writerows(map(tuple.__add__, rows, flags))

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import saddlereg
-from saddlereg.cli import _compare_trials, main, write_json
+from saddlereg import cli
+from saddlereg.cli import MLP_MAX_TRIALS, _compare_trials, main, write_json
 
 
 def _read_json(path):
@@ -377,6 +378,18 @@ def test_library_rejection_is_one_line_error_and_writes_nothing(tmp_path, capsys
     out = tmp_path / "none"
     assert main(argv + ["--out", str(out)]) == 1
     assert "array is too big" in _one_line_error(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("trials", [MLP_MAX_TRIALS + 1, 10**8])
+def test_mlp_compare_trials_are_bounded_before_any_work(tmp_path, capsys, monkeypatch, trials):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the data set was built before --trials was checked")
+
+    monkeypatch.setattr(cli, "make_blobs", no_work)  # it runs before the seeds are spawned
+    out = tmp_path / "none"
+    assert main(["mlp-compare", "--trials", str(trials), "--out", str(out)]) == 1
+    assert f"--trials must be at most {MLP_MAX_TRIALS}" in _one_line_error(capsys)
     assert not out.exists()
 
 

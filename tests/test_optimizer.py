@@ -18,6 +18,7 @@ from saddlereg import (
     get_objective,
     init_params,
     make_blobs,
+    make_objective,
     make_regularized,
     mlp_objective,
     quadratic_bowl,
@@ -329,6 +330,18 @@ def test_halt_cause_ties(case, status, grad_norm):
     f, X0, cfg, gamma, theta = case
     out = _descend(f, X0, cfg, gamma, theta=theta)
     assert (out["status"][0], out["k"][0], out["grad_norm"][0]) == (status, 1, grad_norm)
+
+
+def test_only_a_step_with_a_non_finite_entry_halts_as_numerical_failure():
+    # the plane's gradient is finite everywhere, so only the step test (cause 5) sees the
+    # non-finite entries; (1e308, 1e308) steps to itself, a row whose plain sum overflows
+    plane = make_objective("plane", 2, lambda x: np.sum(x, axis=-1), np.ones_like,
+                           lambda x: np.zeros(np.shape(x) + (2,)))
+    bad = [np.where(np.arange(2) == c, v, 0.0) for c in range(2)
+           for v in (np.inf, -np.inf, np.nan)]
+    out = _descend(plane, bad + [[1e308, 1e308]], OptimizerConfig(), 1.0)
+    assert out["status"].tolist() == [STATUS_NUMERICAL_FAILURE] * 6 + [STATUS_DIVERGED]
+    assert out["k"].tolist() == [0] * 6 + [1]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -25,6 +25,8 @@ from saddlereg import (
 from saddlereg.linalg import _norms
 from saddlereg.region import RegionGrid, _component, _erode, _grad_norm_grid
 
+from oracles import region_csv
+
 
 def test_valley_region_shape():
     # ||grad f||^2 = x^4 + y^2, so the region at theta=1 is {x^4 + y^2 <= 1}
@@ -280,6 +282,27 @@ def test_save_csv_bytes_pinned(tmp_path, make_region, digest):
     path = tmp_path / "region.csv"
     make_region().save_csv(path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@st.composite
+def _grids(draw):
+    n, resolution = draw(st.integers(1, 3)), draw(st.integers(1, 40))
+    low = np.array(draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n)))
+    width = np.array(draw(st.lists(st.floats(1e-6, 1e6), min_size=n, max_size=n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # independent masks, so boundary cells outside inside (flags 0,1) occur too
+    inside = rng.random((resolution,) * n) < draw(st.floats(0, 1))
+    boundary = rng.random((resolution,) * n) < draw(st.floats(0, 1))
+    return RegionGrid(np.column_stack([low, low + width]), resolution, 1.0, inside, boundary, ())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(grid=_grids())
+def test_save_csv_matches_csv_writer(tmp_path_factory, grid):
+    out = tmp_path_factory.mktemp("region_csv")
+    grid.save_csv(out / "streamed.csv")
+    region_csv(grid, out / "oracle.csv")
+    assert (out / "streamed.csv").read_bytes() == (out / "oracle.csv").read_bytes()
 
 
 @pytest.mark.parametrize("resolution", [10, 300, 3000])

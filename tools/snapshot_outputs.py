@@ -58,6 +58,9 @@ CLI_RUNS = {
     "bifurcate_box": "bifurcate --box -1.5,0.5",
     "region_box": "region --objective cubic_cone --x0 0,0 --theta 3 --box -2,2,-1,1 "
                   "--resolution 100",
+    # the region writer's other grids: 1-D (one empty head) and the largest 2-D one
+    "region_1d": "region --objective double_degenerate --x0 1 --theta 0.1 --resolution 400",
+    "region_monkey_line": "region --objective monkey_line --x0 0,0 --theta 4.7 --resolution 600",
     # inputs the CLI or the library rejects: one error line, exit 1, nothing written
     "error_run_objective": "run --objective nope",
     "error_run_gamma": "run --objective cubic_valley --x0 1,0 --gamma -0.5",
