@@ -4,9 +4,10 @@ Subcommands: run, analyze, bifurcate, mlp-compare, stable-set, region.
 All outputs are machine-readable (JSON whose schemas the test suite checks,
 RFC-4180 CSV) and byte-identical for identical configs and seeds. Exit codes:
 0 success, 1 configuration error, 2 numerical failure. `main` is the one error
-boundary: any input that the CLI or the library rejects (a ValueError) prints
-one `error:` line and exits 1, and each subcommand runs every computation that
-can fail before it writes anything, so a rejected input writes nothing.
+boundary: any input that the CLI or the library rejects (a ValueError), or
+that does not fit in memory (a MemoryError), prints one `error:` line and exits
+1, and each subcommand runs every computation that can fail before it writes
+anything, so a rejected input writes nothing.
 """
 
 import argparse
@@ -549,6 +550,9 @@ def main(argv=None):
         return args.func(args)
     except ValueError as exc:  # ConfigError, and every input the library rejects
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # an input that passes every check but does not fit in memory
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 1
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -152,10 +152,10 @@ def _distinct_in_box(X, ok, box, dedup_radius):
     if box is not None:
         box, margin = np.asarray(box, dtype=float), 1e-9
         ok = ok & np.all((X >= box[:, 0] - margin) & (X <= box[:, 1] + margin), axis=1)
-    solutions = []
-    for x in X[ok]:
-        if all(np.linalg.norm(x - s) > dedup_radius for s in solutions):
-            solutions.append(x)
+    rest, solutions = X[ok], []
+    while len(rest):
+        solutions.append(rest[0])
+        rest = rest[1:][_norms(rest[1:] - rest[0]) > dedup_radius]
     solutions.sort(key=tuple)
     return np.reshape(solutions, (-1, X.shape[1]))
 

@@ -6,7 +6,8 @@ truth annotations of its critical points. Every Objective's evaluators accept
 a single point of shape (n,) or a batch of shape (..., n) natively: value,
 gradient and Hessian are closed-form array expressions over leading axes, and
 nothing loops over rows. `make_objective` checks that contract once, on a
-two-row probe.
+two-row probe. The planar entries are built by one builder, `_planar`, from
+their value, gradient and Hessian entries as expressions in the coordinates.
 """
 
 from dataclasses import dataclass, field
@@ -113,83 +114,49 @@ def _grid_lipschitz(hessian, box):
     return spectral_norm(hessian(_grid_seeds(box, 41 if box.shape[0] <= 2 else 5)))
 
 
-def _sym2(h11, h12, h22):
-    """Stack the entries (...) of symmetric 2x2 matrices into (..., 2, 2)."""
-    return np.stack([np.stack([h11, h12], axis=-1), np.stack([h12, h22], axis=-1)], axis=-2)
+def _planar(name, value, gradient, hessian):
+    """A 2-D Objective on [-3, 3]^2 from expressions in the coordinates (u, v): the value,
+    the two gradient entries and the Hessian entries (h11, h12, h22)."""
+
+    def value_fn(x):
+        x = np.asarray(x, dtype=float)
+        return value(x[..., 0], x[..., 1])
+
+    def gradient_fn(x):
+        x = np.asarray(x, dtype=float)
+        return np.stack(gradient(x[..., 0], x[..., 1]), axis=-1)
+
+    def hessian_fn(x):
+        x = np.asarray(x, dtype=float)
+        h11, h12, h22 = hessian(x[..., 0], x[..., 1])
+        return np.stack([np.stack([h11, h12], axis=-1), np.stack([h12, h22], axis=-1)], axis=-2)
+
+    box = [[-3.0, 3.0], [-3.0, 3.0]]
+    return make_objective(
+        name, 2, value_fn, gradient_fn, hessian_fn, box,
+        lipschitz_hint=_grid_lipschitz(hessian_fn, box),
+    )
 
 
 def cubic_valley():
     """f(x, y) = x^3/3 + y^2/2, a non-strict saddle at the origin."""
-
-    def value(x):
-        x = np.asarray(x, dtype=float)
-        u, v = x[..., 0], x[..., 1]
-        return u * u * u / 3.0 + v * v / 2.0
-
-    def gradient(x):
-        x = np.asarray(x, dtype=float)
-        u = x[..., 0]
-        return np.stack([u * u, x[..., 1]], axis=-1)
-
-    def hessian(x):
-        u = np.asarray(x, dtype=float)[..., 0]
-        return _sym2(2.0 * u, np.zeros_like(u), np.ones_like(u))
-
-    box = [[-3.0, 3.0], [-3.0, 3.0]]
-    return make_objective(
-        "cubic_valley", 2, value, gradient, hessian, box,
-        lipschitz_hint=_grid_lipschitz(hessian, box),
-    )
+    return _planar("cubic_valley", lambda u, v: u * u * u / 3.0 + v * v / 2.0,
+                   lambda u, v: (u * u, v),
+                   lambda u, v: (2.0 * u, np.zeros_like(u), np.ones_like(u)))
 
 
 def cubic_cone():
     """f(x, y) = x^3/3 + x y^2; df/dx = x^2 + y^2 >= 0 everywhere."""
-
-    def value(x):
-        x = np.asarray(x, dtype=float)
-        u, v = x[..., 0], x[..., 1]
-        return u * u * u / 3.0 + u * v * v
-
-    def gradient(x):
-        x = np.asarray(x, dtype=float)
-        u, v = x[..., 0], x[..., 1]
-        return np.stack([u * u + v * v, 2.0 * u * v], axis=-1)
-
-    def hessian(x):
-        x = np.asarray(x, dtype=float)
-        u, v = x[..., 0], x[..., 1]
-        return _sym2(2.0 * u, 2.0 * v, 2.0 * u)
-
-    box = [[-3.0, 3.0], [-3.0, 3.0]]
-    return make_objective(
-        "cubic_cone", 2, value, gradient, hessian, box,
-        lipschitz_hint=_grid_lipschitz(hessian, box),
-    )
+    return _planar("cubic_cone", lambda u, v: u * u * u / 3.0 + u * v * v,
+                   lambda u, v: (u * u + v * v, 2.0 * u * v),
+                   lambda u, v: (2.0 * u, 2.0 * v, 2.0 * u))
 
 
 def monkey_line():
     """f(x, y) = x y^3 / 3, critical along the whole line y = 0."""
-
-    def value(x):
-        x = np.asarray(x, dtype=float)
-        u, v = x[..., 0], x[..., 1]
-        return u * (v * v * v) / 3.0
-
-    def gradient(x):
-        x = np.asarray(x, dtype=float)
-        u, v = x[..., 0], x[..., 1]
-        return np.stack([v * v * v / 3.0, u * (v * v)], axis=-1)
-
-    def hessian(x):
-        x = np.asarray(x, dtype=float)
-        u, v = x[..., 0], x[..., 1]
-        return _sym2(np.zeros_like(u), v * v, 2.0 * u * v)
-
-    box = [[-3.0, 3.0], [-3.0, 3.0]]
-    return make_objective(
-        "monkey_line", 2, value, gradient, hessian, box,
-        lipschitz_hint=_grid_lipschitz(hessian, box),
-    )
+    return _planar("monkey_line", lambda u, v: u * (v * v * v) / 3.0,
+                   lambda u, v: (v * v * v / 3.0, u * (v * v)),
+                   lambda u, v: (np.zeros_like(u), v * v, 2.0 * u * v))
 
 
 def double_degenerate():

@@ -3,8 +3,10 @@
 Central-difference gradients, Hessians and third directional derivatives of a
 scalar field, evaluated one point at a time, for the closed-form and
 backpropagated derivatives; the descent algorithm for one start, written
-as a plain loop, for the lockstep engine; and the region grid's CSV written
-through `csv.writer`, for the streamed writer. Nothing in the library uses them.
+as a plain loop, for the lockstep engine; the region grid's CSV written
+through `csv.writer`, for the streamed writer; and the planar corpus entries'
+evaluators written out one closure each, for the builder that makes them from
+coordinate expressions. Nothing in the library uses them.
 """
 
 import csv
@@ -157,3 +159,76 @@ def region_csv(grid, path):
         rows = itertools.product(*[[repr(v) for v in col] for col in centers.T.tolist()])
         flags = zip(*(m.ravel().astype(int).tolist() for m in (grid.inside, grid.boundary)))
         writer.writerows(map(tuple.__add__, rows, flags))
+
+
+PLANAR_BOX = [[-3.0, 3.0], [-3.0, 3.0]]
+
+
+def _sym2(h11, h12, h22):
+    """Stack the entries (...) of symmetric 2x2 matrices into (..., 2, 2)."""
+    return np.stack([np.stack([h11, h12], axis=-1), np.stack([h12, h22], axis=-1)], axis=-2)
+
+
+def cubic_valley():
+    """(value, gradient, hessian) of f(x, y) = x^3/3 + y^2/2, on PLANAR_BOX."""
+
+    def value(x):
+        x = np.asarray(x, dtype=float)
+        u, v = x[..., 0], x[..., 1]
+        return u * u * u / 3.0 + v * v / 2.0
+
+    def gradient(x):
+        x = np.asarray(x, dtype=float)
+        u = x[..., 0]
+        return np.stack([u * u, x[..., 1]], axis=-1)
+
+    def hessian(x):
+        u = np.asarray(x, dtype=float)[..., 0]
+        return _sym2(2.0 * u, np.zeros_like(u), np.ones_like(u))
+
+    return value, gradient, hessian
+
+
+def cubic_cone():
+    """(value, gradient, hessian) of f(x, y) = x^3/3 + x y^2, on PLANAR_BOX."""
+
+    def value(x):
+        x = np.asarray(x, dtype=float)
+        u, v = x[..., 0], x[..., 1]
+        return u * u * u / 3.0 + u * v * v
+
+    def gradient(x):
+        x = np.asarray(x, dtype=float)
+        u, v = x[..., 0], x[..., 1]
+        return np.stack([u * u + v * v, 2.0 * u * v], axis=-1)
+
+    def hessian(x):
+        x = np.asarray(x, dtype=float)
+        u, v = x[..., 0], x[..., 1]
+        return _sym2(2.0 * u, 2.0 * v, 2.0 * u)
+
+    return value, gradient, hessian
+
+
+def monkey_line():
+    """(value, gradient, hessian) of f(x, y) = x y^3 / 3, on PLANAR_BOX."""
+
+    def value(x):
+        x = np.asarray(x, dtype=float)
+        u, v = x[..., 0], x[..., 1]
+        return u * (v * v * v) / 3.0
+
+    def gradient(x):
+        x = np.asarray(x, dtype=float)
+        u, v = x[..., 0], x[..., 1]
+        return np.stack([v * v * v / 3.0, u * (v * v)], axis=-1)
+
+    def hessian(x):
+        x = np.asarray(x, dtype=float)
+        u, v = x[..., 0], x[..., 1]
+        return _sym2(np.zeros_like(u), v * v, 2.0 * u * v)
+
+    return value, gradient, hessian
+
+
+PLANAR = {"cubic_valley": cubic_valley, "cubic_cone": cubic_cone, "monkey_line": monkey_line}

@@ -381,6 +381,30 @@ def test_library_rejection_is_one_line_error_and_writes_nothing(tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, call", [
+    (["run", "--objective", "cubic_valley", "--x0", "1,0"], "run_regularized_gd"),
+    (["analyze", "--objective", "cubic_valley"], "find_critical_points"),
+    (["bifurcate"], "find_critical_points"),
+    (["stable-set", "--objective", "cubic_valley", "--x0", "0,0", "--gamma", "0.15"],
+     "stable_set_fraction"),
+    (["region", "--objective", "cubic_cone", "--x0", "0,0", "--theta", "3"], "theta_region"),
+    (["mlp-compare", "--trials", "1", "--max-iters", "2"], "_descend"),
+])
+def test_memory_error_is_one_line_error_and_writes_nothing(tmp_path, capsys, monkeypatch,
+                                                           argv, call):
+    # an array that passes numpy's size check but does not fit in memory
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 2.98 GiB for an array with shape (200000000, 2)")
+
+    monkeypatch.setattr(cli, call, out_of_memory)
+    out = tmp_path / "none"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert _one_line_error(capsys) == (
+        "error: out of memory: Unable to allocate 2.98 GiB for an array with shape "
+        "(200000000, 2)\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("trials", [MLP_MAX_TRIALS + 1, 10**8])
 def test_mlp_compare_trials_are_bounded_before_any_work(tmp_path, capsys, monkeypatch, trials):
     def no_work(*args, **kwargs):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from saddlereg import (
     MlpSpec,
@@ -13,7 +16,9 @@ from saddlereg import (
     quadratic_bowl,
 )
 
-from oracles import fd_gradient, fd_hessian
+from saddlereg.objectives import _grid_lipschitz
+
+from oracles import PLANAR, PLANAR_BOX, fd_gradient, fd_hessian
 
 
 def _random_points(entry, n, seed):
@@ -189,3 +194,35 @@ def test_get_objective_unknown_name():
 def test_monkey_line_notes_mention_lookalike():
     entry = next(e for e in corpus() if e.objective.name == "monkey_line")
     assert "x*y^3/3" in entry.notes and "cubic_cone" in entry.notes
+
+
+# signed zeros, subnormals, the non-finite values and magnitudes up to 1e300
+_PLANAR_SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, np.inf, -np.inf, np.nan,
+                    1e300, -1e300, 1e154, -1e103, 3.0, -3.0]
+_planar_points = hnp.arrays(
+    np.float64,
+    st.one_of(st.just((2,)), st.tuples(st.integers(1, 6), st.just(2)),
+              st.tuples(st.integers(1, 3), st.integers(1, 3), st.just(2))),
+    elements=st.one_of(st.sampled_from(_PLANAR_SPECIALS), st.floats(-1e300, 1e300),
+                       st.floats(allow_nan=True, allow_infinity=True)),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(x=_planar_points)
+def test_planar_evaluators_match_reference_bit_for_bit(x):
+    with np.errstate(all="ignore"):
+        for name, reference in PLANAR.items():
+            f = get_objective(name)
+            for label, got, ref in zip(("value", "gradient", "hessian"),
+                                       (f.value(x), f.gradient(x), f.hessian(x)),
+                                       (fn(x) for fn in reference())):
+                assert type(got) is type(ref) and np.shape(got) == np.shape(ref), (name, label)
+                assert np.asarray(got).tobytes() == np.asarray(ref).tobytes(), (name, label, x)
+
+
+@pytest.mark.parametrize("name", sorted(PLANAR))
+def test_planar_box_and_lipschitz_hint_match_reference(name):
+    f = get_objective(name)
+    assert np.array_equal(f.domain_box, PLANAR_BOX)
+    assert f.lipschitz_hint == _grid_lipschitz(PLANAR[name]()[2], PLANAR_BOX)

@@ -52,6 +52,10 @@ CLI_RUNS = {
     "run_converged": "run --objective quadratic_bowl --x0 2,1 --theta 0.5",
     "stable_set_regularized": "stable-set --objective cubic_valley --x0 0,0 --box -2,2 "
                               "--trials 2000 --gamma 0.15 --eps 1e-6 --max-iters 2000 --theta 0.5",
+    # a descent through monkey_line (one event, then divergence) and stable-set on cubic_cone
+    "run_monkey_line": "run --objective monkey_line --x0 1,0.5 --theta 0.5",
+    "stable_set_cubic_cone": "stable-set --objective cubic_cone --x0 0,0 --gamma 0.1 "
+                             "--trials 500 --theta 3 --max-iters 500",
     # explicit boxes, where the CLI's box and not the objective's domain box is searched
     "analyze_box": "analyze --objective cubic_cone --box -2,2 --theta 3 --x0 0,0 "
                    "--resolution 100",
