@@ -4,14 +4,16 @@ Subcommands: run, analyze, bifurcate, mlp-compare, stable-set, region.
 All outputs are machine-readable (JSON whose schemas the test suite checks,
 RFC-4180 CSV) and byte-identical for identical configs and seeds. Exit codes:
 0 success, 1 configuration error, 2 numerical failure. `main` is the one error
-boundary: any input that the CLI or the library rejects (a ValueError), or
-that does not fit in memory (a MemoryError), prints one `error:` line and exits
-1, and each subcommand runs every computation that can fail before it writes
-anything, so a rejected input writes nothing.
+boundary: any input that the CLI or the library rejects (a ValueError), that
+does not fit in memory (a MemoryError), or an `--out` that cannot be written
+prints one `error:` line and exits 1. A subcommand returns its exit code,
+outputs and stdout lines, and `main` alone creates `--out` and writes them, so
+a rejected input writes nothing.
 """
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import re
@@ -174,14 +176,8 @@ def _apply_config_file(args, parser):
             setattr(args, dest, value)
 
 
-def _outdir(args):
-    out = Path(args.out if args.out else "out")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (exit code, {file name: JSON-able object or path writer}, stdout lines)
 
 def cmd_run(args):
     f = _get_objective(args.objective)
@@ -194,10 +190,6 @@ def cmd_run(args):
     cfg = _optimizer_config(args)
 
     rec = run_regularized_gd(f, x0, cfg)
-    out = _outdir(args)
-    write_json(out / "trajectory.json", rec)
-    rec.save_csv(out / "trajectory.csv")
-    write_json(out / "events.json", {"events": rec.events})
     summary = {
         "objective": f.name,
         "status": rec.status,
@@ -208,12 +200,13 @@ def cmd_run(args):
         "events": rec.events,
         "config": {**dataclasses.asdict(cfg), "x0": x0},
     }
-    write_json(out / "summary.json", summary)
-    print(f"run: {rec.status} after {rec.n_iters} iterations, "
-          f"final value {rec.final_value:.6g}, {len(rec.events)} event(s)")
-    for i, e in enumerate(rec.events):
-        print(f"  event {i}: entry k={e.k_entry}, exit k={e.k_exit}")
-    return 2 if rec.status == STATUS_NUMERICAL_FAILURE else 0
+    outputs = {"trajectory.json": rec, "trajectory.csv": rec.save_csv,
+               "events.json": {"events": rec.events}, "summary.json": summary}
+    lines = [f"run: {rec.status} after {rec.n_iters} iterations, "
+             f"final value {rec.final_value:.6g}, {len(rec.events)} event(s)"]
+    lines += [f"  event {i}: entry k={e.k_entry}, exit k={e.k_exit}"
+              for i, e in enumerate(rec.events)]
+    return 2 if rec.status == STATUS_NUMERICAL_FAILURE else 0, outputs, lines
 
 
 def cmd_analyze(args):
@@ -225,41 +218,31 @@ def cmd_analyze(args):
     n_l = None if args.milnor is None else _count(args.milnor, None, "--milnor")
     seed = None if n_l is None else _count(args.seed, 0, "--seed", minimum=0)
 
-    # every check that can fail runs before anything is written or printed
     reports = find_critical_points(f, box)
-    checks = region = None
+    outputs = {"critical_points.json": {"objective": f.name, "critical_points": reports}}
+    lines = [f"analyze: {len(reports)} critical point(s)"]
+    for r in reports:
+        loc = ", ".join(f"{v:.6g}" for v in r.location)
+        lines.append(f"  ({loc}): {r.classification}, eigenvalues "
+                     + ", ".join(f"{v:.6g}" for v in r.eigenvalues))
+
     if args.theta is not None:
         checks = check_assumption_separation(
             f, args.theta, box, resolution, points=[r.location for r in reports])
+        outputs["separation.json"] = {"objective": f.name, "theta": args.theta, "checks": checks}
+        lines.append(f"  separation check: {'pass' if all(c['pass'] for c in checks) else 'FAIL'}")
         if args.x0 is not None:
             seed_pt = _parse_vector(args.x0, f.dim, "x0")
             region = theta_region(f, seed_pt, args.theta, box, resolution)
-    frac = None if n_l is None else milnor_sample(f, box, n_l=n_l, seed=seed)
-    out = _outdir(args)
-
-    write_json(out / "critical_points.json",
-               {"objective": f.name, "critical_points": reports})
-    print(f"analyze: {len(reports)} critical point(s)")
-    for r in reports:
-        loc = ", ".join(f"{v:.6g}" for v in r.location)
-        print(f"  ({loc}): {r.classification}, eigenvalues "
-              + ", ".join(f"{v:.6g}" for v in r.eigenvalues))
-
-    if checks is not None:
-        write_json(out / "separation.json",
-                   {"objective": f.name, "theta": args.theta, "checks": checks})
-        print(f"  separation check: {'pass' if all(c['pass'] for c in checks) else 'FAIL'}")
-
-    if region is not None:
-        _save_region(f, region, seed_pt, out)
-        print(f"  region: {int(region.inside.sum())} inside cells")
+            outputs.update(_region_outputs(f, region, seed_pt))
+            lines.append(f"  region: {int(region.inside.sum())} inside cells")
 
     if n_l is not None:
-        write_json(out / "milnor.json",
-                   {"objective": f.name, "n_l": n_l, "l_scale": 1.0,
-                    "fraction_degenerate": frac})
-        print(f"  degenerate fraction over {n_l} draws: {frac:.6g}")
-    return 0
+        frac = milnor_sample(f, box, n_l=n_l, seed=seed)
+        outputs["milnor.json"] = {"objective": f.name, "n_l": n_l, "l_scale": 1.0,
+                                  "fraction_degenerate": frac}
+        lines.append(f"  degenerate fraction over {n_l} draws: {frac:.6g}")
+    return 0, outputs, lines
 
 
 def cmd_bifurcate(args):
@@ -272,7 +255,6 @@ def cmd_bifurcate(args):
     else:
         raise ConfigError("--regularizer is required for objectives of dimension > 1")
 
-    # the whole sweep runs before anything is written or printed
     sweeps = [(l, find_critical_points(make_regularized(f, l) if np.any(l) else f, box,
                                        grid_density=41 if f.dim == 1 else 12), []) for l in ls]
     # every branch of every sweep is traced in one lockstep call
@@ -293,16 +275,12 @@ def cmd_bifurcate(args):
                 "reached_mu0": bool(path.samples[-1][0] == 0.0),
                 "end_x": path.samples[-1][1],
             })
-    out = _outdir(args)
-
-    for l, reports, _ in sweeps:
-        print(f"l = {l.tolist()}: {len(reports)} critical point(s): "
-              + ", ".join(f"{r.classification}@{np.round(r.location, 4).tolist()}"
-                          for r in reports))
-    write_json(out / "bifurcation.json", {"objective": f.name, "sweeps": [
+    lines = [f"l = {l.tolist()}: {len(reports)} critical point(s): "
+             + ", ".join(f"{r.classification}@{np.round(r.location, 4).tolist()}"
+                         for r in reports) for l, reports, _ in sweeps]
+    return 0, {"bifurcation.json": {"objective": f.name, "sweeps": [
         {"l": l, "critical_points": reports, "continuations": conts}
-        for l, reports, conts in sweeps]})
-    return 0
+        for l, reports, conts in sweeps]}}, lines
 
 
 def cmd_stable_set(args):
@@ -318,27 +296,18 @@ def cmd_stable_set(args):
     cfg = _optimizer_config(args)
     method = "regularized" if cfg.theta > 0 else "plain"
     frac = stable_set_fraction(f, target, box, n_samples=n_samples, cfg=cfg, seed=seed)
-    out = _outdir(args)
-
-    write_json(out / "stable_set.json",
-               {"objective": f.name, "method": method, "fraction": frac,
-                "n_samples": n_samples, "target": target, "theta": cfg.theta})
-    print(f"stable-set: fraction {frac:.4f} of {n_samples} samples ({method})")
-    return 0
+    result = {"objective": f.name, "method": method, "fraction": frac,
+              "n_samples": n_samples, "target": target, "theta": cfg.theta}
+    return 0, {"stable_set.json": result}, [
+        f"stable-set: fraction {frac:.4f} of {n_samples} samples ({method})"]
 
 
-def _save_region(f, region, seed_pt, out):
-    """Write region.csv and region.json."""
-    region.save_csv(out / "region.csv")
-    write_json(out / "region.json", {
-        "objective": f.name,
-        "theta": region.theta,
-        "resolution": region.resolution,
-        "box": region.box,
-        "n_inside": int(region.inside.sum()),
-        "n_boundary": int(region.boundary.sum()),
-        "seed": seed_pt,
-    })
+def _region_outputs(f, region, seed_pt):
+    """The region.csv and region.json outputs."""
+    return {"region.csv": region.save_csv, "region.json": {
+        "objective": f.name, "theta": region.theta, "resolution": region.resolution,
+        "box": region.box, "n_inside": int(region.inside.sum()),
+        "n_boundary": int(region.boundary.sum()), "seed": seed_pt}}
 
 
 def cmd_region(args):
@@ -349,12 +318,9 @@ def cmd_region(args):
     box = _parse_box(args.box, f.dim)
     resolution = _count(args.resolution, 200, "--resolution")
     region = theta_region(f, seed_pt, args.theta, box, resolution)
-    out = _outdir(args)
-
-    _save_region(f, region, seed_pt, out)
-    print(f"region: {int(region.inside.sum())} inside cells, "
-          f"{int(region.boundary.sum())} boundary cells")
-    return 0
+    return 0, _region_outputs(f, region, seed_pt), [
+        f"region: {int(region.inside.sum())} inside cells, "
+        f"{int(region.boundary.sum())} boundary cells"]
 
 
 def cmd_mlp_compare(args):
@@ -379,9 +345,9 @@ def cmd_mlp_compare(args):
     child_seeds = np.random.SeedSequence(seed).spawn(trials)
     starts = np.array([init_params(spec, child) for child in child_seeds])
     res, finals, loss, gnorm, prefix_equal = _compare_trials(f, starts, cfg)
-    out = _outdir(args)
-    for t in range(trials):
-        _write_trial_csv(out / f"trial_{t:03d}.csv", loss, gnorm, res["k"], t, t + trials)
+    outputs = {f"trial_{t:03d}.csv": functools.partial(
+        _write_trial_csv, loss=loss, gnorm=gnorm, ks=res["k"], plain=t, reg=t + trials)
+        for t in range(trials)}
     triggered = res["entered"][trials:].tolist()
     finals_plain, finals_reg = finals[:trials].tolist(), finals[trials:].tolist()
 
@@ -405,14 +371,14 @@ def cmd_mlp_compare(args):
         "mean_final_reg_triggered":
             float(np.mean([finals_reg[i] for i in trig_idx])) if trig_idx else None,
     }
-    write_json(out / "mlp_summary.json", summary)
-    print(f"mlp-compare: {len(trig_idx)}/{trials} trials triggered, "
-          f"prefix equality {'holds' if all(prefix_equal) else 'VIOLATED'}")
+    outputs["mlp_summary.json"] = summary
+    lines = [f"mlp-compare: {len(trig_idx)}/{trials} trials triggered, "
+             f"prefix equality {'holds' if all(prefix_equal) else 'VIOLATED'}"]
     if trig_idx:
-        print(f"  mean final loss (triggered trials): plain "
-              f"{summary['mean_final_plain_triggered']:.6f}, "
-              f"regularized {summary['mean_final_reg_triggered']:.6f}")
-    return 0
+        lines.append(f"  mean final loss (triggered trials): plain "
+                     f"{summary['mean_final_plain_triggered']:.6f}, "
+                     f"regularized {summary['mean_final_reg_triggered']:.6f}")
+    return 0, outputs, lines
 
 
 def _compare_trials(f, starts, cfg):
@@ -547,7 +513,17 @@ def main(argv=None):
         for dest, value in vars(args).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"--{dest.replace('_', '-')} must be finite, got {value}")
-        return args.func(args)
+        code, outputs, lines = args.func(args)
+        out = Path(args.out or "out")
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            for name, output in outputs.items():
+                if callable(output):
+                    output(out / name)
+                else:
+                    write_json(out / name, output)
+        except OSError as exc:  # only the mkdir and the writes: --out is at fault
+            raise ConfigError(f"cannot write outputs: {exc}") from exc
     except ValueError as exc:  # ConfigError, and every input the library rejects
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -557,6 +533,8 @@ def main(argv=None):
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    print("\n".join(lines))
+    return code
 
 
 if __name__ == "__main__":

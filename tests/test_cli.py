@@ -14,6 +14,7 @@ import pytest
 import saddlereg
 from saddlereg import cli
 from saddlereg.cli import MLP_MAX_TRIALS, _compare_trials, main, write_json
+from saddlereg.linalg import NumericalError
 
 
 def _read_json(path):
@@ -403,6 +404,59 @@ def test_memory_error_is_one_line_error_and_writes_nothing(tmp_path, capsys, mon
         "error: out of memory: Unable to allocate 2.98 GiB for an array with shape "
         "(200000000, 2)\n")
     assert not out.exists()
+
+
+# every library call each subcommand makes, with flags under which all of them are reached
+LIBRARY_CALLS = [
+    (["run", "--objective", "cubic_valley", "--x0", "1,0"], ["run_regularized_gd"]),
+    (["analyze", "--objective", "cubic_cone", "--theta", "3", "--x0", "0,0", "--milnor", "5",
+      "--resolution", "40"],
+     ["find_critical_points", "check_assumption_separation", "theta_region", "milnor_sample"]),
+    (["bifurcate"], ["find_critical_points", "continuation_trace"]),
+    (["stable-set", "--objective", "cubic_valley", "--x0", "0,0", "--gamma", "0.15",
+      "--trials", "50"], ["stable_set_fraction"]),
+    (["region", "--objective", "cubic_cone", "--x0", "0,0", "--theta", "3",
+      "--resolution", "40"], ["theta_region"]),
+    (["mlp-compare", "--trials", "1", "--max-iters", "2"],
+     ["make_blobs", "mlp_objective", "init_params", "_descend"]),
+]
+
+
+@pytest.mark.parametrize("error, code", [
+    (ValueError("rejected"), 1), (MemoryError("too big"), 1), (NumericalError("singular"), 2)],
+    ids=["ValueError", "MemoryError", "NumericalError"])
+@pytest.mark.parametrize("argv, call", [
+    pytest.param(argv, call, id=f"{argv[0]}-{call}") for argv, calls in LIBRARY_CALLS
+    for call in calls])
+def test_failing_library_call_prints_nothing_and_writes_nothing(tmp_path, capsys, monkeypatch,
+                                                                argv, call, error, code):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, call, fail)
+    out = tmp_path / "none"
+    assert main(argv + ["--out", str(out)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and str(error) in captured.err, captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sub", [None, "sub"])
+def test_unwritable_out_is_one_line_error(tmp_path, capsys, sub):
+    # --out names an existing file (FileExistsError) or a directory below one
+    # (NotADirectoryError)
+    blocker = tmp_path / "F"
+    blocker.write_text("kept\n")
+    out = blocker / sub if sub else blocker
+    code = main(["region", "--objective", "cubic_cone", "--x0", "0,0", "--theta", "3",
+                 "--resolution", "20", "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write outputs: ") and \
+        captured.err.count("\n") == 1, captured.err
+    assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("trials", [MLP_MAX_TRIALS + 1, 10**8])

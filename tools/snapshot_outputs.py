@@ -72,6 +72,9 @@ CLI_RUNS = {
     "error_analyze_separation": "analyze --objective cubic_valley --theta 0 --resolution 40",
     "error_mlp_compare_widths": "mlp-compare --widths 2,8,2",
     "error_bifurcate_objective": "bifurcate --objective nope",
+    # an --out that cannot be created as a directory: one error line, exit 1, nothing written
+    "error_out_not_a_directory": "region --objective cubic_cone --x0 0,0 --theta 3 "
+                                 "--resolution 20 --out /dev/null",
 }
 
 DEMOS = ["escape_nonstrict_saddle", "bifurcation_sweep", "stable_set_measurement",
