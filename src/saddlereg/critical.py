@@ -85,9 +85,11 @@ def newton_root(f, x0, shift, tol=NEWTON_TOL, max_steps=50):
     """Damped Newton on f.gradient(x) + shift = 0 with Jacobian f.hessian(x), from one
     start (n,) or every row of a batch (m, n) in lockstep; `shift` is (n,) or (m, n).
 
-    After the first call both evaluators get only the rows still running. Each row's
-    damping starts at 1 and halves until its gradient norm decreases; no decrease at
-    damping 2^-10, a singular Newton system or a non-finite step ends the row.
+    After the first call both evaluators get only the rows still running. Each step
+    tries the full Newton step on every row, then the dampings 2^-1..2^-10 in one
+    stacked gradient call on the rows it did not improve; each row takes the largest
+    damping whose gradient norm decreases, the one halving from 1 would stop at. No
+    decrease at any damping, a singular Newton system or a non-finite step ends the row.
     Steps continue past `tol` until improvement stalls, polishing degenerate roots.
     Returns (x, converged), converged = gradient norm below tol or zero; per row for
     a batch, each row equal bit for bit to the single start from it.
@@ -112,17 +114,20 @@ def newton_root(f, x0, shift, tol=NEWTON_TOL, max_steps=50):
             ok = np.isfinite(D).all(axis=1)
             rows, D = rows[ok], D[ok]
             running[:] = False  # rows run on only when their damped step improves
-            lam = 1.0
-            while rows.size and lam >= 2.0 ** -10:
-                trial = X[rows] + lam * D
-                G_trial = np.asarray(f.gradient(trial), dtype=float) + S[rows]
+            # the full step, then 2^-1..2^-10 stacked for the rows it did not improve
+            for lam in (1.0, 2.0 ** -np.arange(1.0, 11.0)[:, None]):
+                if not rows.size:
+                    break
+                trial = X[rows, None] + lam * D[:, None]  # (rows, dampings, n)
+                G_trial = np.asarray(f.gradient(trial.reshape(-1, X.shape[1])), dtype=float)
+                G_trial = G_trial.reshape(trial.shape) + S[rows, None]
                 gn_trial = _norms(G_trial)
-                ok = gn_trial < gn[rows]  # False for NaN and inf, as gn[rows] is finite
-                done = rows[ok]
-                X[done], G[done], gn[done] = trial[ok], G_trial[ok], gn_trial[ok]
+                ok = gn_trial < gn[rows, None]  # False for NaN and inf, as gn[rows] is finite
+                hit, k = ok.any(axis=1), ok.argmax(axis=1)  # the largest improving damping
+                done, k = rows[hit], k[hit]
+                X[done], G[done], gn[done] = trial[hit, k], G_trial[hit, k], gn_trial[hit, k]
                 running[done] = True
-                rows, D = rows[~ok], D[~ok]
-                lam *= 0.5
+                rows, D = rows[~hit], D[~hit]
     converged = (gn < tol) | (gn == 0.0)
     return (X, converged) if np.ndim(x0) == 2 else (X[0], bool(converged[0]))
 

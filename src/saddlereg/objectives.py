@@ -124,12 +124,16 @@ def _planar(name, value, gradient, hessian):
 
     def gradient_fn(x):
         x = np.asarray(x, dtype=float)
-        return np.stack(gradient(x[..., 0], x[..., 1]), axis=-1)
+        g = np.empty(x.shape)
+        g[..., 0], g[..., 1] = gradient(x[..., 0], x[..., 1])
+        return g
 
     def hessian_fn(x):
         x = np.asarray(x, dtype=float)
-        h11, h12, h22 = hessian(x[..., 0], x[..., 1])
-        return np.stack([np.stack([h11, h12], axis=-1), np.stack([h12, h22], axis=-1)], axis=-2)
+        H = np.empty(x.shape + (2,))
+        H[..., 0, 0], H[..., 0, 1], H[..., 1, 1] = hessian(x[..., 0], x[..., 1])
+        H[..., 1, 0] = H[..., 0, 1]
+        return H
 
     box = [[-3.0, 3.0], [-3.0, 3.0]]
     return make_objective(
@@ -171,7 +175,7 @@ def double_degenerate():
         x = np.asarray(x, dtype=float)
         u = x[..., 0]
         t = u * u - 1.0
-        return np.stack([6.0 * u * (t * t)], axis=-1)
+        return (6.0 * u * (t * t))[..., None]
 
     def hessian(x):
         u = np.asarray(x, dtype=float)[..., 0:1, None]

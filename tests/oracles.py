@@ -3,10 +3,12 @@
 Central-difference gradients, Hessians and third directional derivatives of a
 scalar field, evaluated one point at a time, for the closed-form and
 backpropagated derivatives; the descent algorithm for one start, written
-as a plain loop, for the lockstep engine; the region grid's CSV written
-through `csv.writer`, for the streamed writer; and the planar corpus entries'
-evaluators written out one closure each, for the builder that makes them from
-coordinate expressions. Nothing in the library uses them.
+as a plain loop, for the lockstep engine; damped Newton halving its damping
+one gradient call at a time, for the stacked damping search; the region
+grid's CSV written through `csv.writer`, for the streamed writer; and the
+planar corpus entries' evaluators written out one closure each, for the
+builder that makes them from coordinate expressions. Nothing in the library
+uses them.
 """
 
 import csv
@@ -14,6 +16,7 @@ import itertools
 
 import numpy as np
 
+from saddlereg.critical import NEWTON_TOL
 from saddlereg.linalg import NumericalError, _norms, as_vector, symmetrize
 from saddlereg.optimizer import (
     STATUS_CONVERGED,
@@ -147,6 +150,42 @@ def descend_one(f, x0, cfg, gamma, theta):
                 return x, gn, k, STATUS_NUMERICAL_FAILURE, entered, closed
             x = x_next
             k += 1
+
+
+def newton_root_halving(f, x0, shift, tol=NEWTON_TOL, max_steps=50):
+    """Damped Newton on f.gradient(x) + shift = 0 from a batch of starts (m, n), each
+    step's damping starting at 1 and halving, one gradient call per damping, until a
+    row's gradient norm decreases; no decrease at 2^-10 ends the row. Arithmetic is
+    the library's, so (x, converged) must agree bit for bit."""
+    X = np.array(x0, dtype=float)
+    S = np.broadcast_to(np.asarray(shift, dtype=float), X.shape)
+    with np.errstate(all="ignore"):
+        G = np.asarray(f.gradient(X), dtype=float) + S
+        gn = _norms(G)
+        running = np.isfinite(gn)
+        for _ in range(max_steps):
+            rows = (running & (gn != 0.0)).nonzero()[0]
+            if not rows.size:
+                break
+            H = np.asarray(f.hessian(X[rows]), dtype=float)
+            ok = np.linalg.slogdet(H)[0] != 0.0
+            D = np.full((rows.size, X.shape[1]), np.nan)
+            D[ok] = np.linalg.solve(H[ok], -G[rows[ok], :, np.newaxis])[..., 0]
+            ok = np.isfinite(D).all(axis=1)
+            rows, D = rows[ok], D[ok]
+            running[:] = False
+            lam = 1.0
+            while rows.size and lam >= 2.0 ** -10:
+                trial = X[rows] + lam * D
+                G_trial = np.asarray(f.gradient(trial), dtype=float) + S[rows]
+                gn_trial = _norms(G_trial)
+                ok = gn_trial < gn[rows]
+                done = rows[ok]
+                X[done], G[done], gn[done] = trial[ok], G_trial[ok], gn_trial[ok]
+                running[done] = True
+                rows, D = rows[~ok], D[~ok]
+                lam *= 0.5
+    return X, (gn < tol) | (gn == 0.0)
 
 
 def region_csv(grid, path):

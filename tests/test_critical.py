@@ -30,6 +30,8 @@ from saddlereg.critical import (
     solve_gradient_equation,
 )
 
+from oracles import newton_root_halving
+
 
 def test_classify_eigenvalues_cases():
     assert classify_eigenvalues([1.0, 2.0]) == (STRATUM_POSITIVE, LOCAL_MIN)
@@ -265,6 +267,69 @@ def test_newton_batch_rows_equal_single_starts(case):
         x, ok_i = newton_root(f, x0, L[i])
         assert X[i].tobytes() == x.tobytes()
         assert ok[i] == ok_i
+
+
+# the damping paths of one Newton step, each beside or instead of the full step
+_DAMPING_EXAMPLES = [
+    # an exactly singular Hessian (u = 0 on cubic_valley) beside a regular row
+    (_VALLEY, np.array([[0.0, 0.5], [1.0, 1.0]]), np.zeros((2, 2))),
+    # converges to (2^-1/2, 1/2) and polishes until no damping improves the last step
+    (_VALLEY, np.array([[0.5, 0.5]]), np.full((1, 2), -0.5)),
+    # from 0.02 the first step improves at damping 2^-10 alone
+    (_NO_ROOT, np.array([[0.02]]), np.zeros((1, 1))),
+    # full steps, a small damping and a stall in one batch
+    (_NO_ROOT, np.array([[3.0], [0.02], [0.5], [-1.0]]), np.zeros((4, 1))),
+]
+
+
+def _damping_examples(test):
+    for case in _DAMPING_EXAMPLES:
+        test = example(case=case)(test)
+    return test
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=_newton_cases())
+@_damping_examples
+def test_newton_root_equals_halving_oracle(case):
+    # each row takes the largest improving damping, so it ends where halving from 1,
+    # one gradient call per damping, leaves it
+    f, X0, L = case
+    X, ok = newton_root(f, X0, L)
+    X_ref, ok_ref = newton_root_halving(f, X0, L)
+    assert X.tobytes() == X_ref.tobytes()
+    assert ok.tobytes() == ok_ref.tobytes()
+
+
+def _logged(f):
+    """f with its gradient and Hessian logging ("g" or "h", rows) for every call."""
+    log, g = [], dataclasses.replace(f)
+    g.gradient = lambda x: log.append(("g", len(x))) or f.gradient(x)
+    g.hessian = lambda x: log.append(("h", len(x))) or f.hessian(x)
+    return g, log
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(case=_newton_cases())
+@_damping_examples
+def test_newton_root_tries_dampings_in_two_calls(case):
+    # after each Hessian call: the full step for every row, then ten dampings for each
+    # row it did not improve, the rows that halving takes on to its damping 1/2
+    f, X0, L = case
+    g, log = _logged(f)
+    newton_root(g, X0, L)
+    g_ref, log_ref = _logged(f)
+    newton_root_halving(g_ref, X0, L)
+    expected = []
+    for i, (kind, rows) in enumerate(log_ref):
+        before = [k for k, _ in log_ref[max(i - 2, 0):i]]
+        if kind == "h" or before[-1:] in ([], ["h"]):
+            expected.append((kind, rows))
+        elif before == ["h", "g"]:
+            expected.append((kind, 10 * rows))
+    assert log == expected
+    hessian_calls = sum(kind == "h" for kind, _ in log)
+    assert len(log) - hessian_calls <= 1 + 2 * hessian_calls
 
 
 def test_newton_root_rejects_non_finite_start():
