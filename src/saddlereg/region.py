@@ -5,6 +5,8 @@ component through a seed point is discretized on a regular grid by flood
 fill (2n-connectivity). Boundary cells are inside cells with at least one
 in-grid neighbor outside. Grids are limited to dimension <= 3; higher
 dimensions must test membership pointwise along trajectories instead.
+A grid is built in slabs of at most GRID_BLOCK_CELLS cells, holds fewer than 2**31
+cells (the fill's run labels are int32), and a region build peaks near 14 bytes a cell.
 """
 
 import itertools
@@ -20,6 +22,7 @@ ENTER = "enter"
 TANGENT = "tangent"
 # |s| at or below FLOW_TOL counts as tangent in the boundary flow sign test
 FLOW_TOL = 1e-9
+GRID_BLOCK_CELLS = 8192  # cells per gradient call of a grid: a peak-memory bound, not speed
 
 
 @dataclass
@@ -81,7 +84,10 @@ class RegionGrid:
         # a last-axis cell's text and flags, at (inside + 2 * boundary) * resolution + j
         tails = [t + flags for flags in ("0,0\r\n", "1,0\r\n", "0,1\r\n", "1,1\r\n")
                  for t in texts[-1]]
-        codes = (self.inside + 2 * self.boundary) * self.resolution + np.arange(self.resolution)
+        codes = np.add(self.inside, self.boundary, dtype=np.intp)  # built in place
+        codes += self.boundary
+        codes *= self.resolution
+        codes += np.arange(self.resolution)
         heads = map("".join, itertools.product(*texts[:-1]))  # one empty head in 1-D
         header = [f"x{i}" for i in range(self.dim)] + ["inside", "boundary"]
         with open(path, "w", newline="") as fh:
@@ -99,7 +105,8 @@ def _component(mask, cell):
     runs = []  # per axis: the cells of one run share an id > 0, off-mask cells 0
     for axis in range(mask.ndim):
         m = np.moveaxis(mask, axis, -1)
-        ids = np.cumsum(m & np.diff(m, axis=-1, prepend=False)).reshape(m.shape) * m
+        ids = np.cumsum(m & np.diff(m, axis=-1, prepend=False), dtype=np.int32).reshape(m.shape)
+        ids *= m
         runs.append((np.moveaxis(ids, -1, axis), int(ids.max()) + 1))
     comp = np.zeros_like(mask)
     comp[cell] = True
@@ -122,13 +129,22 @@ def _erode(mask):
 
 def _grad_norm_grid(f, box, resolution):
     """||grad f|| at every cell center, with the arithmetic of `RegionGrid.cell_center`
-    and of the descent engine's region test."""
+    and of the descent engine's region test, filled slab by slab: each gradient call takes
+    whole first-axis lines, at most GRID_BLOCK_CELLS cells and at least one line. A grid of
+    2**31 cells or more is rejected before any allocation: `_component` labels runs in int32.
+    """
     if resolution < 1:
         raise ValueError("resolution must be at least 1")
+    if resolution ** len(box) >= 2 ** 31:
+        raise ValueError(f"a grid must have fewer than 2**31 cells, got {resolution}^{len(box)}")
     widths = (box[:, 1] - box[:, 0]) / resolution
     axes = [lo + (np.arange(resolution) + 0.5) * w for lo, w in zip(box[:, 0], widths)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return _norms(np.asarray(f.gradient(np.stack(mesh, axis=-1)), dtype=float))
+    gn = np.empty((resolution,) * len(box))
+    step = max(1, GRID_BLOCK_CELLS // resolution ** (len(box) - 1))  # lines per call
+    for i in range(0, resolution, step):
+        mesh = np.meshgrid(axes[0][i:i + step], *axes[1:], indexing="ij")
+        gn[i:i + step] = _norms(np.asarray(f.gradient(np.stack(mesh, axis=-1)), dtype=float))
+    return gn
 
 
 def theta_region(f, seed, theta, box=None, resolution=200):
@@ -138,7 +154,8 @@ def theta_region(f, seed, theta, box=None, resolution=200):
     center outside the region (refine `resolution` in the last case).
     """
     box = _grid_box(f, box)
-    return _fill(f, as_vector(seed), theta, box, resolution, _grad_norm_grid(f, box, resolution))
+    return _fill(f, as_vector(seed), theta, box, resolution,
+                 _grad_norm_grid(f, box, resolution) <= theta)
 
 
 def _grid_box(f, box):
@@ -148,20 +165,13 @@ def _grid_box(f, box):
     return box
 
 
-def _fill(f, seed, theta, box, resolution, gn):
-    """theta_region's component through `seed`, from the grid's gradient norms `gn`."""
+def _fill(f, seed, theta, box, resolution, mask):
+    """theta_region's component through `seed`, from the grid's mask `gn <= theta` alone,
+    so the float grid is freed before the flood fill."""
     if _norms(np.asarray(f.gradient(seed), dtype=float)) > theta:
         raise ValueError("seed lies outside the small-gradient region")
-    mask = gn <= theta
 
-    grid = RegionGrid(
-        box=box,
-        resolution=resolution,
-        theta=float(theta),
-        inside=np.zeros_like(mask),
-        boundary=np.zeros_like(mask),
-        seed_cell=(),
-    )
+    grid = RegionGrid(box, resolution, float(theta), inside=None, boundary=None, seed_cell=())
     seed_cell = grid.cell_index(seed)
     if seed_cell is None:
         raise ValueError(f"seed {seed.tolist()} lies outside the box {box.tolist()}")
@@ -244,11 +254,11 @@ def check_assumption_separation(f, theta, box=None, resolution=200, points=None,
         points = [r.location for r in find_critical_points(f, box, grid_density)]
     points = [as_vector(p) for p in points]
     gn = _grad_norm_grid(f, box, resolution)  # one grid serves every region and phi
-    regions = [_fill(f, p, theta, box, resolution, gn) for p in points]
-
     # near-critical connectivity at the grid resolution stands in for connected
     # critical subsets (e.g. a whole critical line)
-    phi_mask = gn <= 1e-8
+    mask, phi_mask = gn <= theta, gn <= 1e-8
+    del gn  # freed before the flood fills
+    regions = [_fill(f, p, theta, box, resolution, mask) for p in points]
     for region in regions:  # every region shares the grid; its seed cell is its point's
         phi_mask[region.seed_cell] = True
 

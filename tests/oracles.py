@@ -5,10 +5,11 @@ scalar field, evaluated one point at a time, for the closed-form and
 backpropagated derivatives; the descent algorithm for one start, written
 as a plain loop, for the lockstep engine; damped Newton halving its damping
 one gradient call at a time, for the stacked damping search; the region
-grid's CSV written through `csv.writer`, for the streamed writer; and the
-planar corpus entries' evaluators written out one closure each, for the
-builder that makes them from coordinate expressions. Nothing in the library
-uses them.
+grid's gradient norms from one gradient call on the whole mesh, for the grid
+built slab by slab; the region grid's CSV written through `csv.writer`, for
+the streamed writer; and the planar corpus entries' evaluators written out
+one closure each, for the builder that makes them from coordinate
+expressions. Nothing in the library uses them.
 """
 
 import csv
@@ -186,6 +187,14 @@ def newton_root_halving(f, x0, shift, tol=NEWTON_TOL, max_steps=50):
                 rows, D = rows[~ok], D[~ok]
                 lam *= 0.5
     return X, (gn < tol) | (gn == 0.0)
+
+
+def grad_norm_grid(f, box, resolution):
+    """||grad f|| at every cell center of a region grid, from one (cells, n) mesh."""
+    widths = (box[:, 1] - box[:, 0]) / resolution
+    axes = [lo + (np.arange(resolution) + 0.5) * w for lo, w in zip(box[:, 0], widths)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return _norms(np.asarray(f.gradient(np.stack(mesh, axis=-1)), dtype=float))
 
 
 def region_csv(grid, path):

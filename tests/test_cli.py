@@ -329,6 +329,26 @@ def test_mlp_compare_keeps_no_iterates(tmp_path):
     assert peak < 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
+_REGION_600 = ["region", "--objective", "cubic_cone", "--x0", "0,0", "--theta", "3",
+               "--resolution", "600"]
+
+
+@pytest.mark.parametrize("build", [
+    lambda out: saddlereg.theta_region(saddlereg.get_objective("cubic_cone"), [0.0, 0.0], 3.0,
+                                       resolution=600),
+    lambda out: main(_REGION_600 + ["--out", str(out)]),
+], ids=["theta_region", "region"])
+def test_region_peak_memory_per_cell(tmp_path, build):
+    # a one-shot (cells, 2) mesh with its float and int64 temporaries took 64 bytes a cell
+    tracemalloc.start()
+    try:
+        build(tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 600 ** 2, f"peak {peak / 600 ** 2:.1f} bytes per cell"
+
+
 def test_outputs_are_deterministic(tmp_path):
     args = ["run", "--objective", "cubic_cone", "--x0", "1.5,0.5", "--theta", "3"]
     out1, out2 = tmp_path / "d1", tmp_path / "d2"
@@ -494,6 +514,19 @@ def test_zero_resolution_is_config_error(tmp_path, capsys, command):
         code = main(command + ["--resolution", "0", "--out", str(tmp_path / "o")])
     assert code == 1
     assert "resolution must be at least 1" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("command", [
+    ["region", "--objective", "cubic_cone", "--x0", "0,0", "--theta", "3"],
+    ["analyze", "--objective", "cubic_cone", "--x0", "0,0", "--theta", "3"],
+])
+def test_grid_of_2_31_cells_is_config_error(tmp_path, capsys, command):
+    # 46341^2 >= 2**31 cells, more than the flood fill's int32 run labels can number
+    out = tmp_path / "none"
+    assert main(command + ["--resolution", "46341", "--out", str(out)]) == 1
+    assert _one_line_error(capsys) == (
+        "error: a grid must have fewer than 2**31 cells, got 46341^2\n")
+    assert not out.exists()
 
 
 _CONE_RUN = ["run", "--objective", "cubic_cone", "--x0", "1.5,0.5"]

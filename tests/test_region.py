@@ -1,10 +1,11 @@
 import csv
 import dataclasses
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import ndimage
@@ -22,10 +23,11 @@ from saddlereg import (
     quadratic_bowl,
     theta_region,
 )
+import saddlereg.region as region_module
 from saddlereg.linalg import _norms
-from saddlereg.region import RegionGrid, _component, _erode, _grad_norm_grid
+from saddlereg.region import GRID_BLOCK_CELLS, RegionGrid, _component, _erode, _grad_norm_grid
 
-from oracles import region_csv
+from oracles import grad_norm_grid, region_csv
 
 
 def test_valley_region_shape():
@@ -402,6 +404,71 @@ def test_winding_monkey_region_matches_ndimage():
     assert 0 < expected.sum() < expected.size
     np.testing.assert_array_equal(region.inside, expected)
     np.testing.assert_array_equal(region.boundary, expected & ~_scipy_erosion(expected))
+
+
+_GRID_OBJECTIVES = [get_objective(name) for name in _REGION_OBJECTIVES] + [quadratic_bowl(dim=3)]
+
+
+@st.composite
+def _slab_cases(draw):
+    # blocks of as many first-axis lines as the grid has plus one, as it has, minus
+    # one, any count (a ragged last slab when it does not divide), or less than a line
+    f = draw(st.sampled_from(_GRID_OBJECTIVES))
+    low = np.array(draw(st.lists(st.floats(-3, 3), min_size=f.dim, max_size=f.dim)))
+    width = np.array(draw(st.lists(st.floats(0.01, 4), min_size=f.dim, max_size=f.dim)))
+    resolution = draw(st.integers(1, 9))
+    line = resolution ** (f.dim - 1)
+    lines = draw(st.sampled_from([resolution + 1, resolution, resolution - 1, 0])
+                 | st.integers(1, resolution))
+    block = max(1, lines * line + draw(st.integers(0, line - 1)))
+    return f, np.column_stack([low, low + width]), resolution, block
+
+
+def _real_block(f, resolution):
+    return f, f.domain_box, resolution, GRID_BLOCK_CELLS
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=_slab_cases())
+# GRID_BLOCK_CELLS itself: 1-D grids of one cell, one line fewer than a block, one
+# block, one line more and a ragged third slab; 2-D grids one line short of a block,
+# one line over and ragged; 3-D grids of exactly one block and ragged
+@example(case=_real_block(get_objective("double_degenerate"), 1))
+@example(case=_real_block(get_objective("double_degenerate"), GRID_BLOCK_CELLS - 1))
+@example(case=_real_block(get_objective("double_degenerate"), GRID_BLOCK_CELLS))
+@example(case=_real_block(get_objective("double_degenerate"), GRID_BLOCK_CELLS + 1))
+@example(case=_real_block(get_objective("double_degenerate"), 20001))
+@example(case=_real_block(get_objective("cubic_cone"), 90))
+@example(case=_real_block(get_objective("monkey_line"), 91))
+@example(case=_real_block(get_objective("cubic_valley"), 300))
+@example(case=_real_block(quadratic_bowl(dim=3), 20))
+@example(case=_real_block(quadratic_bowl(dim=3), 21))
+def test_grad_norm_grid_in_slabs_equals_one_shot_grid(case):
+    f, box, resolution, block = case
+    g, shapes = dataclasses.replace(f), []
+    g.gradient = lambda x, _g=f.gradient: shapes.append(np.shape(x)) or _g(x)
+    with mock.patch.object(region_module, "GRID_BLOCK_CELLS", block):
+        grid = _grad_norm_grid(g, box, resolution)
+    expected = grad_norm_grid(f, box, resolution)
+    assert grid.shape == expected.shape and grid.tobytes() == expected.tobytes()
+    # each call takes whole first-axis lines, as many as fit in a block but at least one
+    assert all(s[1:] == (resolution,) * (f.dim - 1) + (f.dim,) for s in shapes)
+    lines = [s[0] for s in shapes]
+    step = max(1, block // resolution ** (f.dim - 1))
+    assert sum(lines) == resolution and set(lines[:-1]) <= {step} and lines[-1] <= step
+
+
+@pytest.mark.parametrize("f, resolution", [
+    (get_objective("double_degenerate"), 2 ** 31),
+    (get_objective("cubic_cone"), 46341),  # 46340^2 < 2**31 <= 46341^2
+    (quadratic_bowl(dim=3), 1291),  # 1290^3 < 2**31 <= 1291^3
+])
+def test_grid_of_2_31_cells_rejected(f, resolution):
+    # the flood fill labels runs in int32
+    with pytest.raises(ValueError, match=r"fewer than 2\*\*31 cells"):
+        theta_region(f, np.zeros(f.dim), 1.0, resolution=resolution)
+    with pytest.raises(ValueError, match=r"fewer than 2\*\*31 cells"):
+        check_assumption_separation(f, 1.0, resolution=resolution, points=[np.zeros(f.dim)])
 
 
 def _counting_gradient(f):

@@ -65,6 +65,12 @@ CLI_RUNS = {
     # the region writer's other grids: 1-D (one empty head) and the largest 2-D one
     "region_1d": "region --objective double_degenerate --x0 1 --theta 0.1 --resolution 400",
     "region_monkey_line": "region --objective monkey_line --x0 0,0 --theta 4.7 --resolution 600",
+    # 1-D grids of two full gradient blocks and a ragged third; the separation check's
+    # three critical points share one mask
+    "region_1d_blocks": "region --objective double_degenerate --x0 1 --theta 0.1 "
+                        "--resolution 20001",
+    "analyze_separation_1d_blocks": "analyze --objective double_degenerate --theta 0.5 --x0 0 "
+                                    "--resolution 20001",
     # inputs the CLI or the library rejects: one error line, exit 1, nothing written
     "error_run_objective": "run --objective nope",
     "error_run_gamma": "run --objective cubic_valley --x0 1,0 --gamma -0.5",
