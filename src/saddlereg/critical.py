@@ -86,10 +86,12 @@ def newton_root(f, x0, shift, tol=NEWTON_TOL, max_steps=50):
     start (n,) or every row of a batch (m, n) in lockstep; `shift` is (n,) or (m, n).
 
     After the first call both evaluators get only the rows still running. Each step
-    tries the full Newton step on every row, then the dampings 2^-1..2^-10 in one
-    stacked gradient call on the rows it did not improve; each row takes the largest
-    damping whose gradient norm decreases, the one halving from 1 would stop at. No
-    decrease at any damping, a singular Newton system or a non-finite step ends the row.
+    factors each Hessian once, in one `solve` of the stack; only a stack that `solve`
+    rejects is screened row by row with `slogdet`. It tries the full Newton step on every
+    row, then the dampings 2^-1..2^-10 in one stacked gradient call on the rows it did not
+    improve; each row takes the largest damping whose gradient norm decreases, the one
+    halving from 1 would stop at. No decrease at any damping, a singular Newton system or
+    a non-finite step ends the row.
     Steps continue past `tol` until improvement stalls, polishing degenerate roots.
     Returns (x, converged), converged = gradient norm below tol or zero; per row for
     a batch, each row equal bit for bit to the single start from it.
@@ -107,27 +109,36 @@ def newton_root(f, x0, shift, tol=NEWTON_TOL, max_steps=50):
             if not rows.size:
                 break
             H = np.asarray(f.hessian(X[rows]), dtype=float)
-            # slogdet's LU is solve's: a zero sign marks the systems solve rejects
-            ok = np.linalg.slogdet(H)[0] != 0.0
-            D = np.full((rows.size, X.shape[1]), np.nan)
-            D[ok] = np.linalg.solve(H[ok], -G[rows[ok], :, np.newaxis])[..., 0]
+            try:
+                D = np.linalg.solve(H, -G[rows, :, np.newaxis])[..., 0]
+            except np.linalg.LinAlgError:
+                # slogdet's LU is solve's: a zero sign marks the systems solve rejects
+                ok = np.linalg.slogdet(H)[0] != 0.0
+                D = np.full((rows.size, X.shape[1]), np.nan)
+                D[ok] = np.linalg.solve(H[ok], -G[rows[ok], :, np.newaxis])[..., 0]
             ok = np.isfinite(D).all(axis=1)
             rows, D = rows[ok], D[ok]
             running[:] = False  # rows run on only when their damped step improves
-            # the full step, then 2^-1..2^-10 stacked for the rows it did not improve
-            for lam in (1.0, 2.0 ** -np.arange(1.0, 11.0)[:, None]):
-                if not rows.size:
-                    break
-                trial = X[rows, None] + lam * D[:, None]  # (rows, dampings, n)
-                G_trial = np.asarray(f.gradient(trial.reshape(-1, X.shape[1])), dtype=float)
-                G_trial = G_trial.reshape(trial.shape) + S[rows, None]
-                gn_trial = _norms(G_trial)
-                ok = gn_trial < gn[rows, None]  # False for NaN and inf, as gn[rows] is finite
-                hit, k = ok.any(axis=1), ok.argmax(axis=1)  # the largest improving damping
-                done, k = rows[hit], k[hit]
-                X[done], G[done], gn[done] = trial[hit, k], G_trial[hit, k], gn_trial[hit, k]
-                running[done] = True
-                rows, D = rows[~hit], D[~hit]
+            if not rows.size:
+                break
+            trial = X[rows] + D  # the full step
+            G_trial = np.asarray(f.gradient(trial), dtype=float) + S[rows]
+            hit = (gn_trial := _norms(G_trial)) < gn[rows]  # NaN and inf fail: gn[rows] is finite
+            done = rows[hit]
+            X[done], G[done], gn[done] = trial[hit], G_trial[hit], gn_trial[hit]
+            running[done] = True
+            rows, D = rows[~hit], D[~hit]
+            if not rows.size:
+                continue
+            # 2^-1..2^-10 stacked (rows, dampings, n) for the rows the full step did not improve
+            trial = X[rows, None] + 2.0 ** -np.arange(1.0, 11.0)[:, None] * D[:, None]
+            G_trial = np.asarray(f.gradient(trial.reshape(-1, X.shape[1])), dtype=float)
+            G_trial = G_trial.reshape(trial.shape) + S[rows, None]
+            ok = (gn_trial := _norms(G_trial)) < gn[rows, None]
+            hit, k = ok.any(axis=1), ok.argmax(axis=1)  # the largest improving damping
+            done, k = rows[hit], k[hit]
+            X[done], G[done], gn[done] = trial[hit, k], G_trial[hit, k], gn_trial[hit, k]
+            running[done] = True
     converged = (gn < tol) | (gn == 0.0)
     return (X, converged) if np.ndim(x0) == 2 else (X[0], bool(converged[0]))
 

@@ -9,6 +9,7 @@ A grid is built in slabs of at most GRID_BLOCK_CELLS cells, holds fewer than 2**
 cells (the fill's run labels are int32), and a region build peaks near 14 bytes a cell.
 """
 
+import contextlib
 import itertools
 from dataclasses import dataclass
 
@@ -147,6 +148,34 @@ def _grad_norm_grid(f, box, resolution):
     return gn
 
 
+_masks = None  # inside `_one_grid`: {(id(f), box bytes, resolution, level): (f, mask)}
+
+
+@contextlib.contextmanager
+def _one_grid():
+    """Inside the block, theta_region and check_assumption_separation reuse each mask
+    gn <= level made for the same objective, box, resolution and level, and build the
+    gradient-norm grid gn only for a new one; the masks are held until the block ends."""
+    global _masks
+    _masks = {}
+    try:
+        yield
+    finally:
+        _masks = None
+
+
+def _grid_masks(f, box, resolution, *levels):
+    """gn <= level for each of `levels`, from one gradient-norm grid gn freed on return."""
+    keys = [(id(f), box.tobytes(), resolution, level) for level in levels]
+    if _masks is not None and all(key in _masks for key in keys):
+        return [_masks[key][1] for key in keys]
+    gn = _grad_norm_grid(f, box, resolution)
+    masks = [gn <= level for level in levels]
+    if _masks is not None:
+        _masks.update((key, (f, mask)) for key, mask in zip(keys, masks))
+    return masks
+
+
 def theta_region(f, seed, theta, box=None, resolution=200):
     """Flood-filled connected component of {||grad f|| <= theta} through `seed`.
 
@@ -155,7 +184,7 @@ def theta_region(f, seed, theta, box=None, resolution=200):
     """
     box = _grid_box(f, box)
     return _fill(f, as_vector(seed), theta, box, resolution,
-                 _grad_norm_grid(f, box, resolution) <= theta)
+                 _grid_masks(f, box, resolution, theta)[0])
 
 
 def _grid_box(f, box):
@@ -253,12 +282,11 @@ def check_assumption_separation(f, theta, box=None, resolution=200, points=None,
     if points is None:
         points = [r.location for r in find_critical_points(f, box, grid_density)]
     points = [as_vector(p) for p in points]
-    gn = _grad_norm_grid(f, box, resolution)  # one grid serves every region and phi
-    # near-critical connectivity at the grid resolution stands in for connected
-    # critical subsets (e.g. a whole critical line)
-    mask, phi_mask = gn <= theta, gn <= 1e-8
-    del gn  # freed before the flood fills
+    # one grid serves every region and phi; near-critical connectivity at the grid
+    # resolution stands in for connected critical subsets (e.g. a whole critical line)
+    mask, phi_mask = _grid_masks(f, box, resolution, theta, 1e-8)
     regions = [_fill(f, p, theta, box, resolution, mask) for p in points]
+    phi_mask = phi_mask.copy()  # marked below; a mask `_one_grid` holds stays as built
     for region in regions:  # every region shares the grid; its seed cell is its point's
         phi_mask[region.seed_cell] = True
 

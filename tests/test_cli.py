@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import saddlereg
-from saddlereg import cli
+from saddlereg import cli, region
 from saddlereg.cli import MLP_MAX_TRIALS, _compare_trials, main, write_json
 from saddlereg.linalg import NumericalError
 
@@ -137,6 +137,22 @@ def test_analyze_region_export(tmp_path):
     assert code == 0
     assert (out / "region.csv").exists()
     assert (out / "separation.json").exists()
+
+
+def test_analyze_region_reads_the_separation_grid(tmp_path, monkeypatch):
+    # the separation check and the region through x0 share one gradient-norm grid
+    grids, build = [], region._grad_norm_grid
+    monkeypatch.setattr(region, "_grad_norm_grid", lambda f, box, resolution: grids.append(
+        (f.name, resolution, box.tolist())) or build(f, box, resolution))
+    flags = ["--objective", "cubic_cone", "--theta", "3", "--x0", "0,0", "--resolution", "150"]
+    assert main(["analyze", *flags, "--out", str(tmp_path / "analyze")]) == 0
+    assert grids == [("cubic_cone", 150, [[-3.0, 3.0], [-3.0, 3.0]])]
+    assert region._masks is None  # the shared masks are dropped after the command
+    # the region from the shared grid is the region subcommand's, byte for byte
+    assert main(["region", *flags, "--out", str(tmp_path / "region")]) == 0
+    for name in ("region.csv", "region.json"):
+        assert (tmp_path / "analyze" / name).read_bytes() == \
+            (tmp_path / "region" / name).read_bytes()
 
 
 def test_bifurcate_default_sweep(tmp_path):

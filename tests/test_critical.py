@@ -332,6 +332,40 @@ def test_newton_root_tries_dampings_in_two_calls(case):
     assert len(log) - hessian_calls <= 1 + 2 * hessian_calls
 
 
+def _linalg_calls(monkeypatch):
+    """Counts of np.linalg.slogdet and np.linalg.solve calls from here on."""
+    calls = {"slogdet": 0, "solve": 0}
+    for name in calls:
+        def spy(*args, _name=name, _real=getattr(np.linalg, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(np.linalg, name, spy)
+    return calls
+
+
+def test_newton_root_factors_each_hessian_stack_once(monkeypatch):
+    # cubic_valley's Hessian diag(2u, 1) is singular only at u = 0, and Newton halves
+    # u, so no stack holds a singular matrix: one solve per Hessian call, no slogdet
+    g, log = _logged(_VALLEY)
+    calls = _linalg_calls(monkeypatch)
+    newton_root(g, [[1.0, 1.0], [0.5, -0.5], [-2.0, 0.3]], 0.0)
+    assert calls == {"slogdet": 0, "solve": sum(kind == "h" for kind, _ in log)}
+
+
+def test_newton_root_screens_only_a_rejected_stack(monkeypatch):
+    # the rows at 1 and -1 reach x = 0, where the Hessian 2x vanishes, after one full
+    # step; only that step's stack is screened with slogdet, and the iterates stay
+    # the slogdet-first oracle's bit for bit
+    X0 = np.array([[3.0], [1.0], [-1.0]])
+    X_ref, ok_ref = newton_root_halving(_NO_ROOT, X0, np.zeros((3, 1)))
+    g, log = _logged(_NO_ROOT)
+    calls = _linalg_calls(monkeypatch)
+    X, ok = newton_root(g, X0, np.zeros((3, 1)))
+    assert calls["slogdet"] == 1
+    assert calls["solve"] == sum(kind == "h" for kind, _ in log) + 1
+    assert X.tobytes() == X_ref.tobytes() and ok.tobytes() == ok_ref.tobytes()
+
+
 def test_newton_root_rejects_non_finite_start():
     with pytest.raises(ValueError):
         newton_root(_SQUARE, [np.nan], 0.0)

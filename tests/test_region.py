@@ -493,6 +493,29 @@ def test_separation_builds_one_gradient_grid(name, theta, resolution, points):
         assert r["pass"] == e["pass"] and r["violations"] == e["violations"]
 
 
+def test_one_grid_hands_out_its_masks_as_built():
+    # inside the block a second separation check and a region reuse the first check's
+    # masks, and marking the seed cells on phi leaves the shared near-critical mask as built
+    name, theta, resolution, points = "double_degenerate", 10.0, 400, [[-1.0], [0.0], [1.0]]
+    expected = check_assumption_separation(get_objective(name), theta, resolution=resolution,
+                                           points=points)
+    f, rows = _counting_gradient(get_objective(name))
+    box = np.asarray(f.domain_box, dtype=float)
+    with region_module._one_grid():
+        for _ in range(2):
+            results = check_assumption_separation(f, theta, resolution=resolution, points=points)
+            assert [(r["pass"], r["violations"]) for r in results] == \
+                [(e["pass"], e["violations"]) for e in expected]
+        grid = theta_region(f, [0.0], theta, resolution=resolution)
+        near = region_module._grid_masks(f, box, resolution, 1e-8)[0]
+    assert sum(rows) == resolution + 2 * len(points) + 1  # one grid, then the seed checks
+    assert region_module._masks is None
+    gn = _grad_norm_grid(get_objective(name), box, resolution)
+    np.testing.assert_array_equal(near, gn <= 1e-8)
+    np.testing.assert_array_equal(
+        grid.inside, theta_region(get_objective(name), [0.0], theta, resolution=resolution).inside)
+
+
 def test_separation_keeps_theta_region_seed_errors():
     f = get_objective("cubic_valley")
     # a seed whose gradient norm exceeds theta, then one outside the box
