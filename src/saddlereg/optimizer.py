@@ -147,6 +147,18 @@ def _descend(f, X, cfg, gamma, observe=None, theta=None, *, values=False):
     reached max_iters (max_iters); 5. its step would leave the finite numbers
     (numerical_failure). A row halting on 1 or 2 keeps its region state.
 
+    Tests 1 and 5 run exactly only near the sphere. Per row, reach bounds the
+    value _norms(X - center) returns: exact at k = 0, then (reach + gamma *
+    ||S||) * g + slack per step S, with u the unit roundoff, g = 1 + 2 (n + 8) u
+    and slack = 2 u sum|center| + (1 + gamma) 2**-500. The step's rounding,
+    relative to center, and that of the norms it passes through (sums of n
+    squares; Higham 2002, ch. 3) cost (n + 5) u of reach + gamma ||S|| and
+    u ||center||; the factor 2 covers the update's own rounding, and 2**-500
+    underflow. A row whose bound is at most
+    min(escape_radius, 2**500) / g is inside the ball, with a finite next
+    iterate and no overflowing square; only the other rows take the exact
+    tests, and their exact distance resets reach.
+
     Returns per-row arrays: final (m, n), grad_norm, k (the iteration the row
     stopped at), status, entered (an event opened) and closed (an event ended).
     """
@@ -168,7 +180,12 @@ def _descend(f, X, cfg, gamma, observe=None, theta=None, *, values=False):
     L = np.zeros_like(X)
     inside = np.zeros(m, dtype=bool)
     diverged = np.zeros(m, dtype=bool)
+    u = np.finfo(float).eps / 2  # unit roundoff
+    g = 1.0 + 2 * (X.shape[1] + 8) * u
+    slack = 2 * u * np.sum(np.abs(center)) + (1.0 + gamma) * 2.0 ** -500
+    trigger = min(cfg.escape_radius, 2.0 ** 500) / g
     with np.errstate(all="ignore"):
+        reach = np.nan_to_num(_norms(X - center), nan=np.inf)
         k = 0
         while True:
             if values:
@@ -193,13 +210,18 @@ def _descend(f, X, cfg, gamma, observe=None, theta=None, *, values=False):
 
             if np.count_nonzero(inside):
                 S = np.where(inside[:, None], G + L, G)
-                converged = _norms(S) < cfg.eps_converge
+                sn = _norms(S)
             else:
-                S, converged = G, gn < cfg.eps_converge
+                S, sn = G, gn
+            converged = sn < cfg.eps_converge
             X_next = X - gamma * S
+            reach = (reach + gamma * sn) * g + slack
+            near = reach > trigger
             at_max = k >= cfg.max_iters
-            # x * 0.0 is NaN only where x is not finite, and a sum of zeros cannot overflow
-            halt = held | converged | at_max | ~np.isfinite((X_next * 0.0) @ ones)
+            halt = held | converged | at_max
+            if np.count_nonzero(near):
+                # x * 0.0 is NaN only where x is not finite, and a sum of zeros cannot overflow
+                halt[near] |= ~np.isfinite((X_next[near] * 0.0) @ ones)
             if np.count_nonzero(halt):
                 r = rows[halt]
                 out["final"][r] = X[halt]
@@ -211,14 +233,18 @@ def _descend(f, X, cfg, gamma, observe=None, theta=None, *, values=False):
                         converged[halt], STATUS_CONVERGED,
                         STATUS_MAX_ITERS if at_max else STATUS_NUMERICAL_FAILURE)))
                 keep = ~halt
-                X_next, L, inside, theta, rows = (
-                    X_next[keep], L[keep], inside[keep], theta[keep], rows[keep])
+                X_next, L, inside, theta, rows, reach, near = (
+                    X_next[keep], L[keep], inside[keep], theta[keep], rows[keep], reach[keep],
+                    near[keep])
                 if not rows.size:
                     return out
 
             X = X_next
             k += 1
-            diverged = _norms(X - center) > cfg.escape_radius
+            if np.count_nonzero(near):
+                reach[near] = _norms(X[near] - center)
+            # reach is the exact distance on near rows, and at most trigger on the others
+            diverged = reach > cfg.escape_radius
 
 
 def _run(f, x0, cfg, record_stride):

@@ -52,6 +52,17 @@ def test_run_bowl_error_bound(tmp_path):
     assert summary["final_value"] <= 0.5 ** 2 / 2.0 + 1e-9
 
 
+def test_critical_start_outside_the_escape_ball_converges_at_k_0(tmp_path):
+    # (2, 0) is on monkey_line's critical line and 2 from its box center: the escape
+    # ball is not tested at k = 0, so the start converges before any step
+    out = tmp_path / "run"
+    assert main(["run", "--objective", "monkey_line", "--x0", "2,0", "--escape-radius", "1",
+                 "--out", str(out)]) == 0
+    summary = _read_json(out / "summary.json")
+    assert (summary["status"], summary["n_iters"]) == ("converged", 0)
+    assert summary["final_x"] == [2.0, 0.0]
+
+
 def test_run_default_start_point(tmp_path):
     # without --x0 the run starts from a deterministic point in the domain box
     out = tmp_path / "bowl_default"

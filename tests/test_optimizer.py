@@ -11,6 +11,7 @@ from saddlereg import (
     MODE_REGULARIZED,
     STATUS_CONVERGED,
     STATUS_DIVERGED,
+    STATUS_MAX_ITERS,
     STATUS_NUMERICAL_FAILURE,
     MlpSpec,
     OptimizerConfig,
@@ -27,6 +28,7 @@ from saddlereg import (
     spectral_norm,
 )
 from saddlereg.cli import write_json
+from saddlereg.linalg import _norms
 from saddlereg.optimizer import _descend
 
 from oracles import descend_one
@@ -357,6 +359,87 @@ def test_batch_rows_equal_the_reference_loop(case):
         assert out["grad_norm"][i].tobytes() == gn.tobytes()
         assert (out["k"][i], out["status"][i], out["entered"][i], out["closed"][i]) == (
             k, status, entered, closed)
+
+
+# The engine tests the escape ball and the step's finiteness exactly only on rows
+# whose distance bound nears the sphere. On a plane whose gradient a is constant,
+# a start on the ray from the box center along -a moves radially outward, so the
+# bound's triangle inequality is tight; an escape radius at the reference loop's
+# own distance at step K, or one ulp either side, puts the sphere where a bound
+# that ignores rounding would fall short of it. The other rows start anywhere.
+def _radial_plane(box, a, gamma, K, s, others=()):
+    n = len(a)
+    plane = make_objective("plane", n, lambda x: x @ a, lambda x: np.zeros_like(x) + a,
+                           lambda x: np.zeros(np.shape(x) + (n,)), domain_box=box)
+    center = np.mean(box, axis=1)
+    x = center - s * a
+    X0 = np.array([x, *(center + offset for offset in others)])
+    for _ in range(K):
+        x = x - gamma * a
+    return plane, X0, gamma, K, _norms(x - center)
+
+
+@st.composite
+def _radial_planes(draw):
+    n = draw(st.integers(1, 4))
+    # a center far from the origin rounds each step on a scale above the distance
+    lo = np.array([draw(st.floats(-50.0, 50.0)) for _ in range(n)]) * draw(
+        st.sampled_from([1.0, 1e4]))
+    box = np.stack([lo, lo + [draw(st.floats(0.5, 20.0)) for _ in range(n)]], axis=1)
+    a = np.array([draw(st.floats(0.1, 10.0)) * draw(st.sampled_from([-1.0, 1.0]))
+                  for _ in range(n)])
+    others = [[draw(st.floats(-60.0, 60.0)) for _ in range(n)]
+              for _ in range(draw(st.integers(0, 3)))]
+    return _radial_plane(box, a, draw(st.floats(1e-3, 1.0)), draw(st.integers(1, 40)),
+                         draw(st.floats(0.0, 30.0)), others)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=_radial_planes())
+# a gradient whose squares round in the subnormal range: its norm is 3% short
+@example(case=_radial_plane(np.array([[-1.0, 1.0], [-1.0, 1.0]]), np.full(2, 2.3e-162),
+                            1.0, 10, 0.0))
+def test_rows_at_the_escape_sphere_equal_the_reference_loop(case):
+    plane, X0, gamma, K, dist = case
+    for radius, k_out in ((np.nextafter(dist, 0.0), K), (dist, K + 1),
+                          (np.nextafter(dist, np.inf), K + 1)):
+        cfg = OptimizerConfig(gamma=gamma, eps_converge=1e-300, max_iters=K + 3,
+                              escape_radius=radius)
+        out = _descend(plane, X0, cfg, gamma)
+        assert (out["k"][0], out["status"][0]) == (k_out, STATUS_DIVERGED)
+        for i, x0 in enumerate(X0):
+            final, gn, k, status, _, _ = descend_one(plane, x0, cfg, gamma, 0.0)
+            assert (out["k"][i], out["status"][i]) == (k, status)
+            assert out["final"][i].tobytes() == final.tobytes()
+            assert out["grad_norm"][i].tobytes() == gn.tobytes()
+
+
+def test_escape_ball_is_not_tested_at_k_0():
+    # (30, 0) lies 30 from cubic_valley's box center, outside the radius-10 ball, yet
+    # the row takes its first step and only then halts; its start's distance seeds the bound
+    f = get_objective("cubic_valley")
+    out = _descend(f, [[30.0, 0.0]], OptimizerConfig(gamma=0.01), 0.01)
+    assert (out["k"][0], out["status"][0]) == (1, STATUS_DIVERGED)
+    assert out["final"][0].tolist() == [21.0, 0.0]
+
+
+# Outward steps of 1e153 reach a distance whose square overflows, so _norms gives inf,
+# at k = 14; with steps of 1e307 the step to k = 18 overflows the iterate itself. A
+# radius of 1e200 or inf lies past both, and the engine meets them as the reference
+# loop does.
+@pytest.mark.parametrize("step, radius, status, k", [
+    (1e153, 1e200, STATUS_DIVERGED, 14),
+    (1e153, np.inf, STATUS_MAX_ITERS, 100),
+    (1e307, 1e200, STATUS_DIVERGED, 1),
+    (1e307, np.inf, STATUS_NUMERICAL_FAILURE, 17),
+])
+def test_escape_radius_past_the_float_range(step, radius, status, k):
+    plane, X0, gamma, _, _ = _radial_plane(np.array([[-1.0, 1.0]]), np.ones(1), step, 0, 0.0)
+    cfg = OptimizerConfig(gamma=gamma, max_iters=100, escape_radius=radius)
+    out = _descend(plane, X0, cfg, gamma)
+    final, _, k_ref, status_ref, _, _ = descend_one(plane, X0[0], cfg, gamma, 0.0)
+    assert (out["k"][0], out["status"][0]) == (k, status) == (k_ref, status_ref)
+    assert out["final"][0].tobytes() == final.tobytes()
 
 
 # The descent engine's contract as properties of recorded runs: random corpus

@@ -396,3 +396,27 @@ def test_milnor_rejects_l_min_outside_zero_to_l_scale(l_min):
 def test_milnor_rejects_nonpositive_l_scale(l_scale):
     with pytest.raises(ValueError, match="l_scale"):
         milnor_sample(get_objective("cubic_valley"), n_l=5, l_scale=l_scale)
+
+
+# The paper's escape claim over the planar corpus's four non-strict critical sets:
+# from starts outside the small-gradient region, no regularized run ends within
+# 1e-2 of the set, while plain runs from the same starts do, so the check can fail.
+# A start already inside the region is outside the claim: its k = 0 entry freezes
+# l = grad f(x0), which is nearly 0 near the set.
+@pytest.mark.parametrize("seed", range(100, 105))
+@pytest.mark.parametrize("name, theta, distance", [
+    ("cubic_valley", 0.5, lambda X: np.linalg.norm(X, axis=1)),
+    ("cubic_cone", 3.0, lambda X: np.linalg.norm(X, axis=1)),
+    ("monkey_line", 4.7, lambda X: np.abs(X[:, 1])),
+    ("double_degenerate", 0.5, lambda X: np.abs(np.abs(X[:, 0]) - 1.0)),
+])
+def test_regularized_runs_escape_each_non_strict_set(name, theta, distance, seed):
+    f = get_objective(name)
+    X0 = sample_in_box(np.random.default_rng(seed), f.domain_box, 300,
+                       exclude=lambda X: np.linalg.norm(f.gradient(X), axis=1) <= theta)
+    cfg = OptimizerConfig(gamma=0.5 / f.lipschitz_hint, theta=theta, eps_converge=1e-6,
+                          max_iters=3000)
+    regularized = distance(run_gd_batch(f, X0, cfg)["final"])
+    plain = distance(run_gd_batch(f, X0, dataclasses.replace(cfg, theta=0.0))["final"])
+    assert np.count_nonzero(regularized <= 1e-2) == 0
+    assert np.count_nonzero(plain <= 1e-2) > 0

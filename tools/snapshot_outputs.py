@@ -56,6 +56,12 @@ CLI_RUNS = {
     "run_monkey_line": "run --objective monkey_line --x0 1,0.5 --theta 0.5",
     "stable_set_cubic_cone": "stable-set --objective cubic_cone --x0 0,0 --gamma 0.1 "
                              "--trials 500 --theta 3 --max-iters 500",
+    # an escape sphere inside the sampling box, so rows start on both sides of it, and
+    # a critical start outside the ball, which converges at k = 0 before any ball test
+    "stable_set_escape_sphere": "stable-set --objective cubic_valley --x0 0,0 --box -2,2 "
+                                "--trials 2000 --gamma 0.15 --eps 1e-6 --max-iters 2000 "
+                                "--escape-radius 2.5",
+    "run_critical_outside_ball": "run --objective monkey_line --x0 2,0 --escape-radius 1",
     # explicit boxes, where the CLI's box and not the objective's domain box is searched
     "analyze_box": "analyze --objective cubic_cone --box -2,2 --theta 3 --x0 0,0 "
                    "--resolution 100",
