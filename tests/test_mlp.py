@@ -17,6 +17,7 @@ from saddlereg import (
     unpack_params,
 )
 from saddlereg.mlp import _log_softmax
+from saddlereg.optimizer import _descend
 
 from oracles import fd_gradient
 
@@ -236,6 +237,27 @@ def test_zero_params_is_non_strict_saddle():
     assert report.classification == NON_STRICT_OR_DEGENERATE
     assert report.eigenvalues[0] == 0.0
     assert report.eigenvalues[-1] == pytest.approx(0.5, rel=1e-12)
+
+
+def test_regularized_rows_leave_the_origin_sooner_than_their_plain_twins():
+    # starts near the zero vector, a non-strict critical point at loss ln 2; in one
+    # lockstep batch each plain row (theta 0) has a regularized twin (theta 1e-3) from
+    # the same start, and the observer notes each row's first step with loss < 0.69
+    spec = MlpSpec((2, 8, 8, 2))
+    f = mlp_objective(spec, make_blobs(50, 2, 2, 1.0, seed=0))
+    starts = np.array([1e-2 * init_params(spec, child)
+                       for child in np.random.SeedSequence(2).spawn(8)])
+    cfg = OptimizerConfig(gamma=0.5, eps_converge=1e-10, max_iters=2500, escape_radius=1e6)
+    first = np.full(16, -1)
+
+    def observe(k, X, G, gn, inside, rows, F):
+        first[rows[(F < 0.69) & (first[rows] < 0)]] = k
+
+    _descend(f, np.vstack([starts, starts]), cfg, cfg.gamma, observe,
+             theta=np.repeat([0.0, 1e-3], 8), values=True)
+    plain, regularized = first[:8], first[8:]
+    assert np.all(plain > 0) and np.all(regularized > 0)
+    assert np.all(regularized < plain), (plain, regularized)
 
 
 def test_dead_unit_has_zero_hessian_rows():

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import signal
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from saddlereg import (
     MlpSpec,
     OptimizerConfig,
     corpus,
+    escape_fraction,
     get_objective,
     init_params,
     make_blobs,
@@ -23,6 +25,7 @@ from saddlereg import (
     make_regularized,
     mlp_objective,
     quadratic_bowl,
+    run_gd_batch,
     run_plain_gd,
     run_regularized_gd,
     spectral_norm,
@@ -346,10 +349,64 @@ def test_only_a_step_with_a_non_finite_entry_halts_as_numerical_failure():
     assert out["k"].tolist() == [0] * 6 + [1]
 
 
+# Rows whose halt the engine's step screen must flag, each in a batch beside ordinary
+# rows. The first objective is x0^2 / 2, flat along x1; a row tagged x1 > 0 meets
+# `trap` in place of the gradient once x0 < 0, and the ordinary rows have x1 <= 0.
+# gamma 1.5 flips the sign of x0 on every plain step, and a row that starts inside
+# the region steps by g + l = 2 g. The tagged row is row 0, and it halts at k = 1
+# unless noted.
+def _trapped(trap):
+    def gradient(x):
+        x = np.asarray(x, dtype=float)
+        g0 = np.where((x[..., 0] < 0.0) & (x[..., 1] > 0.0), trap, x[..., 0])
+        return np.stack([g0, np.zeros_like(g0)], axis=-1)
+
+    return make_objective("trapped", 2, lambda x: 0.5 * np.asarray(x)[..., 0] ** 2, gradient,
+                          lambda x: np.zeros(np.shape(x) + (2,)))
+
+
+# On the second, a tagged row that starts inside the region freezes l = (-1e154, 0);
+# its first step (2e154 * gamma = 2) lands where the gradient (1.5e154, 0) has an
+# overflowing norm while g + l = (5e153, 0) stays finite and short, so neither sn nor
+# reach flags it. Only the region test does: gn = inf fails gn <= theta, for theta =
+# inf too once theta is capped at the largest float.
+def _cancelling():
+    def gradient(x):
+        x = np.asarray(x, dtype=float)
+        g0 = np.where(x[..., 1] > 0.0, np.where(x[..., 0] < 1.0, -1e154, 1.5e154), x[..., 0])
+        return np.stack([g0, np.zeros_like(g0)], axis=-1)
+
+    return make_objective("cancelling", 2, lambda x: np.zeros(np.shape(x)[:-1]), gradient,
+                          lambda x: np.zeros(np.shape(x) + (2,)))
+
+
+def _beside_ordinary(f, tagged, max_iters, gamma, theta):
+    X0 = np.array([tagged, [1.0, 0.0], [-2.0, -1.0], [0.2, 0.0]])
+    return f, X0, OptimizerConfig(max_iters=max_iters), gamma, np.array([theta, 0.0, 0.5, 0.5])
+
+
+_INSIDE_ROW_TURNS_NAN = _beside_ordinary(_trapped(np.nan), [0.1, 1.0], 40, 1.5, 0.5)
+# no other row halts or changes region at k = 1: only the NaN step norm flags the step
+_PLAIN_ROW_TURNS_NAN = _beside_ordinary(_trapped(np.nan), [1.0, 1.0], 40, 1.5, 0.0)
+# finite entries of 1e200, whose norm overflows
+_INSIDE_ROW_NORM_OVERFLOWS = _beside_ordinary(_trapped(1e200), [0.1, 1.0], 40, 1.5, 0.5)
+# converges at k = 3 = max_iters, where the other rows stop on max_iters
+_CONVERGES_AT_MAX_ITERS_IN_A_BATCH = _beside_ordinary(quadratic_bowl(), [6e-8, 0.0], 3, 0.5, 0.0)
+_INSIDE_ROW_CANCELS = _beside_ordinary(_cancelling(), [0.0, 1.0], 5, 1e-154, 1e300)
+_INSIDE_ROW_CANCELS_AT_INFINITE_THETA = _beside_ordinary(_cancelling(), [0.0, 1.0], 5, 1e-154,
+                                                         np.inf)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(case=_mixed_theta_batches())
 @example(case=_CONVERGES_AT_MAX_ITERS)
 @example(case=_DIVERGES_TO_INFINITE_GRADIENT)
+@example(case=_INSIDE_ROW_TURNS_NAN)
+@example(case=_PLAIN_ROW_TURNS_NAN)
+@example(case=_INSIDE_ROW_NORM_OVERFLOWS)
+@example(case=_CONVERGES_AT_MAX_ITERS_IN_A_BATCH)
+@example(case=_INSIDE_ROW_CANCELS)
+@example(case=_INSIDE_ROW_CANCELS_AT_INFINITE_THETA)
 def test_batch_rows_equal_the_reference_loop(case):
     f, X0, cfg, gamma, theta = case
     out = _descend(f, X0, cfg, gamma, theta=theta)
@@ -440,6 +497,26 @@ def test_escape_radius_past_the_float_range(step, radius, status, k):
     final, _, k_ref, status_ref, _, _ = descend_one(plane, X0[0], cfg, gamma, 0.0)
     assert (out["k"][0], out["status"][0]) == (k, status) == (k_ref, status_ref)
     assert out["final"][0].tobytes() == final.tobytes()
+
+
+def test_a_batch_of_no_rows_returns_at_once():
+    def timeout(signum, frame):
+        raise TimeoutError("the engine did not return on an empty batch")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        f = get_objective("cubic_valley")
+        out = run_gd_batch(f, np.empty((0, 2)), OptimizerConfig(gamma=0.1, max_iters=50))
+        fraction = escape_fraction(f, np.empty((0, 2)),
+                                   OptimizerConfig(gamma=0.1, theta=0.5, max_iters=50))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert {key: value.shape for key, value in out.items()} == {
+        "final": (0, 2), "grad_norm": (0,), "k": (0,), "status": (0,), "entered": (0,),
+        "closed": (0,)}
+    assert fraction == 0.0
 
 
 # The descent engine's contract as properties of recorded runs: random corpus

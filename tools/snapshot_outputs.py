@@ -45,6 +45,9 @@ CLI_RUNS = {
     # output widths on both sides of the log-softmax's 8-class switch
     "mlp_compare_widths_3": "mlp-compare --widths 2,8,8,3 --trials 3 --seed 1",
     "mlp_compare_widths_9": "mlp-compare --widths 2,8,8,9 --trials 3 --seed 1",
+    # a step far past 1/L: each row leaves the 1e6 escape ball within a few steps, at
+    # its own k, so the batch takes the engine's near-sphere and diverged branch
+    "mlp_compare_diverged": "mlp-compare --trials 3 --seed 2 --gamma 80 --max-iters 60",
     # one run per termination status, and the regularized stable-set batch
     "run_diverged": "run --objective cubic_valley --x0 -1,0.5 --gamma 0.15",
     "run_numerical_failure": "run --objective cubic_valley --x0 1.5,0.5 --gamma 1e308",
