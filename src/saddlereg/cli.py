@@ -33,7 +33,7 @@ from .optimizer import (
     _descend,
     run_regularized_gd,
 )
-from .region import _one_grid, check_assumption_separation, theta_region
+from .region import _separation, theta_region
 from .sampling import milnor_sample, stable_set_fraction
 
 
@@ -227,18 +227,17 @@ def cmd_analyze(args):
                      + ", ".join(f"{v:.6g}" for v in r.eigenvalues))
 
     if args.theta is not None:
-        with _one_grid():  # the separation check and the region through x0 share one grid
-            checks = check_assumption_separation(
-                f, args.theta, box, resolution, points=[r.location for r in reports])
-            outputs["separation.json"] = {"objective": f.name, "theta": args.theta,
-                                          "checks": checks}
-            lines.append(f"  separation check: "
-                         f"{'pass' if all(c['pass'] for c in checks) else 'FAIL'}")
-            if args.x0 is not None:
-                seed_pt = _parse_vector(args.x0, f.dim, "x0")
-                region = theta_region(f, seed_pt, args.theta, box, resolution)
-                outputs.update(_region_outputs(f, region, seed_pt))
-                lines.append(f"  region: {int(region.inside.sum())} inside cells")
+        seed_pt = None if args.x0 is None else _parse_vector(args.x0, f.dim, "x0")
+        # the separation check and the region through x0 share one grid
+        checks, region = _separation(f, args.theta, box, resolution,
+                                     [r.location for r in reports], seed_pt)
+        outputs["separation.json"] = {"objective": f.name, "theta": args.theta,
+                                      "checks": checks}
+        lines.append(f"  separation check: "
+                     f"{'pass' if all(c['pass'] for c in checks) else 'FAIL'}")
+        if region is not None:
+            outputs.update(_region_outputs(f, region, seed_pt))
+            lines.append(f"  region: {int(region.inside.sum())} inside cells")
 
     if n_l is not None:
         frac = milnor_sample(f, box, n_l=n_l, seed=seed)

@@ -49,8 +49,8 @@ class OptimizerConfig:
         # negated comparisons, so that NaN fails every check
         if self.gamma is not None and not self.gamma > 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if not self.theta >= 0:
-            raise ValueError(f"theta must be non-negative, got {self.theta}")
+        if not 0.0 <= self.theta < np.inf:
+            raise ValueError(f"theta must be finite and non-negative, got {self.theta}")
         if not self.eps_converge > 0:
             raise ValueError(f"eps_converge must be positive, got {self.eps_converge}")
         if self.theta > 0 and self.theta <= self.eps_converge:

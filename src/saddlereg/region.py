@@ -1,15 +1,15 @@
 """Small-gradient region geometry on a grid, and boundary flow classification.
 
 The small-gradient region is {x : ||grad f(x)|| <= theta}; its connected
-component through a seed point is discretized on a regular grid by flood
-fill (2n-connectivity). Boundary cells are inside cells with at least one
+component through a seed point is discretized on a regular grid, whose mask
+of small-gradient cells is labelled once, every face-connected (2n-connectivity)
+component with its own id. Boundary cells are inside cells with at least one
 in-grid neighbor outside. Grids are limited to dimension <= 3; higher
 dimensions must test membership pointwise along trajectories instead.
 A grid is built in slabs of at most GRID_BLOCK_CELLS cells, holds fewer than 2**31
-cells (the fill's run labels are int32), and a region build peaks near 14 bytes a cell.
+cells (the labels are int32), and a region build peaks below 15 bytes a cell.
 """
 
-import contextlib
 import itertools
 from dataclasses import dataclass
 
@@ -97,25 +97,38 @@ class RegionGrid:
                           for head, row in zip(heads, codes.reshape(-1, self.resolution)))
 
 
-def _component(mask, cell):
-    """Face-connected (2n-connectivity) component of `mask` through `cell`, a mask cell.
+def _labels(mask):
+    """Face-connected (2n-connectivity) components of `mask`: one int32 id > 0 shared by
+    the cells of each component, 0 off the mask.
 
-    A sweep along an axis adds each whole run of mask cells that meets the component;
-    rounds of sweeps repeat until one adds nothing, as often as a path turns, not per cell.
+    Every mask cell starts with its own id. A sweep along an axis sets each whole run of
+    mask cells to the least id in it; rounds of sweeps repeat until one changes no id, as
+    often as a path turns, not per cell.
     """
-    runs = []  # per axis: the cells of one run share an id > 0, off-mask cells 0
+    labels = np.cumsum(mask, dtype=np.int32).reshape(mask.shape)
+    labels *= mask
+    runs = []  # per axis: the ids and mask in its run order, and each run's start and length
     for axis in range(mask.ndim):
         m = np.moveaxis(mask, axis, -1)
-        ids = np.cumsum(m & np.diff(m, axis=-1, prepend=False), dtype=np.int32).reshape(m.shape)
-        ids *= m
-        runs.append((np.moveaxis(ids, -1, axis), int(ids.max()) + 1))
-    comp = np.zeros_like(mask)
-    comp[cell] = True
-    size = 0
-    while size < (size := np.count_nonzero(comp)):  # until a round adds no cell
-        for ids, n_ids in runs:
-            comp = (np.bincount(ids[comp], minlength=n_ids) > 0)[ids]
-    return comp
+        starts = np.flatnonzero((m & np.diff(m, axis=-1, prepend=False))[m])
+        runs.append((np.moveaxis(labels, axis, -1), m, starts,
+                     np.diff(starts, append=np.count_nonzero(mask))))
+    changed = True
+    while changed:
+        changed = False
+        for ids, m, starts, lengths in runs:
+            old = ids[m]
+            new = np.repeat(np.minimum.reduceat(old, starts), lengths)
+            if not np.array_equal(old, new):
+                ids[m] = new
+                changed = True
+    return labels
+
+
+def _component(mask, cell):
+    """The component of `mask` through `cell`, a mask cell."""
+    labels = _labels(mask)
+    return labels == labels[cell]
 
 
 def _erode(mask):
@@ -132,7 +145,7 @@ def _grad_norm_grid(f, box, resolution):
     """||grad f|| at every cell center, with the arithmetic of `RegionGrid.cell_center`
     and of the descent engine's region test, filled slab by slab: each gradient call takes
     whole first-axis lines, at most GRID_BLOCK_CELLS cells and at least one line. A grid of
-    2**31 cells or more is rejected before any allocation: `_component` labels runs in int32.
+    2**31 cells or more is rejected before any allocation: `_labels` ids are int32.
     """
     if resolution < 1:
         raise ValueError("resolution must be at least 1")
@@ -148,43 +161,13 @@ def _grad_norm_grid(f, box, resolution):
     return gn
 
 
-_masks = None  # inside `_one_grid`: {(id(f), box bytes, resolution, level): (f, mask)}
-
-
-@contextlib.contextmanager
-def _one_grid():
-    """Inside the block, theta_region and check_assumption_separation reuse each mask
-    gn <= level made for the same objective, box, resolution and level, and build the
-    gradient-norm grid gn only for a new one; the masks are held until the block ends."""
-    global _masks
-    _masks = {}
-    try:
-        yield
-    finally:
-        _masks = None
-
-
-def _grid_masks(f, box, resolution, *levels):
-    """gn <= level for each of `levels`, from one gradient-norm grid gn freed on return."""
-    keys = [(id(f), box.tobytes(), resolution, level) for level in levels]
-    if _masks is not None and all(key in _masks for key in keys):
-        return [_masks[key][1] for key in keys]
-    gn = _grad_norm_grid(f, box, resolution)
-    masks = [gn <= level for level in levels]
-    if _masks is not None:
-        _masks.update((key, (f, mask)) for key, mask in zip(keys, masks))
-    return masks
-
-
 def theta_region(f, seed, theta, box=None, resolution=200):
-    """Flood-filled connected component of {||grad f|| <= theta} through `seed`.
+    """Connected component of {||grad f|| <= theta} through `seed`, on a grid.
 
     Raises if the seed itself falls outside the region or the box, or its cell
     center outside the region (refine `resolution` in the last case).
     """
-    box = _grid_box(f, box)
-    return _fill(f, as_vector(seed), theta, box, resolution,
-                 _grid_masks(f, box, resolution, theta)[0])
+    return _separation(f, theta, box, resolution, [], seed)[1]
 
 
 def _grid_box(f, box):
@@ -194,25 +177,52 @@ def _grid_box(f, box):
     return box
 
 
-def _fill(f, seed, theta, box, resolution, mask):
-    """theta_region's component through `seed`, from the grid's mask `gn <= theta` alone,
-    so the float grid is freed before the flood fill."""
-    if _norms(np.asarray(f.gradient(seed), dtype=float)) > theta:
-        raise ValueError("seed lies outside the small-gradient region")
-
+def _separation(f, theta, box, resolution, points, seed=None):
+    """check_assumption_separation's checks of `points`, and theta_region's region through
+    `seed` (None without a seed), from one gradient-norm grid freed before labelling."""
+    box = _grid_box(f, box)
+    points = [as_vector(p) for p in points]
+    seeds = points if seed is None else points + [as_vector(seed)]
+    gn = _grad_norm_grid(f, box, resolution)
+    mask = gn <= theta
+    phi_mask = gn <= 1e-8 if points else None  # near-critical cells
+    del gn
     grid = RegionGrid(box, resolution, float(theta), inside=None, boundary=None, seed_cell=())
-    seed_cell = grid.cell_index(seed)
-    if seed_cell is None:
-        raise ValueError(f"seed {seed.tolist()} lies outside the box {box.tolist()}")
-    if not mask[seed_cell]:
+    cells = [_seed_cell(f, grid, mask, p) for p in seeds]
+    labels = _labels(mask)
+
+    # near-critical connectivity at the grid resolution stands in for connected critical
+    # subsets (e.g. a whole critical line); each point's own cell counts as near-critical
+    checks = []
+    if points:
+        point_cells = cells[:len(points)]
+        for cell in point_cells:
+            phi_mask[cell] = True
+        phi = _labels(phi_mask)
+        ids = [(labels[cell], phi[cell]) for cell in point_cells]
+        for p, (region, same) in zip(points, ids):
+            violations = [j for j, (r, s) in enumerate(ids) if r == region and s != same]
+            checks.append({"point": p, "pass": len(violations) == 0, "violations": violations})
+    if seed is None:
+        return checks, None
+    grid.seed_cell = cells[-1]
+    grid.inside = labels == labels[grid.seed_cell]
+    grid.boundary = grid.inside & ~_erode(grid.inside)
+    return checks, grid
+
+
+def _seed_cell(f, grid, mask, seed):
+    """The cell of a region seed, which must lie in the region, the box and a mask cell."""
+    if not _norms(np.asarray(f.gradient(seed), dtype=float)) <= grid.theta:  # NaN fails
+        raise ValueError("seed lies outside the small-gradient region")
+    cell = grid.cell_index(seed)
+    if cell is None:
+        raise ValueError(f"seed {seed.tolist()} lies outside the box {grid.box.tolist()}")
+    if not mask[cell]:
         raise ValueError(
             "seed cell center is outside the small-gradient region; raise the resolution"
         )
-
-    grid.inside = _component(mask, seed_cell)
-    grid.boundary = grid.inside & ~_erode(grid.inside)
-    grid.seed_cell = seed_cell
-    return grid
+    return cell
 
 
 def _flow_sign(g, H, l):
@@ -272,28 +282,12 @@ def check_assumption_separation(f, theta, box=None, resolution=200, points=None,
     """Check that each critical point's region contains no foreign critical points.
 
     `points` defaults to find_critical_points(f, box, grid_density). For every
-    such point, the flood-filled region through it must contain no other
+    such point, the theta-region through it must contain no other
     critical point except those connected to it through near-critical cells
     (gradient norm <= 1e-8), which represent the same connected critical
     subset. Returns one dict per point with a pass flag and the indices of
     violating partners.
     """
-    box = _grid_box(f, box)
     if points is None:
-        points = [r.location for r in find_critical_points(f, box, grid_density)]
-    points = [as_vector(p) for p in points]
-    # one grid serves every region and phi; near-critical connectivity at the grid
-    # resolution stands in for connected critical subsets (e.g. a whole critical line)
-    mask, phi_mask = _grid_masks(f, box, resolution, theta, 1e-8)
-    regions = [_fill(f, p, theta, box, resolution, mask) for p in points]
-    phi_mask = phi_mask.copy()  # marked below; a mask `_one_grid` holds stays as built
-    for region in regions:  # every region shares the grid; its seed cell is its point's
-        phi_mask[region.seed_cell] = True
-
-    results = []
-    for p, region in zip(points, regions):
-        contained = np.flatnonzero(region.contains_point(np.array(points))).tolist()
-        same = _component(phi_mask, region.seed_cell)
-        violations = [j for j in contained if not same[regions[j].seed_cell]]
-        results.append({"point": p, "pass": len(violations) == 0, "violations": violations})
-    return results
+        points = [r.location for r in find_critical_points(f, _grid_box(f, box), grid_density)]
+    return _separation(f, theta, box, resolution, points)[0]

@@ -158,7 +158,6 @@ def test_analyze_region_reads_the_separation_grid(tmp_path, monkeypatch):
     flags = ["--objective", "cubic_cone", "--theta", "3", "--x0", "0,0", "--resolution", "150"]
     assert main(["analyze", *flags, "--out", str(tmp_path / "analyze")]) == 0
     assert grids == [("cubic_cone", 150, [[-3.0, 3.0], [-3.0, 3.0]])]
-    assert region._masks is None  # the shared masks are dropped after the command
     # the region from the shared grid is the region subcommand's, byte for byte
     assert main(["region", *flags, "--out", str(tmp_path / "region")]) == 0
     for name in ("region.csv", "region.json"):
@@ -458,7 +457,7 @@ LIBRARY_CALLS = [
     (["run", "--objective", "cubic_valley", "--x0", "1,0"], ["run_regularized_gd"]),
     (["analyze", "--objective", "cubic_cone", "--theta", "3", "--x0", "0,0", "--milnor", "5",
       "--resolution", "40"],
-     ["find_critical_points", "check_assumption_separation", "theta_region", "milnor_sample"]),
+     ["find_critical_points", "_separation", "milnor_sample"]),
     (["bifurcate"], ["find_critical_points", "continuation_trace"]),
     (["stable-set", "--objective", "cubic_valley", "--x0", "0,0", "--gamma", "0.15",
       "--trials", "50"], ["stable_set_fraction"]),
@@ -548,7 +547,7 @@ def test_zero_resolution_is_config_error(tmp_path, capsys, command):
     ["analyze", "--objective", "cubic_cone", "--x0", "0,0", "--theta", "3"],
 ])
 def test_grid_of_2_31_cells_is_config_error(tmp_path, capsys, command):
-    # 46341^2 >= 2**31 cells, more than the flood fill's int32 run labels can number
+    # 46341^2 >= 2**31 cells, more than the labelling's int32 ids can number
     out = tmp_path / "none"
     assert main(command + ["--resolution", "46341", "--out", str(out)]) == 1
     assert _one_line_error(capsys) == (

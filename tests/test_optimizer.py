@@ -57,6 +57,12 @@ def test_config_rejects_nan(field):
         OptimizerConfig(**{field: float("nan")})
 
 
+def test_config_rejects_infinite_theta():
+    # as the CLI's `--theta inf` is rejected; every gradient norm would count as inside
+    with pytest.raises(ValueError, match="theta must be finite"):
+        OptimizerConfig(theta=float("inf"))
+
+
 @pytest.mark.parametrize("value", [float("inf"), 2.5, 10.0, True])
 def test_config_rejects_max_iters_that_is_not_an_integer(value):
     # `k >= max_iters` never holds for NaN or inf, so the run would not stop

@@ -25,7 +25,14 @@ from saddlereg import (
 )
 import saddlereg.region as region_module
 from saddlereg.linalg import _norms
-from saddlereg.region import GRID_BLOCK_CELLS, RegionGrid, _component, _erode, _grad_norm_grid
+from saddlereg.region import (
+    GRID_BLOCK_CELLS,
+    RegionGrid,
+    _component,
+    _erode,
+    _grad_norm_grid,
+    _labels,
+)
 
 from oracles import grad_norm_grid, region_csv
 
@@ -349,6 +356,35 @@ def test_component_and_erosion_match_ndimage(case):
     np.testing.assert_array_equal(_erode(mask), _scipy_erosion(mask))
 
 
+def _checkerboard(shape):
+    return np.indices(shape).sum(axis=0) % 2 == 0
+
+
+def _snake(rows, cols):
+    mask = np.zeros((rows, cols), dtype=bool)
+    mask[::2] = True
+    mask[1::4, -1] = mask[3::4, 0] = True
+    return mask
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(mask=st.lists(st.integers(1, 16), min_size=1, max_size=3).flatmap(
+    lambda shape: arrays(np.bool_, tuple(shape), elements=st.booleans(), fill=st.nothing())))
+# a component per cell of one color, and one snake that turns at every row end
+@example(mask=_checkerboard((12, 12, 12)))
+@example(mask=_checkerboard((1, 31)))
+@example(mask=_snake(15, 16))
+def test_labels_partition_the_mask_as_ndimage_does(mask):
+    labels = _labels(mask)
+    expected, n_components = ndimage.label(
+        mask, structure=ndimage.generate_binary_structure(mask.ndim, 1))
+    assert labels.dtype == np.int32
+    np.testing.assert_array_equal(labels == 0, ~mask)
+    # the same partition: each of our ids meets one of scipy's, and each of scipy's one of ours
+    pairs = set(zip(labels[mask].tolist(), expected[mask].tolist()))
+    assert len(pairs) == len(np.unique(labels[mask])) == n_components
+
+
 _REGION_OBJECTIVES = ["cubic_valley", "cubic_cone", "monkey_line", "double_degenerate",
                       "quadratic_bowl"]
 
@@ -396,7 +432,7 @@ def test_region_seeded_at_cell_center_with_its_own_gradient_norm(case):
 
 def test_winding_monkey_region_matches_ndimage():
     # the theta = 4.7 region of x y^3 / 3 at resolution 600 has long winding
-    # arms, the case where the fill's pass count would grow with path length
+    # arms, the case where the labelling's round count would grow with path length
     f = get_objective("monkey_line")
     region = theta_region(f, [0.0, 0.0], 4.7, resolution=600)
     mask = _grad_norm_grid(f, f.domain_box, 600) <= 4.7
@@ -464,7 +500,7 @@ def test_grad_norm_grid_in_slabs_equals_one_shot_grid(case):
     (quadratic_bowl(dim=3), 1291),  # 1290^3 < 2**31 <= 1291^3
 ])
 def test_grid_of_2_31_cells_rejected(f, resolution):
-    # the flood fill labels runs in int32
+    # the labelling's ids are int32
     with pytest.raises(ValueError, match=r"fewer than 2\*\*31 cells"):
         theta_region(f, np.zeros(f.dim), 1.0, resolution=resolution)
     with pytest.raises(ValueError, match=r"fewer than 2\*\*31 cells"):
@@ -478,10 +514,13 @@ def _counting_gradient(f):
     return g, rows
 
 
-@pytest.mark.parametrize("name, theta, resolution, points", [
+_SEPARATION_CASES = [
     ("double_degenerate", 0.1, 400, [[-1.0], [0.0], [1.0]]),
     ("cubic_cone", 3.0, 200, [[0.0, 0.0]]),
-])
+]
+
+
+@pytest.mark.parametrize("name, theta, resolution, points", _SEPARATION_CASES)
 def test_separation_builds_one_gradient_grid(name, theta, resolution, points):
     # one grid for every point's region and for phi, plus one row per seed check
     f, rows = _counting_gradient(get_objective(name))
@@ -493,27 +532,23 @@ def test_separation_builds_one_gradient_grid(name, theta, resolution, points):
         assert r["pass"] == e["pass"] and r["violations"] == e["violations"]
 
 
-def test_one_grid_hands_out_its_masks_as_built():
-    # inside the block a second separation check and a region reuse the first check's
-    # masks, and marking the seed cells on phi leaves the shared near-critical mask as built
-    name, theta, resolution, points = "double_degenerate", 10.0, 400, [[-1.0], [0.0], [1.0]]
-    expected = check_assumption_separation(get_objective(name), theta, resolution=resolution,
-                                           points=points)
-    f, rows = _counting_gradient(get_objective(name))
-    box = np.asarray(f.domain_box, dtype=float)
-    with region_module._one_grid():
-        for _ in range(2):
-            results = check_assumption_separation(f, theta, resolution=resolution, points=points)
-            assert [(r["pass"], r["violations"]) for r in results] == \
-                [(e["pass"], e["violations"]) for e in expected]
-        grid = theta_region(f, [0.0], theta, resolution=resolution)
-        near = region_module._grid_masks(f, box, resolution, 1e-8)[0]
-    assert sum(rows) == resolution + 2 * len(points) + 1  # one grid, then the seed checks
-    assert region_module._masks is None
-    gn = _grad_norm_grid(get_objective(name), box, resolution)
-    np.testing.assert_array_equal(near, gn <= 1e-8)
-    np.testing.assert_array_equal(
-        grid.inside, theta_region(get_objective(name), [0.0], theta, resolution=resolution).inside)
+@pytest.mark.parametrize("name, theta, resolution, points", _SEPARATION_CASES)
+def test_separation_labels_each_mask_once(name, theta, resolution, points):
+    # one labelling of the theta mask and one of the near-critical mask serve every point
+    with mock.patch.object(region_module, "_labels", wraps=_labels) as labels, \
+            mock.patch.object(region_module, "_grad_norm_grid", wraps=_grad_norm_grid) as grids:
+        check_assumption_separation(get_objective(name), theta, resolution=resolution,
+                                    points=points)
+    assert (labels.call_count, grids.call_count) == (2, 1)
+
+
+def test_nan_theta_puts_the_seed_outside_the_region():
+    # NaN fails every comparison: the seed test must not pass it on to the grid mask
+    f = get_objective("cubic_cone")
+    with pytest.raises(ValueError, match="seed lies outside the small-gradient region"):
+        theta_region(f, [0.0, 0.0], float("nan"), resolution=40)
+    with pytest.raises(ValueError, match="seed lies outside the small-gradient region"):
+        check_assumption_separation(f, float("nan"), resolution=40, points=[[0.0, 0.0]])
 
 
 def test_separation_keeps_theta_region_seed_errors():

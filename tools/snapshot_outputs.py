@@ -80,6 +80,10 @@ CLI_RUNS = {
                         "--resolution 20001",
     "analyze_separation_1d_blocks": "analyze --objective double_degenerate --theta 0.5 --x0 0 "
                                     "--resolution 20001",
+    # a failing separation check: each critical point's theta = 10 region holds the other
+    # two, which no near-critical cells join to it
+    "analyze_separation_fail": "analyze --objective double_degenerate --theta 10 --x0 0 "
+                               "--resolution 400",
     # inputs the CLI or the library rejects: one error line, exit 1, nothing written
     "error_run_objective": "run --objective nope",
     "error_run_gamma": "run --objective cubic_valley --x0 1,0 --gamma -0.5",
