@@ -91,8 +91,8 @@ def newton_root(f, x0, shift, tol=NEWTON_TOL, max_steps=50):
     row, then the dampings 2^-1..2^-10 in one stacked gradient call on the rows it did not
     improve; each row takes the largest damping whose gradient norm decreases, the one
     halving from 1 would stop at. No decrease at any damping, a singular Newton system or
-    a non-finite step ends the row.
-    Steps continue past `tol` until improvement stalls, polishing degenerate roots.
+    a non-finite step ends the row; so does a failed full step on a row below `tol`.
+    Full steps polish rows past `tol`, bringing a degenerate root's seeds together.
     Returns (x, converged), converged = gradient norm below tol or zero; per row for
     a batch, each row equal bit for bit to the single start from it.
     """
@@ -116,8 +116,7 @@ def newton_root(f, x0, shift, tol=NEWTON_TOL, max_steps=50):
                 ok = np.linalg.slogdet(H)[0] != 0.0
                 D = np.full((rows.size, X.shape[1]), np.nan)
                 D[ok] = np.linalg.solve(H[ok], -G[rows[ok], :, np.newaxis])[..., 0]
-            ok = np.isfinite(D).all(axis=1)
-            rows, D = rows[ok], D[ok]
+            rows, D = rows[ok := np.isfinite(D).all(axis=1)], D[ok]
             running[:] = False  # rows run on only when their damped step improves
             if not rows.size:
                 break
@@ -127,7 +126,7 @@ def newton_root(f, x0, shift, tol=NEWTON_TOL, max_steps=50):
             done = rows[hit]
             X[done], G[done], gn[done] = trial[hit], G_trial[hit], gn_trial[hit]
             running[done] = True
-            rows, D = rows[~hit], D[~hit]
+            rows, D = rows[miss := ~hit & (gn[rows] >= tol)], D[miss]  # below tol: no dampings
             if not rows.size:
                 continue
             # 2^-1..2^-10 stacked (rows, dampings, n) for the rows the full step did not improve
@@ -165,15 +164,21 @@ def solve_gradient_equation(f, rhs, seeds, tol=NEWTON_TOL, box=None):
 def _distinct_in_box(X, ok, box, dedup_radius):
     """Rows of X flagged `ok` in `box` (1e-9 margin) and not within `dedup_radius` of
     an earlier such row, as an array (k, n) in lexicographic row order."""
+    solutions = sorted(X[_distinct_rows(X[None], ok[None], box, dedup_radius)[0]], key=tuple)
+    return np.reshape(solutions, (-1, X.shape[1]))
+
+
+def _distinct_rows(X, ok, box, dedup_radius):
+    """Mask (g, k) of the rows _distinct_in_box keeps of each group of X (g, k, n), in lockstep."""
     if box is not None:
         box, margin = np.asarray(box, dtype=float), 1e-9
-        ok = ok & np.all((X >= box[:, 0] - margin) & (X <= box[:, 1] + margin), axis=1)
-    rest, solutions = X[ok], []
-    while len(rest):
-        solutions.append(rest[0])
-        rest = rest[1:][_norms(rest[1:] - rest[0]) > dedup_radius]
-    solutions.sort(key=tuple)
-    return np.reshape(solutions, (-1, X.shape[1]))
+        ok = ok & np.all((X >= box[:, 0] - margin) & (X <= box[:, 1] + margin), axis=-1)
+    live, kept, groups = ok.copy(), np.zeros_like(ok), np.arange(len(X))
+    while live.any():
+        first = live.argmax(axis=1)  # each group keeps its first live row (none when spent)
+        kept[groups, first] |= live[groups, first]
+        live &= _norms(X - X[groups, first, None]) > dedup_radius  # and drops those near it
+    return kept
 
 
 def find_critical_points(f, box=None, grid_density=10, tol=NEWTON_TOL, tau=DEFAULT_ZERO_TAU):

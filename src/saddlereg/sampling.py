@@ -16,7 +16,7 @@ from .critical import (
     LOCAL_MIN,
     STRATUM_NEGATIVE,
     STRATUM_POSITIVE,
-    _distinct_in_box,
+    _distinct_rows,
     _grid_seeds,
     classify_point,
     newton_root,
@@ -148,15 +148,15 @@ def milnor_sample(f, box=None, n_l=500, l_scale=1.0, seed=0, l_min=0.0, grid_den
     seeds = _grid_seeds(box, grid_density)
     k = len(seeds)
     draws = max(1, MILNOR_BLOCK_ROWS // k)  # whole draws per Newton call
-    kept = []  # per draw, its distinct critical points in the box
+    points, kept = [], []  # per draw, its distinct critical points in the box, and their rows
     for first in range(0, n_l, draws):
         shifts = np.repeat(L[first:first + draws], k, axis=0)
         X, ok = newton_root(f, np.tile(seeds, (len(shifts) // k, 1)), shifts)
-        kept += [_distinct_in_box(Xd, okd, box, DEDUP_RADIUS)  # within a draw, never across
-                 for Xd, okd in zip(X.reshape(-1, k, n), ok.reshape(-1, k))]
-    eig = np.abs(sym_eigen(f.hessian(np.concatenate(kept))).eigenvalues)
+        kept.append(_distinct_rows(X.reshape(-1, k, n), ok.reshape(-1, k), box, DEDUP_RADIUS))
+        points.append(X[kept[-1].ravel()])  # within a draw, never across
+    eig = np.abs(sym_eigen(f.hessian(np.concatenate(points))).eigenvalues)
     flat = eig.min(axis=1) <= DEFAULT_ZERO_TAU * np.maximum(1.0, eig.max(axis=1))
-    owners = np.repeat(np.arange(n_l), [len(draw) for draw in kept])
+    owners = np.concatenate(kept).nonzero()[0]  # the draw of each point
     return len(set(owners[flat].tolist())) / n_l
 
 

@@ -4,7 +4,8 @@ Central-difference gradients, Hessians and third directional derivatives of a
 scalar field, evaluated one point at a time, for the closed-form and
 backpropagated derivatives; the descent algorithm for one start, written
 as a plain loop, for the lockstep engine; damped Newton halving its damping
-one gradient call at a time, for the stacked damping search; the region
+one gradient call at a time, for the stacked damping search; the Milnor
+fraction from one critical-point search per draw, for the stacked draws; the region
 grid's gradient norms from one gradient call on the whole mesh, for the grid
 built slab by slab; the region grid's CSV written through `csv.writer`, for
 the streamed writer; and the planar corpus entries' evaluators written out
@@ -17,7 +18,13 @@ import itertools
 
 import numpy as np
 
-from saddlereg.critical import NEWTON_TOL
+from saddlereg.critical import (
+    DEDUP_RADIUS,
+    DEFAULT_ZERO_TAU,
+    NEWTON_TOL,
+    _grid_seeds,
+    newton_root,
+)
 from saddlereg.linalg import NumericalError, _norms, as_vector, symmetrize
 from saddlereg.optimizer import (
     STATUS_CONVERGED,
@@ -25,6 +32,7 @@ from saddlereg.optimizer import (
     STATUS_MAX_ITERS,
     STATUS_NUMERICAL_FAILURE,
 )
+from saddlereg.sampling import _sphere_direction
 
 
 def _default_h(x, base):
@@ -156,8 +164,9 @@ def descend_one(f, x0, cfg, gamma, theta):
 def newton_root_halving(f, x0, shift, tol=NEWTON_TOL, max_steps=50):
     """Damped Newton on f.gradient(x) + shift = 0 from a batch of starts (m, n), each
     step's damping starting at 1 and halving, one gradient call per damping, until a
-    row's gradient norm decreases; no decrease at 2^-10 ends the row. Arithmetic is
-    the library's, so (x, converged) must agree bit for bit."""
+    row's gradient norm decreases; no decrease at 2^-10 ends the row, and a row already
+    below `tol` ends when the full step (damping 1) fails. Arithmetic is the library's,
+    so (x, converged) must agree bit for bit."""
     X = np.array(x0, dtype=float)
     S = np.broadcast_to(np.asarray(shift, dtype=float), X.shape)
     with np.errstate(all="ignore"):
@@ -185,8 +194,37 @@ def newton_root_halving(f, x0, shift, tol=NEWTON_TOL, max_steps=50):
                 X[done], G[done], gn[done] = trial[ok], G_trial[ok], gn_trial[ok]
                 running[done] = True
                 rows, D = rows[~ok], D[~ok]
+                if lam == 1.0:  # no dampings for a row below tol
+                    below = gn[rows] < tol
+                    rows, D = rows[~below], D[~below]
                 lam *= 0.5
     return X, (gn < tol) | (gn == 0.0)
+
+
+def milnor_per_draw(f, n_l, l_scale, seed, l_min=0.0, box=None, grid_density=7):
+    """milnor_sample's fraction from one Newton call per draw: the draw's roots from the
+    grid seeds, kept when flagged converged, in the box (1e-9 margin) and not within
+    DEDUP_RADIUS of a root kept before them, each root tested on its own Hessian."""
+    box = np.asarray(f.domain_box if box is None else box, dtype=float)
+    rng = np.random.default_rng(seed)
+    n = f.dim
+    seeds = _grid_seeds(box, grid_density)
+    flagged = 0
+    for _ in range(n_l):
+        u = rng.uniform(0.0, 1.0)
+        radius = (l_min ** n + u * (l_scale ** n - l_min ** n)) ** (1.0 / n)
+        X, ok = newton_root(f, seeds, radius * _sphere_direction(rng, n))
+        kept = []
+        for x, ok_x in zip(X, ok):
+            inside = np.all((x >= box[:, 0] - 1e-9) & (x <= box[:, 1] + 1e-9))
+            if ok_x and inside and all(_norms(x - y) > DEDUP_RADIUS for y in kept):
+                kept.append(x)
+        for x in kept:
+            eig = np.abs(np.linalg.eigvalsh(np.asarray(f.hessian(x), dtype=float)))
+            if eig.min() <= DEFAULT_ZERO_TAU * max(1.0, eig.max()):
+                flagged += 1
+                break
+    return flagged / n_l
 
 
 def grad_norm_grid(f, box, resolution):

@@ -23,8 +23,10 @@ from saddlereg import (
     quadratic_bowl,
 )
 from saddlereg.critical import (
+    DEDUP_RADIUS,
     DEFAULT_ZERO_TAU,
     _distinct_in_box,
+    _distinct_rows,
     _grid_seeds,
     newton_root,
     solve_gradient_equation,
@@ -279,6 +281,8 @@ _DAMPING_EXAMPLES = [
     (_NO_ROOT, np.array([[0.02]]), np.zeros((1, 1))),
     # full steps, a small damping and a stall in one batch
     (_NO_ROOT, np.array([[3.0], [0.02], [0.5], [-1.0]]), np.zeros((4, 1))),
+    # a row below tol whose full step fails ends without dampings, beside one above tol
+    (_SQUARE, np.array([[1e-5], [0.02]]), np.array([[1e-9], [1.0]])),
 ]
 
 
@@ -314,7 +318,8 @@ def _logged(f):
 @_damping_examples
 def test_newton_root_tries_dampings_in_two_calls(case):
     # after each Hessian call: the full step for every row, then ten dampings for each
-    # row it did not improve, the rows that halving takes on to its damping 1/2
+    # row it did not improve and that is not below tol, the rows that halving takes on
+    # to its damping 1/2
     f, X0, L = case
     g, log = _logged(f)
     newton_root(g, X0, L)
@@ -330,6 +335,27 @@ def test_newton_root_tries_dampings_in_two_calls(case):
     assert log == expected
     hessian_calls = sum(kind == "h" for kind, _ in log)
     assert len(log) - hessian_calls <= 1 + 2 * hessian_calls
+
+
+def test_newton_root_stops_a_row_below_tol_at_its_failed_full_step():
+    # with shift 1e-9, x^2 + 1e-9 is 1.1e-9 < tol at 1e-5, and the full step to -4.5e-5
+    # raises it to 3.0e-9: the row ends there, where a damping of 1/4 would still have
+    # lowered it. With shift 1, x^2 + 1 at 0.02 is far above tol: its full step fails
+    # too, and it alone gets the ten stacked dampings
+    g, log = _logged(_SQUARE)
+    X, ok = newton_root(g, [[1e-5], [0.02]], [[1e-9], [1.0]])
+    assert log[:4] == [("g", 2), ("h", 2), ("g", 2), ("g", 10)]
+    # the stopped row is not evaluated again: later calls hold the other row, or its dampings
+    assert all(rows in (1, 10) for _, rows in log[4:])
+    assert X[0, 0] == 1e-5 and ok.tolist() == [True, False]
+
+
+def test_newton_root_polishes_the_degenerate_root_to_one_point():
+    # below tol, full steps go on while they improve: cubic_valley's seeds near its
+    # degenerate origin come within DEDUP_RADIUS of each other, and one point is found
+    [point] = find_critical_points(_VALLEY)
+    assert np.linalg.norm(point.location) < 1e-12
+    assert point.classification == NON_STRICT_OR_DEGENERATE
 
 
 def _linalg_calls(monkeypatch):
@@ -413,6 +439,51 @@ def test_distinct_in_box_keeps_earliest_row_per_cluster(case):
     for a in range(len(out)):
         for b in range(a):
             assert np.linalg.norm(out[a] - out[b]) > radius
+
+
+@st.composite
+def _dedup_stacks(draw):
+    n = draw(st.integers(1, 2))
+    radius = draw(st.sampled_from([DEDUP_RADIUS, 0.25]))
+    # 0 and 0.5 plus a multiple of either radius are exact, so pairs lie at exactly the
+    # radius; +-(1 + 0.9e-9) and +-(1 + 1.1e-9) sit inside and outside the box's margin
+    margin = [1.0 + 0.9e-9, -1.0 - 0.9e-9, 1.0 + 1.1e-9, -1.0 - 1.1e-9]
+    coords = st.one_of(st.sampled_from([0.0, 0.5] + margin), st.floats(-1.2, 1.2))
+    centers = draw(st.lists(st.lists(coords, min_size=n, max_size=n), min_size=1, max_size=3))
+    k = draw(st.integers(1, 8))
+    X = np.empty((draw(st.integers(1, 5)), k, n))
+    ok = np.empty(X.shape[:2], dtype=bool)
+    for group in range(len(X)):
+        for row in range(k):
+            axis = np.arange(n) == draw(st.integers(0, n - 1))
+            step = draw(st.sampled_from([0.0, 0.4, -0.7, 1.0, -1.0, 1.5]))
+            X[group, row] = np.array(draw(st.sampled_from(centers))) + step * radius * axis
+        # a group may be wholly outside the box, or have no ok row at all
+        X[group] += draw(st.sampled_from([0.0, 0.0, 3.0]))
+        mode = draw(st.sampled_from(["all", "none", "some"]))
+        ok[group] = [mode == "all" or mode == "some" and draw(st.booleans()) for _ in range(k)]
+    box = draw(st.sampled_from([None, [[-1.0, 1.0]] * n]))
+    return X, ok, box, radius
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=_dedup_stacks())
+def test_distinct_rows_equals_each_group_alone(case):
+    # the lockstep mask keeps, in every group, the rows a plain loop over that group
+    # keeps, and those rows are the group's _distinct_in_box, sorted
+    X, ok, box, radius = case
+    kept = _distinct_rows(X, ok, box, radius)
+    assert kept.shape == ok.shape and kept.dtype == bool
+    for group, (Xg, okg) in enumerate(zip(X, ok)):
+        rows = []
+        for i, x in enumerate(Xg):
+            inside = box is None or np.all((x >= -1.0 - 1e-9) & (x <= 1.0 + 1e-9))
+            if okg[i] and inside and all(np.linalg.norm(x - Xg[j]) > radius for j in rows):
+                rows.append(i)
+        assert kept[group].nonzero()[0].tolist() == rows
+        alone = _distinct_in_box(Xg, okg, box, radius)
+        assert sorted(map(tuple, Xg[rows])) == list(map(tuple, alone))
+        assert alone.shape == (len(rows), X.shape[2])
 
 
 def test_distinct_in_box_margin_is_1e_9():

@@ -33,6 +33,8 @@ from saddlereg import sampling
 from saddlereg.critical import newton_root
 from saddlereg.sampling import _sphere_direction
 
+from oracles import milnor_per_draw
+
 
 def test_batch_matches_sequential_runs():
     f = get_objective("cubic_valley")
@@ -367,6 +369,23 @@ def test_milnor_stacked_equals_per_draw_searches(name, l_scale, l_min):
     # 25 draws of a 7 x 7 grid span two Newton blocks, of 20 and 5 draws
     assert (milnor_sample(f, n_l=25, l_scale=l_scale, l_min=l_min, seed=5)
             == _milnor_per_draw(f, 25, l_scale, 5, l_min))
+
+
+# the four objectives with a non-strict critical point, with shifts small enough that
+# some draws stay degenerate
+@pytest.mark.parametrize("name, l_scale", [("cubic_valley", 1e-12), ("cubic_cone", 1e-10),
+                                           ("monkey_line", 1e-7), ("double_degenerate", 1e-12)])
+# the domain box, and a box that leaves out the origin and ends at the root x = 1
+@pytest.mark.parametrize("seed, box", [(6, None), (7, [0.05, 1.0])])
+def test_milnor_equals_one_search_per_draw(name, l_scale, seed, box):
+    # 30 draws are two Newton blocks of the 7 x 7 grid (20 and 10 draws) and one block
+    # of the 7 seeds on the line, each deduplicated in lockstep
+    f = get_objective(name)
+    box = None if box is None else [box] * f.dim
+    expected = milnor_per_draw(f, 30, l_scale, seed, box=box)
+    if box is None:
+        assert 0.0 < expected < 1.0
+    assert milnor_sample(f, box=box, n_l=30, l_scale=l_scale, seed=seed) == expected
 
 
 @pytest.mark.parametrize("block_rows", [1, 30, 100])

@@ -37,6 +37,8 @@ CLI_RUNS = {
     "analyze_milnor_double_degenerate":
         "analyze --objective double_degenerate --milnor 300 --seed 1",
     "analyze_milnor_cubic_cone": "analyze --objective cubic_cone --milnor 100 --seed 2",
+    # a box smaller than the domain, so that the Milnor draws' dedupe drops roots outside it
+    "analyze_milnor_box": "analyze --objective monkey_line --box -1,1 --milnor 150 --seed 4",
     "analyze_separation": "analyze --objective cubic_cone --theta 3 --x0 0,0 --resolution 150",
     "bifurcate_cubic_valley": "bifurcate --objective cubic_valley --regularizer -1,0",
     "bifurcate_monkey_line":
