@@ -12,6 +12,7 @@ a rejected input writes nothing.
 """
 
 import argparse
+import collections
 import dataclasses
 import functools
 import json
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .continuation import StartError, continuation_trace
-from .critical import find_critical_points
+from .critical import _as_box, find_critical_points
 from .linalg import NumericalError
 from .mlp import MlpSpec, make_blobs, init_params, mlp_objective
 from .objectives import corpus_names, get_objective, make_regularized
@@ -96,37 +97,28 @@ def _parse_vector(text, dim=None, name="vector"):
     return vec
 
 
-def _parse_box(text, dim):
+def _parse_box(text, f):
     """The (dim, 2) box of a --box value; None (flag unset) means the objective's
     domain box, which every library function takes for box=None."""
     if not text:
         return None
     vals = _parse_vector(text, name="box")
-    if vals.size == 2:
-        box = np.tile(vals, (dim, 1))
-    elif vals.size == 2 * dim:
-        box = vals.reshape(dim, 2)
-    else:
-        raise ConfigError(f"box needs 2 or {2 * dim} numbers, got {vals.size}")
-    with np.errstate(over="ignore"):
-        widths = box[:, 1] - box[:, 0]
-    if not np.all((widths > 0) & np.isfinite(widths)):
-        raise ConfigError("box lower bounds must be below upper bounds by a finite width")
-    return box
+    if vals.size not in (2, 2 * f.dim):
+        raise ConfigError(f"box needs 2 or {2 * f.dim} numbers, got {vals.size}")
+    return _as_box(f, np.resize(vals, (f.dim, 2)))  # two numbers repeat on every axis
 
 
-# flags that set OptimizerConfig fields: argparse dest -> (field, type)
-_CONFIG_FLAGS = {"theta": ("theta", float), "gamma": ("gamma", float),
-                 "eps": ("eps_converge", float), "max_iters": ("max_iters", int),
-                 "escape_radius": ("escape_radius", float)}
+def _flags(command):
+    """A subcommand's flags (see _COMMANDS), by argparse dest."""
+    return {flag.name[2:].replace("-", "_"): flag for flag in _COMMANDS[command][2]}
 
 
 def _optimizer_config(args, **defaults):
     """OptimizerConfig from the flags that are set; `defaults` (by field) replace
     the dataclass defaults for the others."""
-    for dest, (field, _) in _CONFIG_FLAGS.items():
-        if getattr(args, dest, None) is not None:
-            defaults[field] = getattr(args, dest)
+    for dest, flag in _flags(args.command).items():
+        if flag.field and getattr(args, dest) is not None:
+            defaults[flag.field] = getattr(args, dest)
     return OptimizerConfig(**defaults)
 
 
@@ -146,16 +138,16 @@ def _count(value, default, flag, minimum=1, maximum=None):
     return value
 
 
-def _config_value_ok(action, value):
-    """Whether a JSON config value has the type the flag's parser produces (null: unset)."""
-    if isinstance(action, argparse._AppendAction):
+def _config_value_ok(kind, value):
+    """Whether a JSON config value has the type a flag of `kind` parses to (null: unset)."""
+    if kind is list:
         return isinstance(value, list) and all(isinstance(v, str) for v in value)
-    kinds = {float: (int, float), int: (int,)}.get(action.type, (str,))
+    kinds = {float: (int, float), int: (int,)}.get(kind, (str,))
     return value is None or (isinstance(value, kinds) and not isinstance(value, bool))
 
 
-def _apply_config_file(args, parser):
-    if not getattr(args, "config", None):
+def _apply_config_file(args):
+    if not args.config:
         return
     try:
         with open(args.config) as fh:
@@ -164,16 +156,16 @@ def _apply_config_file(args, parser):
         raise ConfigError(f"could not read config file: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
-    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    actions = {a.dest: a for a in subparsers.choices[args.command]._actions}
+    flags = _flags(args.command)
     for key, value in data.items():
         dest = key.replace("-", "_")
-        if not hasattr(args, dest):
+        if dest not in flags:
             raise ConfigError(f"unknown config key {key!r}")
-        if dest in actions and not _config_value_ok(actions[dest], value):
+        kind = flags[dest].type
+        if not _config_value_ok(kind, value):
             raise ConfigError(f"config key {key!r} has a value of the wrong type: {value!r}")
-        if getattr(args, dest) is None:
-            setattr(args, dest, value)
+        if getattr(args, dest) is None:  # as its text parses: 1 as 1.0, 10**400 as inf
+            setattr(args, dest, value if value is None or kind is list else kind(str(value)))
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +205,7 @@ def cmd_analyze(args):
     f = _get_objective(args.objective)
     if args.regularizer:
         f = make_regularized(f, _parse_vector(args.regularizer, f.dim, "regularizer"))
-    box = _parse_box(args.box, f.dim)
+    box = _parse_box(args.box, f)
     resolution = _count(args.resolution, 200, "--resolution")
     n_l = None if args.milnor is None else _count(args.milnor, None, "--milnor")
     seed = None if n_l is None else _count(args.seed, 0, "--seed", minimum=0)
@@ -249,7 +241,7 @@ def cmd_analyze(args):
 
 def cmd_bifurcate(args):
     f = get_objective(args.objective or "double_degenerate")
-    box = _parse_box(args.box, f.dim)
+    box = _parse_box(args.box, f)
     if args.regularizer:
         ls = [_parse_vector(t, f.dim, "regularizer") for t in args.regularizer]
     elif f.dim == 1:
@@ -290,7 +282,7 @@ def cmd_stable_set(args):
     if args.x0 is None:
         raise ConfigError("--x0 (the target point) is required for stable-set")
     target = _parse_vector(args.x0, f.dim, "x0")
-    box = _parse_box(args.box, f.dim)
+    box = _parse_box(args.box, f)
     n_samples = _count(args.trials, 2000, "--trials")
     seed = _count(args.seed, 0, "--seed", minimum=0)
     if args.gamma is None:
@@ -317,7 +309,7 @@ def cmd_region(args):
     if args.x0 is None or args.theta is None:
         raise ConfigError("--x0 and --theta are required for region")
     seed_pt = _parse_vector(args.x0, f.dim, "x0")
-    box = _parse_box(args.box, f.dim)
+    box = _parse_box(args.box, f)
     resolution = _count(args.resolution, 200, "--resolution")
     region = theta_region(f, seed_pt, args.theta, box, resolution)
     return 0, _region_outputs(f, region, seed_pt), [
@@ -433,76 +425,54 @@ def _write_trial_csv(path, loss, gnorm, ks, plain, reg):
 
 # ---------------------------------------------------------------------------
 
+# Every subcommand's handler, help and flags in --help order. A flag is unset (None)
+# until given; type list makes it repeatable (argparse's append), collecting strings;
+# a flag with a field sets that OptimizerConfig field. build_parser, _optimizer_config
+# and --config all read this table; a callable help, which builds the corpus, runs
+# in build_parser and not at import.
+_Flag = collections.namedtuple("_Flag", "name type help field", defaults=(str, None, None))
+_OBJECTIVE = _Flag("--objective", help=lambda: "corpus objective name: "
+                   + ", ".join(corpus_names()))
+_FILES = (_Flag("--out", help="output directory (default: out)"),
+          _Flag("--config", help="JSON config file; flags override"))
+_THETA, _GAMMA, _MAX_ITERS = (_Flag("--theta", float, field="theta"),
+                              _Flag("--gamma", float, field="gamma"),
+                              _Flag("--max-iters", int, field="max_iters"))
+_OPTIMIZER = (_THETA, _GAMMA, _Flag("--eps", float, field="eps_converge"), _MAX_ITERS,
+              _Flag("--escape-radius", float, field="escape_radius"))
+_COMMANDS = {
+    "run": (cmd_run, "run regularized gradient descent",
+            (_OBJECTIVE, *_FILES, _Flag("--x0"), *_OPTIMIZER)),
+    "analyze": (cmd_analyze, "locate and classify critical points", (
+        _OBJECTIVE, *_FILES, _Flag("--regularizer"), _Flag("--box"), _Flag("--resolution", int),
+        _Flag("--theta", float), _Flag("--x0", help="seed point for a region export"),
+        _Flag("--milnor", int, "sample this many random regularizers for degeneracy"),
+        _Flag("--seed", int))),
+    "bifurcate": (cmd_bifurcate, "sweep regularizers and trace continuations",
+                  (_OBJECTIVE, *_FILES, _Flag("--regularizer", list), _Flag("--box"))),
+    "stable-set": (cmd_stable_set, "measure a basin fraction by sampling", (
+        _OBJECTIVE, *_FILES, _Flag("--x0", help="target point"), _Flag("--box"),
+        _Flag("--trials", int, "number of samples"), *_OPTIMIZER, _Flag("--seed", int))),
+    "region": (cmd_region, "export a small-gradient region grid", (
+        _OBJECTIVE, *_FILES, _Flag("--x0", help="seed point"), _Flag("--theta", float),
+        _Flag("--box"), _Flag("--resolution", int))),
+    "mlp-compare": (cmd_mlp_compare, "plain vs regularized descent on a small network", (
+        *_FILES, _Flag("--trials", int), _THETA, _GAMMA, _MAX_ITERS, _Flag("--seed", int),
+        _Flag("--widths", help="layer widths, e.g. 2,8,8,2"), _Flag("--samples", int),
+        _Flag("--separation", float))),
+}
+
+
 def build_parser():
     parser = _Parser(prog="saddlereg",
                      description="Regularized gradient descent experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, objective=True):
-        if objective:
-            p.add_argument("--objective", help="corpus objective name: "
-                           + ", ".join(corpus_names()))
-        p.add_argument("--out", default=None, help="output directory (default: out)")
-        p.add_argument("--config", default=None, help="JSON config file; flags override")
-
-    def descent(p):
-        for dest, (_, kind) in _CONFIG_FLAGS.items():
-            p.add_argument("--" + dest.replace("_", "-"), type=kind, default=None)
-
-    p_run = sub.add_parser("run", help="run regularized gradient descent")
-    common(p_run)
-    p_run.add_argument("--x0", default=None)
-    descent(p_run)
-    p_run.set_defaults(func=cmd_run)
-
-    p_an = sub.add_parser("analyze", help="locate and classify critical points")
-    common(p_an)
-    p_an.add_argument("--regularizer", default=None)
-    p_an.add_argument("--box", default=None)
-    p_an.add_argument("--resolution", type=int, default=None)
-    p_an.add_argument("--theta", type=float, default=None)
-    p_an.add_argument("--x0", default=None, help="seed point for a region export")
-    p_an.add_argument("--milnor", type=int, default=None,
-                      help="sample this many random regularizers for degeneracy")
-    p_an.add_argument("--seed", type=int, default=None)
-    p_an.set_defaults(func=cmd_analyze)
-
-    p_bi = sub.add_parser("bifurcate", help="sweep regularizers and trace continuations")
-    common(p_bi)
-    p_bi.add_argument("--regularizer", action="append", default=None)
-    p_bi.add_argument("--box", default=None)
-    p_bi.set_defaults(func=cmd_bifurcate)
-
-    p_ss = sub.add_parser("stable-set", help="measure a basin fraction by sampling")
-    common(p_ss)
-    p_ss.add_argument("--x0", default=None, help="target point")
-    p_ss.add_argument("--box", default=None)
-    p_ss.add_argument("--trials", type=int, default=None, help="number of samples")
-    descent(p_ss)
-    p_ss.add_argument("--seed", type=int, default=None)
-    p_ss.set_defaults(func=cmd_stable_set)
-
-    p_rg = sub.add_parser("region", help="export a small-gradient region grid")
-    common(p_rg)
-    p_rg.add_argument("--x0", default=None, help="seed point")
-    p_rg.add_argument("--theta", type=float, default=None)
-    p_rg.add_argument("--box", default=None)
-    p_rg.add_argument("--resolution", type=int, default=None)
-    p_rg.set_defaults(func=cmd_region)
-
-    p_ml = sub.add_parser("mlp-compare",
-                          help="plain vs regularized descent on a small network")
-    common(p_ml, objective=False)
-    p_ml.add_argument("--trials", type=int, default=None)
-    p_ml.add_argument("--theta", type=float, default=None)
-    p_ml.add_argument("--gamma", type=float, default=None)
-    p_ml.add_argument("--max-iters", type=int, default=None)
-    p_ml.add_argument("--seed", type=int, default=None)
-    p_ml.add_argument("--widths", default=None, help="layer widths, e.g. 2,8,8,2")
-    p_ml.add_argument("--samples", type=int, default=None)
-    p_ml.add_argument("--separation", type=float, default=None)
-    p_ml.set_defaults(func=cmd_mlp_compare)
-
+    for name, (_, text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for flag in flags:
+            kind = {"action": "append"} if flag.type is list else {"type": flag.type}
+            p.add_argument(flag.name, help=flag.help() if callable(flag.help) else flag.help,
+                           **kind)
     return parser
 
 
@@ -510,12 +480,12 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_config_file(args, parser)
+        _apply_config_file(args)
         # NaN fails every range check, so it would quietly switch a rule off
         for dest, value in vars(args).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"--{dest.replace('_', '-')} must be finite, got {value}")
-        code, outputs, lines = args.func(args)
+        code, outputs, lines = _COMMANDS[args.command][0](args)
         out = Path(args.out or "out")
         try:
             out.mkdir(parents=True, exist_ok=True)

@@ -142,6 +142,16 @@ def newton_root(f, x0, shift, tol=NEWTON_TOL, max_steps=50):
     return (X, converged) if np.ndim(x0) == 2 else (X[0], bool(converged[0]))
 
 
+def _as_box(f, box):
+    """`box`, or f's domain box for None, as rows [lo, hi] of positive finite width."""
+    box = np.asarray(f.domain_box if box is None else box, dtype=float).reshape(-1, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        widths = box[:, 1] - box[:, 0]
+    if not np.all((widths > 0) & np.isfinite(widths)):
+        raise ValueError("box lower bounds must be below upper bounds by a finite width")
+    return box
+
+
 def _grid_seeds(box, grid_density):
     if grid_density < 1:
         raise ValueError(f"grid_density must be at least 1, got {grid_density}")
@@ -189,6 +199,6 @@ def find_critical_points(f, box=None, grid_density=10, tol=NEWTON_TOL, tau=DEFAU
     `tol` are deduplicated at DEDUP_RADIUS and classified by Hessian
     eigenvalues under `tau`. Seeds that hit a singular Newton system are skipped.
     """
-    box = np.asarray(f.domain_box if box is None else box, dtype=float)
+    box = _as_box(f, box)
     points = solve_gradient_equation(f, np.zeros(f.dim), _grid_seeds(box, grid_density), tol, box)
     return classify_point(f, points, tau)

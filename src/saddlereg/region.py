@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .critical import find_critical_points
+from .critical import _as_box, find_critical_points
 from .linalg import _norms, as_vector
 
 EXIT = "exit"
@@ -125,12 +125,6 @@ def _labels(mask):
     return labels
 
 
-def _component(mask, cell):
-    """The component of `mask` through `cell`, a mask cell."""
-    labels = _labels(mask)
-    return labels == labels[cell]
-
-
 def _erode(mask):
     """Cells of `mask` whose 2n face neighbors are all in it; cells beyond the grid count as in."""
     eroded = mask.copy()
@@ -171,7 +165,7 @@ def theta_region(f, seed, theta, box=None, resolution=200):
 
 
 def _grid_box(f, box):
-    box = np.asarray(f.domain_box if box is None else box, dtype=float).reshape(-1, 2)
+    box = _as_box(f, box)
     if box.shape[0] > 3:
         raise ValueError(f"region grids are unsupported for dimension {box.shape[0]} (max 3)")
     return box

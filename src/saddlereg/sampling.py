@@ -16,6 +16,7 @@ from .critical import (
     LOCAL_MIN,
     STRATUM_NEGATIVE,
     STRATUM_POSITIVE,
+    _as_box,
     _distinct_rows,
     _grid_seeds,
     classify_point,
@@ -83,8 +84,7 @@ def stable_set_fraction(f, target, box=None, n_samples=2000, *, cfg, seed=0, exc
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
-    if box is None:
-        box = f.domain_box
+    box = _as_box(f, box)
     rng = np.random.default_rng(seed)
     X0 = sample_in_box(rng, box, n_samples, exclude=exclude)
     out = run_gd_batch(f, X0, cfg)
@@ -137,7 +137,7 @@ def milnor_sample(f, box=None, n_l=500, l_scale=1.0, seed=0, l_min=0.0, grid_den
         raise ValueError("n_l must be at least 1")
     if not (l_scale > 0.0 and 0.0 <= l_min <= l_scale):
         raise ValueError(f"need 0 <= l_min <= l_scale and l_scale > 0, got {l_min}, {l_scale}")
-    box = f.domain_box if box is None else box
+    box = _as_box(f, box)
     rng = np.random.default_rng(seed)
     n = f.dim
     L = np.empty((n_l, n))

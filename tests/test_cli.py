@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -408,6 +409,78 @@ def test_config_file_unknown_key(tmp_path):
     assert main(["run", "--config", str(cfg_file), "--out", str(tmp_path)]) == 1
 
 
+def test_config_key_that_names_no_flag_is_unknown(tmp_path, capsys):
+    # `command` and `func` are namespace attributes, not flags of run
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"objective": "quadratic_bowl", "x0": "2,1", "theta": 0.5,
+                                    "command": "analyze", "func": 3}))
+    out = tmp_path / "none"
+    assert main(["run", "--config", str(cfg_file), "--out", str(out)]) == 1
+    assert _one_line_error(capsys) == "error: unknown config key 'command'\n"
+    assert not out.exists()
+
+
+# every subcommand's flags, as build_parser builds them
+_SUBPARSERS = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices
+_FLAGS = {command: [a for a in p._actions if a.option_strings[0] not in ("-h", "--config")]
+          for command, p in _SUBPARSERS.items()}
+
+
+@pytest.mark.parametrize("command, action", [
+    pytest.param(command, action, id=f"{command}{action.option_strings[0]}")
+    for command, actions in _FLAGS.items() for action in actions])
+def test_config_key_parses_as_its_flag(tmp_path, command, action):
+    flag = action.option_strings[0]
+    if isinstance(action, argparse._AppendAction):
+        cases = [(["1,2", "-3,4"], [flag, "1,2", flag, "-3,4"])]
+    else:
+        # a JSON integer for a float flag gives the float that its text after the flag gives
+        values = {int: [7], float: [2, 0.25, 10**400]}.get(action.type, ["-1,2"])
+        cases = [(value, [flag, str(value)]) for value in values]
+    for value, argv in cases:
+        expected = vars(cli.build_parser().parse_args([command, *argv]))
+        for key in (flag[2:], action.dest):  # a key may spell the flag with - or _
+            cfg_file = tmp_path / "cfg.json"
+            cfg_file.write_text(json.dumps({key: value}))
+            args = cli.build_parser().parse_args([command, "--config", str(cfg_file)])
+            cli._apply_config_file(args)
+            # repr tells 2 from 2.0
+            assert repr({**vars(args), "config": None}) == repr(expected)
+
+
+@pytest.mark.parametrize("source", ["flags", "config"])
+def test_descent_flags_set_their_optimizer_fields(tmp_path, source):
+    fields = {"theta": 0.5, "gamma": 0.125, "eps_converge": 1e-7, "max_iters": 50,
+              "escape_radius": 1e5}
+    flags = {"theta": "0.5", "gamma": "0.125", "eps": "1e-7", "max-iters": "50",
+             "escape-radius": "1e5"}
+    argv = ["run", "--objective", "quadratic_bowl", "--x0", "2,1", "--out", str(tmp_path)]
+    if source == "flags":
+        argv += [arg for flag, text in flags.items() for arg in ("--" + flag, text)]
+    else:
+        numbers = {flag: json.loads(text) for flag, text in flags.items()}
+        (tmp_path / "cfg.json").write_text(json.dumps(numbers))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    assert main(argv) == 0
+    config = _read_json(tmp_path / "summary.json")["config"]
+    assert {k: config[k] for k in fields} == fields
+
+
+@pytest.mark.parametrize("command", list(_FLAGS))
+def test_config_key_of_another_subcommands_flag_is_unknown(tmp_path, capsys, command):
+    own = {a.dest for a in _FLAGS[command]}
+    foreign = sorted({a.dest for actions in _FLAGS.values() for a in actions} - own)
+    assert foreign
+    cfg_file = tmp_path / "cfg.json"
+    for key in foreign:
+        cfg_file.write_text(json.dumps({key: None}))
+        out = tmp_path / "none"
+        assert main([command, "--config", str(cfg_file), "--out", str(out)]) == 1
+        assert _one_line_error(capsys) == f"error: unknown config key {key!r}\n"
+        assert not out.exists()
+
+
 def _one_line_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1, err
@@ -522,6 +595,15 @@ def test_config_file_value_of_wrong_type(tmp_path, capsys):
     cfg_file.write_text(json.dumps({"objective": "cubic_cone", "x0": "1.5,0.5", "theta": "3"}))
     assert main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "o")]) == 1
     assert "'theta'" in _one_line_error(capsys)
+
+
+def test_config_file_integer_beyond_float_range(tmp_path, capsys):
+    # 10**400 reads as inf, as "--theta 1000...0" does, and not as an OverflowError traceback
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"objective": "cubic_cone", "x0": "1.5,0.5",
+                                    "theta": 10**400}))
+    assert main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "o")]) == 1
+    assert _one_line_error(capsys) == "error: --theta must be finite, got inf\n"
 
 
 def test_non_finite_vector_is_config_error(tmp_path, capsys):

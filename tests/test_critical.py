@@ -9,10 +9,12 @@ from saddlereg import (
     LOCAL_MAX,
     LOCAL_MIN,
     NON_STRICT_OR_DEGENERATE,
+    OptimizerConfig,
     STRATUM_NEGATIVE,
     STRATUM_POSITIVE,
     STRATUM_ZERO,
     STRICT_SADDLE,
+    check_assumption_separation,
     classify_eigenvalues,
     classify_point,
     corpus,
@@ -20,7 +22,10 @@ from saddlereg import (
     get_objective,
     make_objective,
     make_regularized,
+    milnor_sample,
     quadratic_bowl,
+    stable_set_fraction,
+    theta_region,
 )
 from saddlereg.critical import (
     DEDUP_RADIUS,
@@ -397,6 +402,26 @@ def test_newton_root_rejects_non_finite_start():
         newton_root(_SQUARE, [np.nan], 0.0)
     with pytest.raises(ValueError):
         newton_root(_SQUARE, [[1.0], [np.inf]], 0.0)
+
+
+_INVERTED = [[1.0, -1.0], [1.0, -1.0]]
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda f, box: find_critical_points(f, box), id="find_critical_points"),
+    pytest.param(lambda f, box: milnor_sample(f, box, n_l=5), id="milnor_sample"),
+    pytest.param(lambda f, box: check_assumption_separation(f, 3.0, box, resolution=10),
+                 id="check_assumption_separation"),
+    pytest.param(lambda f, box: theta_region(f, [0.0, 0.0], 3.0, box, resolution=10),
+                 id="theta_region"),
+    pytest.param(lambda f, box: stable_set_fraction(f, [0.0, 0.0], box, n_samples=10,
+                                                    cfg=OptimizerConfig(gamma=0.1)),
+                 id="stable_set_fraction"),
+])
+def test_inverted_box_is_rejected(call):
+    # lo > hi used to search, sample or grid nothing and return an empty answer
+    with pytest.raises(ValueError, match="box lower bounds must be below upper bounds"):
+        call(get_objective("cubic_cone"), _INVERTED)
 
 
 def test_find_critical_points_rejects_grid_density_below_one():

@@ -5,10 +5,11 @@
 Each run below executes in its own empty directory OUTDIR/<run>/files, with
 the checkout's `src` on PYTHONPATH and the interpreter running this script;
 the `run` lines between them end in every termination status of the descent
-engine. Next to `files` it stores `stdout`, `stderr` and `exit_code`; the
-checkout's path is written as `<source>` in stdout and stderr, and the line
-number after a `<source>` file as `<line>`, so that a warning names the same
-place in every checkout whatever lines an edit moved. Snapshot two checkouts
+engine, and the `help` runs pin every `--help` text, wrapped at COLUMNS=80.
+Next to `files` it stores `stdout`, `stderr` and `exit_code`; the checkout's
+path is written as `<source>` in stdout and stderr, and the line number after a
+`<source>` file as `<line>`, so that a warning names the same place in every
+checkout whatever lines an edit moved. Snapshot two checkouts
 and compare them with `diff -r OUTDIR_A OUTDIR_B`: an empty diff means
 byte-identical outputs.
 """
@@ -96,6 +97,10 @@ CLI_RUNS = {
     # an --out that cannot be created as a directory: one error line, exit 1, nothing written
     "error_out_not_a_directory": "region --objective cubic_cone --x0 0,0 --theta 3 "
                                  "--resolution 20 --out /dev/null",
+    # the help text of the top level and of each subcommand, wrapped at 80 columns
+    "help": "--help",
+    **{f"help_{name.replace('-', '_')}": f"{name} --help" for name in
+       ("run", "analyze", "bifurcate", "stable-set", "region", "mlp-compare")},
 }
 
 DEMOS = ["escape_nonstrict_saddle", "bifurcation_sweep", "stable_set_measurement",
@@ -103,7 +108,8 @@ DEMOS = ["escape_nonstrict_saddle", "bifurcation_sweep", "stable_set_measurement
 
 
 def snapshot(source, outdir):
-    env = {**os.environ, "PYTHONPATH": str(source / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    env = {**os.environ, "PYTHONPATH": str(source / "src"), "PYTHONDONTWRITEBYTECODE": "1",
+           "COLUMNS": "80"}
     runs = {f"cli_{name}": [sys.executable, "-m", "saddlereg.cli", *line.split()]
             for name, line in CLI_RUNS.items()}
     runs.update({f"demo_{name}": [sys.executable, str(source / "demos" / f"{name}.py")]
