@@ -40,6 +40,9 @@ from .sampling import milnor_sample, stable_set_fraction
 
 # a trial keeps 32 KiB of per-step loss and gradient norm at 800 steps: 330 MB in all
 MLP_MAX_TRIALS = 10_000
+# each row of the batch holds about 60 floats of activations and deltas per sample on
+# the 2-8-8-2 network: 48 MB a row at 100,000 samples
+MLP_MAX_SAMPLES = 100_000
 
 
 class ConfigError(ValueError):
@@ -326,7 +329,7 @@ def cmd_mlp_compare(args):
     trials = _count(args.trials, 20, "--trials", maximum=MLP_MAX_TRIALS)
     seed = _count(args.seed, 0, "--seed", minimum=0)
     classes = widths[-1]
-    n_samples = _count(args.samples, 100, "--samples", minimum=classes)
+    n_samples = _count(args.samples, 100, "--samples", minimum=classes, maximum=MLP_MAX_SAMPLES)
     separation = args.separation if args.separation is not None else 1.0
     cfg = _optimizer_config(args, gamma=0.5, theta=0.04, eps_converge=1e-10, max_iters=800,
                             escape_radius=1e6)

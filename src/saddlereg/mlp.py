@@ -6,6 +6,9 @@ are exact too: Pearlmutter's R-operator differentiates that backpropagation
 along unit directions with the ReLU masks frozen. Each evaluator, and the
 one-pass value_and_gradient, takes a vector (n,) or a batch (..., n) natively:
 stacked matrix products carry the leading axes, and nothing loops over rows.
+The gradient and the Hessian share one layout: every pre-activation,
+activation and delta is (..., width, samples), with the samples on the
+contiguous last axis.
 With two or more hidden layers the loss surface carries non-strict saddle
 points (the all-zero parameter vector is one for class-balanced data), which
 makes these networks the natural stress test for regularized descent.
@@ -16,7 +19,6 @@ bias vector of length fan_out.
 """
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -124,12 +126,11 @@ def init_params(spec, seed):
     return pack_params(Ws, bs)
 
 
-def _forward(Ws, bs, X):
-    """(pre-activations per layer, activations per layer, log-softmax), each (..., m, width)."""
-    zs, activations = [], [X]
-    a = X
+def _forward(Ws, bs, a):
+    """(pre-activations per layer, activations per layer, log-softmax), each (..., width, m)."""
+    zs, activations = [], [a]
     for i, (W, b) in enumerate(zip(Ws, bs)):
-        z = a @ W.mT + b[..., None, :]
+        z = W @ a + b[..., None]
         zs.append(z)
         if i < len(Ws) - 1:
             a = np.maximum(z, 0.0)
@@ -139,20 +140,17 @@ def _forward(Ws, bs, X):
 
 def _backward(Ws, zs, p, onehot):
     """Per-layer output deltas of the mean cross-entropy, ReLU masks z > 0."""
-    deltas = [(p - onehot) / p.shape[-2]]
+    deltas = [(p - onehot) / p.shape[-1]]
     for W, z in zip(Ws[:0:-1], zs[-2::-1]):
-        deltas.insert(0, (deltas[0] @ W) * (z > 0.0))
+        deltas.insert(0, (W.mT @ deltas[0]) * (z > 0.0))
     return deltas
 
 
 def _log_softmax(logits):
-    # column-wise ufuncs cost far less than reduces over a narrow class axis; as
-    # numpy's pairwise sum unrolls by 8, they equal sum(axis=-1) only below 8 columns
-    if logits.shape[-1] < 8:
-        shifted = logits - reduce(np.maximum, logits.T).T[..., None]
-        return shifted - np.log(reduce(np.add, np.exp(shifted).T).T[..., None])
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    # over the class rows of a C-contiguous (..., k, m): numpy adds those rows one
+    # after another, so this rounds as a reduce over them does at every k
+    shifted = logits - logits.max(axis=-2, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-2, keepdims=True))
 
 
 def mlp_objective(spec, dataset):
@@ -161,15 +159,15 @@ def mlp_objective(spec, dataset):
         raise ValueError("dataset feature dimension does not match the input width")
     if dataset.labels.max() >= spec.layer_widths[-1]:
         raise ValueError("labels exceed the output width")
-    X = dataset.inputs
+    X = np.ascontiguousarray(dataset.inputs.T)
     y = dataset.labels
     m = len(y)
-    onehot = np.eye(spec.layer_widths[-1])[y]
+    onehot = np.ascontiguousarray(np.eye(spec.layer_widths[-1])[y].T)
 
     def loss(ls):
         # the fancy index leaves each row's picked entries strided, and a
         # strided mean rounds differently from the contiguous one-point mean
-        return -np.ascontiguousarray(ls[..., np.arange(m), y]).mean(axis=-1)
+        return -np.ascontiguousarray(ls[..., y, np.arange(m)]).mean(axis=-1)
 
     def value(params):
         return loss(_forward(*unpack_params(spec, params), X)[2])
@@ -178,8 +176,8 @@ def mlp_objective(spec, dataset):
         Ws, bs = unpack_params(spec, params)
         zs, activations, ls = _forward(Ws, bs, X)
         deltas = _backward(Ws, zs, np.exp(ls), onehot)
-        return ls, pack_params([d.mT @ a for d, a in zip(deltas, activations)],
-                               [d.sum(axis=-2) for d in deltas])
+        return ls, pack_params([d @ a.mT for d, a in zip(deltas, activations)],
+                               [d.sum(axis=-1) for d in deltas])
 
     def gradient(params):
         return backprop(params)[1]
@@ -212,15 +210,15 @@ def mlp_objective(spec, dataset):
             dWs, dbs = unpack_params(spec, V)
             Ras = [np.zeros((len(block),) + X.shape)]
             for W, a, dW, db, z in zip(Ws, activations, dWs, dbs, zs):
-                Rz = Ras[-1] @ W.mT + a @ dW.mT + db[:, None, :]
+                Rz = W @ Ras[-1] + dW @ a + db[..., None]
                 Ras.append(Rz * (z > 0.0))
-            Rd = p * (Rz - (p * Rz).sum(axis=-1, keepdims=True)) / m
+            Rd = p * (Rz - (p * Rz).sum(axis=-2, keepdims=True)) / m
             RgWs, Rgbs = [None] * spec.n_layers, [None] * spec.n_layers
             for i in range(spec.n_layers - 1, -1, -1):
-                RgWs[i] = Rd.mT @ activations[i] + deltas[i].mT @ Ras[i]
-                Rgbs[i] = Rd.sum(axis=-2)
+                RgWs[i] = Rd @ activations[i].mT + deltas[i] @ Ras[i].mT
+                Rgbs[i] = Rd.sum(axis=-1)
                 if i > 0:
-                    Rd = (Rd @ Ws[i] + deltas[i] @ dWs[i]) * (zs[i - 1] > 0.0)
+                    Rd = (Ws[i].mT @ Rd + dWs[i].mT @ deltas[i]) * (zs[i - 1] > 0.0)
             H[..., block, :] = pack_params(RgWs, Rgbs)
         return symmetrize(H)
 

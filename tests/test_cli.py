@@ -14,7 +14,7 @@ import pytest
 
 import saddlereg
 from saddlereg import cli, region
-from saddlereg.cli import MLP_MAX_TRIALS, _compare_trials, main, write_json
+from saddlereg.cli import MLP_MAX_SAMPLES, MLP_MAX_TRIALS, _compare_trials, main, write_json
 from saddlereg.linalg import NumericalError
 
 
@@ -676,6 +676,11 @@ def test_config_file_non_finite_value(tmp_path, capsys):
     (["mlp-compare", "--widths", "2,8,2"], "--widths"),
     (["mlp-compare", "--widths", "2,x,8,2"], "--widths"),
     (["mlp-compare", "--samples", "1"], "--samples must be at least 2"),
+    (["mlp-compare", "--trials", "1", "--max-iters", "2", "--samples", str(MLP_MAX_SAMPLES + 1)],
+     f"--samples must be at most {MLP_MAX_SAMPLES}"),
+    # a count this large used to overflow inside make_blobs with a traceback
+    (["mlp-compare", "--trials", "1", "--max-iters", "2", "--samples", str(10**30)],
+     f"--samples must be at most {MLP_MAX_SAMPLES}"),
     (["mlp-compare", "--separation", "-1"], "--separation: separation must be non-negative"),
 ])
 def test_bad_count_flag_is_config_error(tmp_path, capsys, command, message):

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -281,10 +283,12 @@ def test_dead_unit_has_zero_hessian_rows():
     assert np.any(H != 0.0)
 
 
-# one small network per output width: the column-wise class axis at 2 and 3
-# outputs, the reduce at 9
+# one small network per output width: 2 and 3 classes, and 9, past the 8 terms
+# that numpy's pairwise sum adds at a time; and the same widths at three hidden layers
 _NETS = {k: mlp_objective(MlpSpec((2, 5, 4, k)), make_blobs(6, k, 2, 1.5, seed=k))
          for k in (2, 3, 9)}
+_DEEP_NETS = {k: mlp_objective(MlpSpec((2, 4, 3, 3, k)), make_blobs(5, k, 2, 1.5, seed=10 + k))
+              for k in (2, 3, 9)}
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -300,14 +304,36 @@ def test_value_and_gradient_equal_the_separate_evaluators(k, rows, seed, scale):
     assert gradient.tobytes() == f.gradient(params).tobytes()
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(depth=st.sampled_from([2, 3]), k=st.sampled_from(sorted(_NETS)),
+       lead=st.one_of(st.just(()), st.tuples(st.integers(1, 4)),
+                      st.tuples(st.integers(1, 3), st.integers(1, 3))),
+       seed=st.integers(0, 2**32 - 1), scale=st.floats(0.05, 5.0))
+def test_stacked_rows_equal_their_single_rows(depth, k, lead, seed, scale):
+    # every evaluator on a (..., n) stack returns, row by row, the bits of its
+    # call on that row alone
+    f = (_NETS if depth == 2 else _DEEP_NETS)[k]
+    params = scale * np.random.default_rng(seed).standard_normal(lead + (f.dim,))
+    rows = params.reshape(-1, f.dim)
+    value, gradient = f.value_and_gradient(params)
+    for stacked, single in ((f.value(params), f.value), (f.gradient(params), f.gradient),
+                            (value, lambda x: f.value_and_gradient(x)[0]),
+                            (gradient, lambda x: f.value_and_gradient(x)[1]),
+                            (f.hessian(params), f.hessian)):
+        expected = np.array([single(x) for x in rows])
+        assert stacked.shape == lead + expected.shape[1:]
+        assert stacked.tobytes() == expected.tobytes()
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(k=st.integers(2, 10), lead=st.sampled_from([(), (3,), (2, 3)]),
        seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1e3))
 def test_log_softmax_keeps_the_bits_of_the_reduce_form(k, lead, seed, scale):
-    # the column-wise form must round exactly as max/sum(axis=-1) do, which
-    # pins its switch to the reduce at 8 classes: numpy's pairwise sum adds
-    # 8 terms at a time, so a column sum over 8 or more rounds differently
-    logits = scale * np.random.default_rng(seed).standard_normal(lead + (50, k))
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    reduced = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    # the max and the sum over the class rows of (..., k, m) must round exactly
+    # as a reduce that takes those rows one after another, at every k: no
+    # class count may switch them to numpy's pairwise sum
+    logits = scale * np.random.default_rng(seed).standard_normal(lead + (k, 50))
+    shifted = logits - reduce(np.maximum, np.moveaxis(logits, -2, 0))[..., None, :]
+    total = reduce(np.add, np.moveaxis(np.exp(shifted), -2, 0))
+    reduced = shifted - np.log(total)[..., None, :]
     assert _log_softmax(logits).tobytes() == reduced.tobytes()

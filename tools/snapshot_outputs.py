@@ -45,9 +45,11 @@ CLI_RUNS = {
     "bifurcate_monkey_line":
         "bifurcate --objective monkey_line --regularizer 0.3,-0.2 --regularizer 0,1",
     "mlp_compare_5": "mlp-compare --trials 5 --seed 0",
-    # output widths on both sides of the log-softmax's 8-class switch
+    # output widths below and past the 8 terms that numpy's pairwise sum adds at a time,
+    # and a network of three hidden layers
     "mlp_compare_widths_3": "mlp-compare --widths 2,8,8,3 --trials 3 --seed 1",
     "mlp_compare_widths_9": "mlp-compare --widths 2,8,8,9 --trials 3 --seed 1",
+    "mlp_compare_depth_3": "mlp-compare --widths 2,8,8,8,2 --trials 3 --seed 1",
     # a step far past 1/L: each row leaves the 1e6 escape ball within a few steps, at
     # its own k, so the batch takes the engine's near-sphere and diverged branch
     "mlp_compare_diverged": "mlp-compare --trials 3 --seed 2 --gamma 80 --max-iters 60",
@@ -93,6 +95,8 @@ CLI_RUNS = {
     "error_region_seed": "region --objective cubic_cone --x0 5,5 --theta 100 --resolution 40",
     "error_analyze_separation": "analyze --objective cubic_valley --theta 0 --resolution 40",
     "error_mlp_compare_widths": "mlp-compare --widths 2,8,2",
+    "error_mlp_compare_samples": "mlp-compare --trials 1 --max-iters 2 "
+                                 "--samples 1000000000000000000000000000000",
     "error_bifurcate_objective": "bifurcate --objective nope",
     # an --out that cannot be created as a directory: one error line, exit 1, nothing written
     "error_out_not_a_directory": "region --objective cubic_cone --x0 0,0 --theta 3 "
