@@ -45,10 +45,6 @@ MLP_MAX_TRIALS = 10_000
 MLP_MAX_SAMPLES = 100_000
 
 
-class ConfigError(ValueError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -56,7 +52,7 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\.?\d[\d.,eE+-]*$")
 
     def error(self, message):
-        raise ConfigError(message)
+        raise ValueError(message)
 
 
 def _jsonify(obj):
@@ -92,11 +88,11 @@ def _parse_vector(text, dim=None, name="vector"):
     try:
         vec = np.array([float(v) for v in str(text).split(",")])
     except ValueError as exc:
-        raise ConfigError(f"could not parse {name} {text!r}") from exc
+        raise ValueError(f"could not parse {name} {text!r}") from exc
     if not np.all(np.isfinite(vec)):
-        raise ConfigError(f"{name} {text!r} has non-finite entries")
+        raise ValueError(f"{name} {text!r} has non-finite entries")
     if dim is not None and vec.size != dim:
-        raise ConfigError(f"{name} must have {dim} components, got {vec.size}")
+        raise ValueError(f"{name} must have {dim} components, got {vec.size}")
     return vec
 
 
@@ -107,7 +103,7 @@ def _parse_box(text, f):
         return None
     vals = _parse_vector(text, name="box")
     if vals.size not in (2, 2 * f.dim):
-        raise ConfigError(f"box needs 2 or {2 * f.dim} numbers, got {vals.size}")
+        raise ValueError(f"box needs 2 or {2 * f.dim} numbers, got {vals.size}")
     return _as_box(f, np.resize(vals, (f.dim, 2)))  # two numbers repeat on every axis
 
 
@@ -127,7 +123,7 @@ def _optimizer_config(args, **defaults):
 
 def _get_objective(name):
     if name is None:
-        raise ConfigError("--objective is required")
+        raise ValueError("--objective is required")
     return get_objective(name)
 
 
@@ -135,9 +131,9 @@ def _count(value, default, flag, minimum=1, maximum=None):
     """A count flag's value (the default when unset); outside [minimum, maximum] raises."""
     value = default if value is None else value
     if value < minimum:
-        raise ConfigError(f"{flag} must be at least {minimum}, got {value}")
+        raise ValueError(f"{flag} must be at least {minimum}, got {value}")
     if maximum is not None and value > maximum:
-        raise ConfigError(f"{flag} must be at most {maximum}, got {value}")
+        raise ValueError(f"{flag} must be at most {maximum}, got {value}")
     return value
 
 
@@ -156,17 +152,17 @@ def _apply_config_file(args):
         with open(args.config) as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"could not read config file: {exc}") from exc
+        raise ValueError(f"could not read config file: {exc}") from exc
     if not isinstance(data, dict):
-        raise ConfigError("config file must hold a JSON object")
+        raise ValueError("config file must hold a JSON object")
     flags = _flags(args.command)
     for key, value in data.items():
         dest = key.replace("-", "_")
         if dest not in flags:
-            raise ConfigError(f"unknown config key {key!r}")
+            raise ValueError(f"unknown config key {key!r}")
         kind = flags[dest].type
         if not _config_value_ok(kind, value):
-            raise ConfigError(f"config key {key!r} has a value of the wrong type: {value!r}")
+            raise ValueError(f"config key {key!r} has a value of the wrong type: {value!r}")
         if getattr(args, dest) is None:  # as its text parses: 1 as 1.0, 10**400 as inf
             setattr(args, dest, value if value is None or kind is list else kind(str(value)))
 
@@ -180,7 +176,7 @@ def cmd_run(args):
         x0 = _parse_vector(args.x0, f.dim, "x0")
     else:
         # deterministic default: two-thirds of the way from the box's centre to its upper corner
-        box = np.asarray(f.domain_box, dtype=float)
+        box = f.domain_box
         x0 = box[:, 0] + (box[:, 1] - box[:, 0]) * 5.0 / 6.0
     cfg = _optimizer_config(args)
 
@@ -250,7 +246,7 @@ def cmd_bifurcate(args):
     elif f.dim == 1:
         ls = [np.array([v]) for v in (0.01, -0.01, 0.001, -0.001, 0.0)]
     else:
-        raise ConfigError("--regularizer is required for objectives of dimension > 1")
+        raise ValueError("--regularizer is required for objectives of dimension > 1")
 
     sweeps = [(l, find_critical_points(make_regularized(f, l) if np.any(l) else f, box,
                                        grid_density=41 if f.dim == 1 else 12), []) for l in ls]
@@ -262,7 +258,7 @@ def cmd_bifurcate(args):
                                        np.array([l for l, _, _ in branches]))
         except StartError as exc:
             l, r, _ = branches[exc.row]
-            raise ConfigError(f"regularizer {l.tolist()}: cannot trace the critical "
+            raise ValueError(f"regularizer {l.tolist()}: cannot trace the critical "
                               f"point at {r.location.tolist()}: {exc}") from exc
         for (_, r, conts), path in zip(branches, paths):
             conts.append({
@@ -283,13 +279,13 @@ def cmd_bifurcate(args):
 def cmd_stable_set(args):
     f = _get_objective(args.objective)
     if args.x0 is None:
-        raise ConfigError("--x0 (the target point) is required for stable-set")
+        raise ValueError("--x0 (the target point) is required for stable-set")
     target = _parse_vector(args.x0, f.dim, "x0")
     box = _parse_box(args.box, f)
     n_samples = _count(args.trials, 2000, "--trials")
     seed = _count(args.seed, 0, "--seed", minimum=0)
     if args.gamma is None:
-        raise ConfigError("--gamma is required for stable-set")
+        raise ValueError("--gamma is required for stable-set")
     cfg = _optimizer_config(args)
     method = "regularized" if cfg.theta > 0 else "plain"
     frac = stable_set_fraction(f, target, box, n_samples=n_samples, cfg=cfg, seed=seed)
@@ -310,7 +306,7 @@ def _region_outputs(f, region, seed_pt):
 def cmd_region(args):
     f = _get_objective(args.objective)
     if args.x0 is None or args.theta is None:
-        raise ConfigError("--x0 and --theta are required for region")
+        raise ValueError("--x0 and --theta are required for region")
     seed_pt = _parse_vector(args.x0, f.dim, "x0")
     box = _parse_box(args.box, f)
     resolution = _count(args.resolution, 200, "--resolution")
@@ -325,7 +321,7 @@ def cmd_mlp_compare(args):
         widths = [int(v) for v in (args.widths or "2,8,8,2").split(",")]
         spec = MlpSpec(tuple(widths))
     except ValueError as exc:
-        raise ConfigError(f"--widths {args.widths!r}: {exc}") from exc
+        raise ValueError(f"--widths {args.widths!r}: {exc}") from exc
     trials = _count(args.trials, 20, "--trials", maximum=MLP_MAX_TRIALS)
     seed = _count(args.seed, 0, "--seed", minimum=0)
     classes = widths[-1]
@@ -336,7 +332,7 @@ def cmd_mlp_compare(args):
     try:
         data = make_blobs(n_samples // classes, classes, widths[0], separation, seed=seed)
     except ValueError as exc:
-        raise ConfigError(f"--separation: {exc}") from exc
+        raise ValueError(f"--separation: {exc}") from exc
 
     f = mlp_objective(spec, data)
     child_seeds = np.random.SeedSequence(seed).spawn(trials)
@@ -487,7 +483,7 @@ def main(argv=None):
         # NaN fails every range check, so it would quietly switch a rule off
         for dest, value in vars(args).items():
             if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"--{dest.replace('_', '-')} must be finite, got {value}")
+                raise ValueError(f"--{dest.replace('_', '-')} must be finite, got {value}")
         code, outputs, lines = _COMMANDS[args.command][0](args)
         out = Path(args.out or "out")
         try:
@@ -498,8 +494,8 @@ def main(argv=None):
                 else:
                     write_json(out / name, output)
         except OSError as exc:  # only the mkdir and the writes: --out is at fault
-            raise ConfigError(f"cannot write outputs: {exc}") from exc
-    except ValueError as exc:  # ConfigError, and every input the library rejects
+            raise ValueError(f"cannot write outputs: {exc}") from exc
+    except ValueError as exc:  # every input the CLI or the library rejects
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # an input that passes every check but does not fit in memory

@@ -79,9 +79,9 @@ def continuation_trace(f, x_at_mu1, l, steps=100, det_tol=1e-10):
         scale = np.maximum(1.0, _norms(H.reshape(len(H), -1)))
         return np.abs(np.linalg.det(H)) < det_tol * scale ** f.dim
 
-    residual = _norms(np.asarray(f.gradient(X), dtype=float) + L)
+    residual = _norms(f.gradient(X) + L)
     X, polished = newton_root(f, X, L, CORRECTOR_TOL, CORRECTOR_STEPS)
-    flat = singular(np.asarray(f.hessian(X), dtype=float))
+    flat = singular(f.hessian(X))
     for row in range(len(X)):
         if residual[row] > START_SLACK:
             raise StartError(f"start point is not a critical point of the regularized objective "
@@ -92,11 +92,11 @@ def continuation_trace(f, x_at_mu1, l, steps=100, det_tol=1e-10):
         if flat[row]:
             raise StartError("Hessian is singular at the start point", row)
 
-    norms = _norms(np.asarray(f.gradient(X), dtype=float))
+    norms = _norms(f.gradient(X))
     paths = [ContinuationPath([(1.0, x.copy(), float(g))]) for x, g in zip(X, norms)]
     live, mu_prev = np.arange(len(X)), 1.0
     for mu in np.linspace(1.0, 0.0, steps + 1)[1:]:
-        H = np.asarray(f.hessian(X[live]), dtype=float)
+        H = f.hessian(X[live])
         flat = singular(H)
         for i in live[flat]:
             paths[i].stop = SINGULAR_HESSIAN
@@ -111,7 +111,7 @@ def continuation_trace(f, x_at_mu1, l, steps=100, det_tol=1e-10):
         live = live[ok]
         if not live.size:
             break
-        for i, g in zip(live, _norms(np.asarray(f.gradient(X[live]), dtype=float))):
+        for i, g in zip(live, _norms(f.gradient(X[live]))):
             paths[i].samples.append((float(mu), X[i].copy(), float(g)))
         mu_prev = mu
     return paths if np.ndim(x_at_mu1) == 2 else paths[0]

@@ -72,7 +72,7 @@ def classify_point(f, x, tau=DEFAULT_ZERO_TAU):
         X = as_vector(X)
     elif not np.all(np.isfinite(X)):
         raise ValueError("points have non-finite entries")
-    grad_norm = _norms(np.asarray(f.gradient(X), dtype=float))
+    grad_norm = _norms(f.gradient(X))
     eigenvalues = sym_eigen(f.hessian(X)).eigenvalues
     stratum, classification = classify_eigenvalues(eigenvalues, tau)
     if X.ndim == 1:
@@ -101,14 +101,14 @@ def newton_root(f, x0, shift, tol=NEWTON_TOL, max_steps=50):
         raise ValueError(f"starts must be a finite (m, n) array, got shape {X.shape}")
     S = np.broadcast_to(np.asarray(shift, dtype=float), X.shape)
     with np.errstate(all="ignore"):
-        G = np.asarray(f.gradient(X), dtype=float) + S
+        G = f.gradient(X) + S
         gn = _norms(G)
         running = np.isfinite(gn)
         for _ in range(max_steps):
             rows = (running & (gn != 0.0)).nonzero()[0]
             if not rows.size:
                 break
-            H = np.asarray(f.hessian(X[rows]), dtype=float)
+            H = f.hessian(X[rows])
             try:
                 D = np.linalg.solve(H, -G[rows, :, np.newaxis])[..., 0]
             except np.linalg.LinAlgError:
@@ -121,7 +121,7 @@ def newton_root(f, x0, shift, tol=NEWTON_TOL, max_steps=50):
             if not rows.size:
                 break
             trial = X[rows] + D  # the full step
-            G_trial = np.asarray(f.gradient(trial), dtype=float) + S[rows]
+            G_trial = f.gradient(trial) + S[rows]
             hit = (gn_trial := _norms(G_trial)) < gn[rows]  # NaN and inf fail: gn[rows] is finite
             done = rows[hit]
             X[done], G[done], gn[done] = trial[hit], G_trial[hit], gn_trial[hit]
@@ -131,7 +131,7 @@ def newton_root(f, x0, shift, tol=NEWTON_TOL, max_steps=50):
                 continue
             # 2^-1..2^-10 stacked (rows, dampings, n) for the rows the full step did not improve
             trial = X[rows, None] + 2.0 ** -np.arange(1.0, 11.0)[:, None] * D[:, None]
-            G_trial = np.asarray(f.gradient(trial.reshape(-1, X.shape[1])), dtype=float)
+            G_trial = f.gradient(trial.reshape(-1, X.shape[1]))
             G_trial = G_trial.reshape(trial.shape) + S[rows, None]
             ok = (gn_trial := _norms(G_trial)) < gn[rows, None]
             hit, k = ok.any(axis=1), ok.argmax(axis=1)  # the largest improving damping

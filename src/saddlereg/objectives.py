@@ -3,14 +3,14 @@
 Every corpus entry carries analytic gradient and Hessian, a recommended
 domain box, a grid-estimated Lipschitz hint for the gradient, and ground
 truth annotations of its critical points. Every Objective's evaluators accept
-a single point of shape (n,) or a batch of shape (..., n) natively: value,
-gradient and Hessian are closed-form array expressions over leading axes, and
-nothing loops over rows. `make_objective` checks that contract once, on a
-two-row probe. The planar entries are built by one builder, `_planar`, from
-their value, gradient and Hessian entries as expressions in the coordinates.
+a single point of shape (n,) or a batch of shape (..., n) natively and return
+float64 arrays, as closed-form array expressions over leading axes: nothing
+loops over rows. `make_objective` checks that contract once, on a two-row
+probe. The planar entries are built by one builder, `_planar`, from their
+value, gradient and Hessian entries as expressions in the coordinates.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -24,9 +24,10 @@ class Objective:
     """A C^2 scalar field with evaluators for value, gradient, and Hessian.
 
     value/gradient/hessian map (..., dim) -> (...)/(..., dim)/(..., dim, dim),
-    each Hessian symmetric. Objectives are immutable after construction and
-    their evaluators must be pure, the optional value_and_gradient too: it
-    gives (value, gradient) from one pass, bit for bit equal to the two.
+    float64 arrays that no consumer coerces, so a hand-built Objective must
+    return them too; each Hessian symmetric. Objectives are immutable after
+    construction and their evaluators must be pure, the optional value_and_gradient
+    too: it gives (value, gradient) from one pass, bit for bit equal to the two.
     """
 
     name: str
@@ -50,8 +51,8 @@ def make_objective(name, dim, value, gradient, hessian, domain_box=None, lipschi
     """Build an Objective from evaluators that take (n,) points and (..., n) batches.
 
     The evaluators run once on a two-row probe, the lower and upper corners
-    of the box; a ValueError names every one whose result is not shaped
-    (2,), (2, n) and (2, n, n) respectively.
+    of the box; a ValueError names every one whose result is not a float64
+    ndarray shaped (2,), (2, n) and (2, n, n) respectively.
     """
     if domain_box is None:
         domain_box = np.repeat([[-3.0, 3.0]], dim, axis=0)
@@ -61,11 +62,13 @@ def make_objective(name, dim, value, gradient, hessian, domain_box=None, lipschi
     wrong = []
     for label, fn in zip(expected, (value, gradient, hessian)):
         try:
-            shape = np.shape(fn(probe))
+            out = fn(probe)
+            got = (type(out).__name__ if not isinstance(out, np.ndarray) else
+                   f"ndarray of {out.dtype}" if out.dtype != np.float64 else out.shape)
         except (ValueError, TypeError, IndexError) as exc:
-            shape = f"an error ({exc})"
-        if shape != expected[label]:
-            wrong.append(f"{label} gives {shape}, expected {expected[label]}")
+            got = f"an error ({exc})"
+        if got != expected[label]:
+            wrong.append(f"{label} gives {got}, expected a float64 array {expected[label]}")
     if wrong:
         raise ValueError(f"objective {name!r} on a (2, {dim}) batch: " + "; ".join(wrong))
     return Objective(
@@ -82,8 +85,8 @@ def make_objective(name, dim, value, gradient, hessian, domain_box=None, lipschi
 def make_regularized(f, l):
     """Add the linear term l^T x to an objective.
 
-    The gradient shifts by exactly l and the Hessian callable is the very
-    same object as f's: linear terms do not change curvature.
+    The gradient shifts by exactly l; everything else, the Hessian callable
+    included, is f's own: linear terms do not change curvature.
     """
     l = as_vector(l)
     if l.size != f.dim:
@@ -96,15 +99,8 @@ def make_regularized(f, l):
     def gradient(x, _g=f.gradient, _l=l):
         return _g(x) + _l
 
-    return Objective(
-        name=f"{f.name}+linear",
-        dim=f.dim,
-        value=value,
-        gradient=gradient,
-        hessian=f.hessian,
-        domain_box=f.domain_box,
-        lipschitz_hint=f.lipschitz_hint,
-    )
+    return replace(f, name=f"{f.name}+linear", value=value, gradient=gradient,
+                   value_and_gradient=None)
 
 
 def _grid_lipschitz(hessian, box):

@@ -120,7 +120,7 @@ def resolve_gamma(f, x0, cfg):
             )
         return float(cfg.gamma)
     with np.errstate(all="ignore"):
-        H = np.asarray(f.hessian(as_vector(x0)), dtype=float)
+        H = f.hessian(as_vector(x0))
     if not np.all(np.isfinite(H)):
         raise NumericalError("the default gamma needs a finite Hessian at x0; pass gamma")
     lhat = max(spectral_norm(H), 1e-3)
@@ -178,7 +178,7 @@ def _descend(f, X, cfg, gamma, observe=None, theta=None, *, values=False):
     theta = np.broadcast_to(cfg.theta if theta is None else theta, (m,)).astype(float)
     theta[theta == 0.0] = -np.inf  # a plain row's threshold, which no gradient norm reaches
     theta[theta == np.inf] = np.finfo(float).max  # so that gn = inf fails gn <= theta
-    center = np.mean(np.asarray(f.domain_box, dtype=float), axis=1)
+    center = np.mean(f.domain_box, axis=1)
     out = {
         "final": np.empty_like(X),
         "grad_norm": np.empty(m),
@@ -209,7 +209,6 @@ def _descend(f, X, cfg, gamma, observe=None, theta=None, *, values=False):
                         else (f.value(X), f.gradient(X)))
             else:
                 G = f.gradient(X)
-            G = np.asarray(G, dtype=float)
             gn = _norms(G)
             flipped = False
             if regularized:

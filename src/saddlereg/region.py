@@ -151,7 +151,7 @@ def _grad_norm_grid(f, box, resolution):
     step = max(1, GRID_BLOCK_CELLS // resolution ** (len(box) - 1))  # lines per call
     for i in range(0, resolution, step):
         mesh = np.meshgrid(axes[0][i:i + step], *axes[1:], indexing="ij")
-        gn[i:i + step] = _norms(np.asarray(f.gradient(np.stack(mesh, axis=-1)), dtype=float))
+        gn[i:i + step] = _norms(f.gradient(np.stack(mesh, axis=-1)))
     return gn
 
 
@@ -207,7 +207,7 @@ def _separation(f, theta, box, resolution, points, seed=None):
 
 def _seed_cell(f, grid, mask, seed):
     """The cell of a region seed, which must lie in the region, the box and a mask cell."""
-    if not _norms(np.asarray(f.gradient(seed), dtype=float)) <= grid.theta:  # NaN fails
+    if not _norms(f.gradient(seed)) <= grid.theta:  # NaN fails
         raise ValueError("seed lies outside the small-gradient region")
     cell = grid.cell_index(seed)
     if cell is None:
@@ -232,7 +232,7 @@ def boundary_classify(f, x, l):
     ("enter"), otherwise "tangent".
     """
     x = as_vector(x)
-    s = float(_flow_sign(np.asarray(f.gradient(x), dtype=float), f.hessian(x), as_vector(l)))
+    s = float(_flow_sign(f.gradient(x), f.hessian(x), as_vector(l)))
     if s < -FLOW_TOL:
         return EXIT
     if s > FLOW_TOL:
@@ -248,7 +248,7 @@ def check_boundary_assumption(f, region, l):
     have shape (k, n), (0, n) when the inclusion holds.
     """
     centers = region.boundary_cell_centers()
-    g = np.asarray(f.gradient(centers), dtype=float)
+    g = f.gradient(centers)
     H = f.hessian(centers)
     violated = (_flow_sign(g, H, as_vector(l)) < -FLOW_TOL) & ~(_flow_sign(g, H, 0.0) < -FLOW_TOL)
     return not violated.any(), centers[violated]
@@ -265,7 +265,7 @@ def halfspace_check(f, region, v):
     v = as_vector(v)
     if abs(np.linalg.norm(v) - 1.0) > 1e-9:
         raise ValueError("direction must be a unit vector")
-    grads = np.asarray(f.gradient(region.inside_cell_centers()), dtype=float)
+    grads = f.gradient(region.inside_cell_centers())
     s = grads @ v
     norms = np.linalg.norm(grads, axis=-1)
     ok = (s > 1e-12) | (norms <= 1e-12)

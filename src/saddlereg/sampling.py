@@ -209,7 +209,7 @@ def psi_witness_check(f, region, x0, max_seeds=200):
     x0 = as_vector(x0)
     if not region.contains_point(x0):
         raise ValueError("x0 must lie inside the region")
-    l = np.asarray(f.gradient(x0), dtype=float)
+    l = f.gradient(x0)
     centers = region.inside_cell_centers()
     stride = -(-len(centers) // max_seeds)  # ceiling: at most max_seeds seeds
     solutions = solve_gradient_equation(f, -l, centers[::stride], tol=1e-9, box=region.box)

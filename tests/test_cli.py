@@ -688,6 +688,55 @@ def test_bad_count_flag_is_config_error(tmp_path, capsys, command, message):
     assert message in _one_line_error(capsys)
 
 
+_NINES = "9" * 30
+_BAD_VALUES = ["0", "-1", "-0", "nan", "inf", "-inf", "1e400", _NINES, "-" + _NINES, "1e-320",
+               "abc", ""]
+# a fast command line per subcommand, as {flag: value}; a swept flag replaces its value
+_SWEEP_BASES = {
+    "run": {"--objective": "quadratic_bowl", "--x0": "2,1", "--max-iters": "50"},
+    "analyze": {"--objective": "double_degenerate", "--resolution": "20", "--theta": "1",
+                "--x0": "0", "--milnor": "2"},
+    "bifurcate": {"--regularizer": "0.01"},
+    "stable-set": {"--objective": "quadratic_bowl", "--x0": "0,0", "--gamma": "0.5",
+                   "--trials": "4", "--max-iters": "50"},
+    "region": {"--objective": "cubic_cone", "--x0": "0,0", "--theta": "3", "--resolution": "20"},
+    "mlp-compare": {"--trials": "1", "--samples": "4", "--max-iters": "5"},
+}
+# valid values that only run long, each with its reason
+_SWEEP_SKIPS = {
+    ("mlp-compare", "--max-iters", _NINES): "valid input: trains until it converges",
+}
+
+
+@pytest.mark.filterwarnings("ignore:gamma=.* descent may not contract")
+def test_every_flag_survives_every_bad_value(tmp_path, monkeypatch, capsys):
+    # every flag of every subcommand, --out and --config included, set to each bad value
+    # on its subcommand's fast command line: no exception escapes main, the exit code is
+    # 0, 1 or 2, and a failure prints exactly one stderr line
+    monkeypatch.chdir(tmp_path)  # --out values name directories here
+    cases = [(command, a.option_strings[0], value) for command, parser in _SUBPARSERS.items()
+             for a in parser._actions if a.option_strings[0] != "-h" for value in _BAD_VALUES]
+    assert set(_SWEEP_SKIPS) <= set(cases)
+    for command, base in _SWEEP_BASES.items():  # a base that fails would hide its cases
+        assert main([command, *(f"{k}={v}" for k, v in base.items())]) == 0, command
+    wrong = []
+    for command, flag, value in cases:
+        if (command, flag, value) in _SWEEP_SKIPS:
+            continue
+        # --flag=value, so that argparse takes "-inf" as a value and not as a flag
+        given = {k: v for k, v in _SWEEP_BASES[command].items() if k != flag}
+        argv = [command, *(f"{k}={v}" for k, v in given.items()), f"{flag}={value}"]
+        try:
+            code = main(argv)
+        except Exception as exc:
+            wrong.append(f"{argv}: {exc!r}")
+            continue
+        err = capsys.readouterr().err
+        if code not in (0, 1, 2) or (code != 0 and err.count("\n") != 1):
+            wrong.append(f"{argv}: exit {code}, stderr {err!r}")
+    assert not wrong, "\n".join(wrong)
+
+
 def test_analyze_region_seed_outside_is_config_error(tmp_path, capsys):
     # the region export of analyze fails as the region subcommand does
     code = main(["analyze", "--objective", "cubic_valley", "--x0", "2,2", "--theta", "0.5",

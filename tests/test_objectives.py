@@ -116,6 +116,36 @@ def test_make_objective_requires_batched_evaluators():
     with pytest.raises(ValueError, match="hessian gives an error"):
         make_objective("valley", 2, value, gradient,
                        lambda x: np.array([[2.0 * x[0], 0.0], [0.0, 1.0]]))
+    # a result of another type is rejected, not coerced: no consumer converts one, and a
+    # conversion would drop a complex gradient's imaginary part
+    for wrong, shown in [(lambda x: x + 1j, "ndarray of complex128"),
+                         (lambda x: np.ones(x.shape, dtype=np.int64), "ndarray of int64"),
+                         (lambda x: x.tolist(), "list")]:
+        with pytest.raises(ValueError) as exc:
+            make_objective("bowl", 2, value, wrong, hessian)
+        assert str(exc.value) == ("objective 'bowl' on a (2, 2) batch: gradient gives "
+                                  f"{shown}, expected a float64 array (2, 2)")
+
+
+def test_every_builder_returns_float64_arrays():
+    # make_objective checks this on its probe; make_regularized and mlp_objective build
+    # without the probe, so this holds them to the same contract on any leading axes
+    net = mlp_objective(MlpSpec((2, 8, 8, 2)), make_blobs(20, 2, 2, 1.0, seed=2))
+    objectives = [entry.objective for entry in corpus()]
+    rng = np.random.default_rng(3)
+    for f in objectives + [make_regularized(objectives[0], [0.5, -0.25]), net]:
+        box = f.domain_box
+        assert isinstance(box, np.ndarray) and box.dtype == np.float64 and box.shape == (f.dim, 2)
+        for lead in ((), (4,), (2, 3)):
+            X = rng.uniform(box[:, 0], box[:, 1], size=lead + (f.dim,))
+            results = [(f.value(X), ()), (f.gradient(X), (f.dim,)),
+                       (f.hessian(X), (f.dim, f.dim))]
+            if f.value_and_gradient is not None:
+                results += zip(f.value_and_gradient(X), [(), (f.dim,)])
+            for out, tail in results:
+                # one point's value may be a float64 scalar
+                assert isinstance(out, (np.ndarray, np.float64)), (f.name, lead, type(out))
+                assert (out.dtype, out.shape) == (np.float64, lead + tail), (f.name, lead)
 
 
 def test_make_regularized_cancels_gradient():
