@@ -99,7 +99,7 @@ def _parse_vector(text, dim=None, name="vector"):
 def _parse_box(text, f):
     """The (dim, 2) box of a --box value; None (flag unset) means the objective's
     domain box, which every library function takes for box=None."""
-    if not text:
+    if text is None:
         return None
     vals = _parse_vector(text, name="box")
     if vals.size not in (2, 2 * f.dim):
@@ -146,7 +146,7 @@ def _config_value_ok(kind, value):
 
 
 def _apply_config_file(args):
-    if not args.config:
+    if args.config is None:
         return
     try:
         with open(args.config) as fh:
@@ -172,7 +172,7 @@ def _apply_config_file(args):
 
 def cmd_run(args):
     f = _get_objective(args.objective)
-    if args.x0:
+    if args.x0 is not None:
         x0 = _parse_vector(args.x0, f.dim, "x0")
     else:
         # deterministic default: two-thirds of the way from the box's centre to its upper corner
@@ -202,7 +202,7 @@ def cmd_run(args):
 
 def cmd_analyze(args):
     f = _get_objective(args.objective)
-    if args.regularizer:
+    if args.regularizer is not None:
         f = make_regularized(f, _parse_vector(args.regularizer, f.dim, "regularizer"))
     box = _parse_box(args.box, f)
     resolution = _count(args.resolution, 200, "--resolution")
@@ -239,9 +239,9 @@ def cmd_analyze(args):
 
 
 def cmd_bifurcate(args):
-    f = get_objective(args.objective or "double_degenerate")
+    f = get_objective("double_degenerate" if args.objective is None else args.objective)
     box = _parse_box(args.box, f)
-    if args.regularizer:
+    if args.regularizer is not None:
         ls = [_parse_vector(t, f.dim, "regularizer") for t in args.regularizer]
     elif f.dim == 1:
         ls = [np.array([v]) for v in (0.01, -0.01, 0.001, -0.001, 0.0)]
@@ -318,7 +318,7 @@ def cmd_region(args):
 
 def cmd_mlp_compare(args):
     try:
-        widths = [int(v) for v in (args.widths or "2,8,8,2").split(",")]
+        widths = [int(v) for v in ("2,8,8,2" if args.widths is None else args.widths).split(",")]
         spec = MlpSpec(tuple(widths))
     except ValueError as exc:
         raise ValueError(f"--widths {args.widths!r}: {exc}") from exc
@@ -480,12 +480,15 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         _apply_config_file(args)
-        # NaN fails every range check, so it would quietly switch a rule off
+        # NaN fails every range check, so it would quietly switch a rule off; an empty
+        # value is not an unset flag, and an empty --out is not the working directory
         for dest, value in vars(args).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"--{dest.replace('_', '-')} must be finite, got {value}")
+            if value == "" or value == []:
+                raise ValueError(f"--{dest.replace('_', '-')} must not be empty")
         code, outputs, lines = _COMMANDS[args.command][0](args)
-        out = Path(args.out or "out")
+        out = Path("out" if args.out is None else args.out)
         try:
             out.mkdir(parents=True, exist_ok=True)
             for name, output in outputs.items():

@@ -6,9 +6,10 @@ are exact too: Pearlmutter's R-operator differentiates that backpropagation
 along unit directions with the ReLU masks frozen. Each evaluator, and the
 one-pass value_and_gradient, takes a vector (n,) or a batch (..., n) natively:
 stacked matrix products carry the leading axes, and nothing loops over rows.
-The gradient and the Hessian share one layout: every pre-activation,
-activation and delta is (..., width, samples), with the samples on the
-contiguous last axis.
+The gradient and the Hessian share one layout: every activation and delta is
+(..., width, samples), with the samples on the contiguous last axis. Each pass
+allocates only the arrays it keeps and keeps no pre-activations: a hidden
+activation a serves as its own ReLU mask a > 0, which is z > 0 bit for bit.
 With two or more hidden layers the loss surface carries non-strict saddle
 points (the all-zero parameter vector is one for class-balanced data), which
 makes these networks the natural stress test for regularized descent.
@@ -46,7 +47,7 @@ class MlpSpec:
     @property
     def n_params(self):
         widths = self.layer_widths
-        return sum(widths[i] * widths[i + 1] + widths[i + 1] for i in range(self.n_layers))
+        return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(widths, widths[1:]))
 
 
 @dataclass
@@ -84,17 +85,14 @@ def make_blobs(n_per_class, classes, dim, separation, seed):
 
 
 def unpack_params(spec, params):
-    """Split parameter rows (..., n) into per-layer (weights, biases) views.
-
-    Weights have shape (..., fan_out, fan_in) and biases (..., fan_out).
-    """
+    """Split parameter rows (..., n) into per-layer views: weights (..., fan_out,
+    fan_in) and biases (..., fan_out)."""
     rows = np.asarray(params, dtype=float)
     if rows.shape[-1:] != (spec.n_params,):
         raise ValueError(f"expected {spec.n_params} parameters, got shape {rows.shape}")
     widths = spec.layer_widths
     lead = rows.shape[:-1]
-    Ws, bs = [], []
-    pos = 0
+    Ws, bs, pos = [], [], 0
     for fan_in, fan_out in zip(widths[:-1], widths[1:]):
         Ws.append(rows[..., pos:pos + fan_in * fan_out].reshape(lead + (fan_out, fan_in)))
         pos += fan_in * fan_out
@@ -105,12 +103,8 @@ def unpack_params(spec, params):
 
 def pack_params(Ws, bs):
     """Inverse of unpack_params: per-layer weights and biases to rows (..., n)."""
-    parts = []
-    for W, b in zip(Ws, bs):
-        W = np.asarray(W, dtype=float)
-        parts.append(W.reshape(W.shape[:-2] + (-1,)))
-        parts.append(np.asarray(b, dtype=float))
-    return np.concatenate(parts, axis=-1)
+    return np.concatenate([part for W, b in zip(Ws, bs) for part in
+                           (np.reshape(W, np.shape(W)[:-2] + (-1,)), b)], axis=-1, dtype=float)
 
 
 def init_params(spec, seed):
@@ -118,8 +112,7 @@ def init_params(spec, seed):
     rng = np.random.default_rng(seed)
     widths = spec.layer_widths
     Ws, bs = [], []
-    for i in range(spec.n_layers):
-        fan_in, fan_out = widths[i], widths[i + 1]
+    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
         s = 1.0 / np.sqrt(fan_in)
         Ws.append(rng.uniform(-s, s, size=(fan_out, fan_in)))
         bs.append(np.zeros(fan_out))
@@ -127,22 +120,25 @@ def init_params(spec, seed):
 
 
 def _forward(Ws, bs, a):
-    """(pre-activations per layer, activations per layer, log-softmax), each (..., width, m)."""
-    zs, activations = [], [a]
-    for i, (W, b) in enumerate(zip(Ws, bs)):
-        z = W @ a + b[..., None]
-        zs.append(z)
-        if i < len(Ws) - 1:
-            a = np.maximum(z, 0.0)
-            activations.append(a)
-    return zs, activations, _log_softmax(zs[-1])
+    """(activations per layer, log-softmax), each (..., width, m); the bias and
+    the ReLU go in place, and a hidden activation a serves as its ReLU mask a > 0."""
+    activations = [a]
+    for W, b in zip(Ws, bs):
+        z = W @ activations[-1]
+        z += b[..., None]
+        if len(activations) < len(Ws):
+            activations.append(np.maximum(z, 0.0, out=z))
+    return activations, _log_softmax(z)
 
 
-def _backward(Ws, zs, p, onehot):
-    """Per-layer output deltas of the mean cross-entropy, ReLU masks z > 0."""
-    deltas = [(p - onehot) / p.shape[-1]]
-    for W, z in zip(Ws[:0:-1], zs[-2::-1]):
-        deltas.insert(0, (W.mT @ deltas[0]) * (z > 0.0))
+def _backward(Ws, activations, ls, onehot):
+    """Per-layer output deltas of the mean cross-entropy, ReLU masks a > 0."""
+    deltas = [np.exp(ls)]
+    deltas[0] -= onehot
+    deltas[0] /= ls.shape[-1]
+    for W, a in zip(Ws[:0:-1], activations[:0:-1]):
+        deltas.insert(0, W.mT @ deltas[0])
+        deltas[0] *= a > 0.0
     return deltas
 
 
@@ -170,12 +166,12 @@ def mlp_objective(spec, dataset):
         return -np.ascontiguousarray(ls[..., y, np.arange(m)]).mean(axis=-1)
 
     def value(params):
-        return loss(_forward(*unpack_params(spec, params), X)[2])
+        return loss(_forward(*unpack_params(spec, params), X)[1])
 
     def backprop(params):
         Ws, bs = unpack_params(spec, params)
-        zs, activations, ls = _forward(Ws, bs, X)
-        deltas = _backward(Ws, zs, np.exp(ls), onehot)
+        activations, ls = _forward(Ws, bs, X)
+        deltas = _backward(Ws, activations, ls, onehot)
         return ls, pack_params([d @ a.mT for d, a in zip(deltas, activations)],
                                [d.sum(axis=-1) for d in deltas])
 
@@ -197,28 +193,32 @@ def mlp_objective(spec, dataset):
         # along e_j with the ReLU masks frozen; one unit's directions at a
         # time, on a directions axis placed before each layer's last two axes
         Ws, bs = unpack_params(spec, params)
-        zs, activations, ls = _forward(Ws, bs, X)
-        p = np.exp(ls)
-        deltas = _backward(Ws, zs, p, onehot)
-        Ws, zs, activations, deltas = ([A[..., None, :, :] for A in arrays]
-                                       for arrays in (Ws, zs, activations, deltas))
-        p = p[..., None, :, :]
+        activations, ls = _forward(Ws, bs, X)
+        deltas = _backward(Ws, activations, ls, onehot)
+        Ws, activations, deltas = ([A[..., None, :, :] for A in arrays]
+                                   for arrays in (Ws, activations, deltas))
+        masks = [a > 0.0 for a in activations[1:]]
+        p = np.exp(ls)[..., None, :, :]
         H = np.empty(ls.shape[:-2] + (n, n))
         for block in unit_blocks:
-            V = np.zeros((len(block), n))
-            V[np.arange(len(block)), block] = 1.0
-            dWs, dbs = unpack_params(spec, V)
+            dWs, dbs = unpack_params(spec, block[:, None] == np.arange(n))  # unit directions
             Ras = [np.zeros((len(block),) + X.shape)]
-            for W, a, dW, db, z in zip(Ws, activations, dWs, dbs, zs):
-                Rz = W @ Ras[-1] + dW @ a + db[..., None]
-                Ras.append(Rz * (z > 0.0))
-            Rd = p * (Rz - (p * Rz).sum(axis=-2, keepdims=True)) / m
+            for i, (W, dW, db) in enumerate(zip(Ws, dWs, dbs)):
+                Rz = W @ Ras[i]
+                Rz += dW @ activations[i]
+                Rz += db[..., None]
+                if i < len(masks):
+                    Ras.append(np.multiply(Rz, masks[i], out=Rz))
+            Rz -= (p * Rz).sum(axis=-2, keepdims=True)
+            Rd = np.divide(np.multiply(Rz, p, out=Rz), m, out=Rz)
             RgWs, Rgbs = [None] * spec.n_layers, [None] * spec.n_layers
             for i in range(spec.n_layers - 1, -1, -1):
                 RgWs[i] = Rd @ activations[i].mT + deltas[i] @ Ras[i].mT
                 Rgbs[i] = Rd.sum(axis=-1)
                 if i > 0:
-                    Rd = (Ws[i].mT @ Rd + dWs[i].mT @ deltas[i]) * (zs[i - 1] > 0.0)
+                    Rd = Ws[i].mT @ Rd
+                    Rd += dWs[i].mT @ deltas[i]
+                    Rd *= masks[i - 1]
             H[..., block, :] = pack_params(RgWs, Rgbs)
         return symmetrize(H)
 

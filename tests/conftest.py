@@ -4,7 +4,7 @@ import signal
 
 import pytest
 
-TEST_TIME_LIMIT_S = 60.0  # the slowest test takes about 2 s
+TEST_TIME_LIMIT_S = 60.0  # the slowest test takes about 3 s
 
 
 class TimeLimitExceeded(BaseException):

@@ -688,6 +688,39 @@ def test_bad_count_flag_is_config_error(tmp_path, capsys, command, message):
     assert message in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--objective", "cubic_valley", "--regularizer="],
+    ["run", "--objective", "cubic_cone", "--x0="],
+    ["bifurcate", "--objective="],
+    ["mlp-compare", "--widths="],
+    ["region", "--objective", "cubic_cone", "--x0", "0,0", "--theta", "3", "--box="],
+    ["run", "--objective", "cubic_cone", "--x0", "1.5,0.5", "--out="],
+])
+def test_empty_flag_value_is_config_error(tmp_path, monkeypatch, capsys, argv):
+    # an empty value is not an unset flag: it must not fall back to the unregularized
+    # objective, the default start, objective, widths or --out, or the domain box
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert _one_line_error(capsys) == f"error: {argv[-1][:-1]} must not be empty\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["run", "--objective", "cubic_cone"], {"x0": ""}),
+    (["run", "--objective", "cubic_cone", "--x0", "1.5,0.5"], {"out": ""}),
+    (["bifurcate"], {"regularizer": []}),
+])
+def test_empty_config_value_is_config_error(tmp_path, monkeypatch, capsys, argv, config):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(config))
+    (tmp_path / "cwd").mkdir()
+    monkeypatch.chdir(tmp_path / "cwd")
+    assert main(argv + ["--config", str(cfg_file)]) == 1
+    key, = config
+    assert _one_line_error(capsys) == f"error: --{key} must not be empty\n"
+    assert list((tmp_path / "cwd").iterdir()) == []
+
+
 _NINES = "9" * 30
 _BAD_VALUES = ["0", "-1", "-0", "nan", "inf", "-inf", "1e400", _NINES, "-" + _NINES, "1e-320",
                "abc", ""]

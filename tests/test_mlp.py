@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -323,6 +324,60 @@ def test_stacked_rows_equal_their_single_rows(depth, k, lead, seed, scale):
         expected = np.array([single(x) for x in rows])
         assert stacked.shape == lead + expected.shape[1:]
         assert stacked.tobytes() == expected.tobytes()
+
+
+def _held_arrays(function):
+    """Every array that a function's closure holds, through the functions it holds."""
+    cells = [cell.cell_contents for cell in function.__closure__ or ()]
+    return ([c for c in cells if isinstance(c, np.ndarray)]
+            + [a for c in cells if callable(c) and hasattr(c, "__closure__")
+               for a in _held_arrays(c)])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(k=st.sampled_from(sorted(_NETS)), lead=st.sampled_from([(), (1,), (3,)]),
+       seed=st.integers(0, 2**32 - 1), scale=st.floats(0.05, 5.0))
+def test_evaluators_write_only_to_their_own_arrays(k, lead, seed, scale):
+    # the passes update activations and deltas in place: the caller's parameters
+    # and the objective's data (inputs, labels, one-hot targets) stay as they were,
+    # and two calls return equal results in memory of their own
+    f = _NETS[k]
+    params = scale * np.random.default_rng(seed).standard_normal(lead + (f.dim,))
+    before = params.copy()
+    evaluators = (f.value, f.gradient, f.value_and_gradient, f.hessian)
+    held = [a for evaluate in evaluators for a in _held_arrays(evaluate)]
+    assert len(held) >= 3
+    held_before = [a.copy() for a in held]
+    for evaluate in evaluators:
+        first, second = ([np.asarray(r) for r in (out if isinstance(out, tuple) else (out,))]
+                         for out in (evaluate(params), evaluate(params)))
+        assert params.tobytes() == before.tobytes()
+        for a, b in zip(first, second):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        results = first + second
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(results)
+                       for b in results[i + 1:] + [params])
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(held, held_before))
+
+
+def test_one_evaluation_keeps_a_small_working_set():
+    # a 10-row evaluation of the 2-8-8-2 network on 100 samples allocates only the
+    # activations and deltas it keeps: with pre-activations, masks and out-of-place
+    # temporaries, value_and_gradient peaked at about 9.3 hidden-activation sizes
+    # and value at about 5.2
+    spec = MlpSpec((2, 8, 8, 2))
+    f = mlp_objective(spec, make_blobs(50, 2, 2, 1.0, seed=0))
+    params = np.array([init_params(spec, child) for child in np.random.SeedSequence(0).spawn(10)])
+    hidden = 10 * 8 * 100 * 8  # bytes of 10 rows x 8 units x 100 samples
+    for evaluate, limit in ((f.value_and_gradient, 6), (f.value, 4)):
+        evaluate(params)  # first-call allocations stay outside the trace
+        tracemalloc.start()
+        try:
+            evaluate(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit * hidden, f"{evaluate.__name__}: {peak / hidden:.2f} sizes"
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

@@ -101,6 +101,14 @@ CLI_RUNS = {
     # an --out that cannot be created as a directory: one error line, exit 1, nothing written
     "error_out_not_a_directory": "region --objective cubic_cone --x0 0,0 --theta 3 "
                                  "--resolution 20 --out /dev/null",
+    # empty flag values, which must not read as unset flags: one error line, exit 1, nothing
+    # written
+    "error_empty_regularizer": "analyze --objective cubic_valley --regularizer=",
+    "error_empty_x0": "run --objective cubic_cone --x0=",
+    "error_empty_objective": "bifurcate --objective=",
+    "error_empty_widths": "mlp-compare --widths=",
+    "error_empty_box": "region --objective cubic_cone --x0 0,0 --theta 3 --box=",
+    "error_empty_out": "run --objective cubic_cone --x0 1.5,0.5 --out=",
     # the help text of the top level and of each subcommand, wrapped at 80 columns
     "help": "--help",
     **{f"help_{name.replace('-', '_')}": f"{name} --help" for name in
