@@ -43,6 +43,9 @@ MLP_MAX_TRIALS = 10_000
 # each row of the batch holds about 60 floats of activations and deltas per sample on
 # the 2-8-8-2 network: 48 MB a row at 100,000 samples
 MLP_MAX_SAMPLES = 100_000
+# on a planar objective a stable-set sample holds about 200 bytes of descent state and a
+# Milnor draw about 180 bytes of shifts, flags and roots (tracemalloc): 200 MB at 10**6
+STABLE_SET_MAX_TRIALS = MILNOR_MAX_DRAWS = 1_000_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -206,7 +209,8 @@ def cmd_analyze(args):
         f = make_regularized(f, _parse_vector(args.regularizer, f.dim, "regularizer"))
     box = _parse_box(args.box, f)
     resolution = _count(args.resolution, 200, "--resolution")
-    n_l = None if args.milnor is None else _count(args.milnor, None, "--milnor")
+    n_l = None if args.milnor is None else _count(args.milnor, None, "--milnor",
+                                                       maximum=MILNOR_MAX_DRAWS)
     seed = None if n_l is None else _count(args.seed, 0, "--seed", minimum=0)
 
     reports = find_critical_points(f, box)
@@ -282,7 +286,7 @@ def cmd_stable_set(args):
         raise ValueError("--x0 (the target point) is required for stable-set")
     target = _parse_vector(args.x0, f.dim, "x0")
     box = _parse_box(args.box, f)
-    n_samples = _count(args.trials, 2000, "--trials")
+    n_samples = _count(args.trials, 2000, "--trials", maximum=STABLE_SET_MAX_TRIALS)
     seed = _count(args.seed, 0, "--seed", minimum=0)
     if args.gamma is None:
         raise ValueError("--gamma is required for stable-set")
@@ -397,6 +401,8 @@ def _compare_trials(f, starts, cfg):
             loss, gnorm = (np.concatenate([a, np.empty_like(a)], axis=1) for a in (loss, gnorm))
         loss[rows, k] = F
         gnorm[rows, k] = gn
+        if not pending.any():  # every trial's prefix is settled: nothing to compare
+            return
         at = np.full(2 * T, -1)  # each row's place in the working set, -1 once it halted
         at[rows] = np.arange(len(rows))
         p, r = at.reshape(2, T)

@@ -8,8 +8,9 @@ one-pass value_and_gradient, takes a vector (n,) or a batch (..., n) natively:
 stacked matrix products carry the leading axes, and nothing loops over rows.
 The gradient and the Hessian share one layout: every activation and delta is
 (..., width, samples), with the samples on the contiguous last axis. Each pass
-allocates only the arrays it keeps and keeps no pre-activations: a hidden
-activation a serves as its own ReLU mask a > 0, which is z > 0 bit for bit.
+allocates only the arrays it keeps: no pre-activations (a hidden activation a is
+its own ReLU mask a > 0, which is z > 0 bit for bit), and no per-layer gradient
+parts, which matmul and add.reduce write into unpack_params views of one g.
 With two or more hidden layers the loss surface carries non-strict saddle
 points (the all-zero parameter vector is one for class-balanced data), which
 makes these networks the natural stress test for regularized descent.
@@ -34,20 +35,17 @@ class MlpSpec:
     layer_widths: tuple
 
     def __post_init__(self):
-        self.layer_widths = tuple(int(w) for w in self.layer_widths)
-        if len(self.layer_widths) < 4:
+        widths = self.layer_widths = tuple(int(w) for w in self.layer_widths)
+        if len(widths) < 4:
             raise ValueError("need at least two hidden layers (four widths)")
-        if any(w < 1 for w in self.layer_widths):
+        if any(w < 1 for w in widths):
             raise ValueError("all widths must be at least 1")
+        # set once: every unpack_params call checks its input against it
+        self.n_params = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(widths, widths[1:]))
 
     @property
     def n_layers(self):
         return len(self.layer_widths) - 1
-
-    @property
-    def n_params(self):
-        widths = self.layer_widths
-        return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(widths, widths[1:]))
 
 
 @dataclass
@@ -110,13 +108,11 @@ def pack_params(Ws, bs):
 def init_params(spec, seed):
     """Weights uniform in [-s, s] with s = 1/sqrt(fan_in); biases zero."""
     rng = np.random.default_rng(seed)
-    widths = spec.layer_widths
-    Ws, bs = [], []
-    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-        s = 1.0 / np.sqrt(fan_in)
-        Ws.append(rng.uniform(-s, s, size=(fan_out, fan_in)))
-        bs.append(np.zeros(fan_out))
-    return pack_params(Ws, bs)
+    params = np.zeros(spec.n_params)
+    for W in unpack_params(spec, params)[0]:
+        s = 1.0 / np.sqrt(W.shape[1])
+        W[...] = rng.uniform(-s, s, size=W.shape)
+    return params
 
 
 def _forward(Ws, bs, a):
@@ -159,11 +155,12 @@ def mlp_objective(spec, dataset):
     y = dataset.labels
     m = len(y)
     onehot = np.ascontiguousarray(np.eye(spec.layer_widths[-1])[y].T)
+    n = spec.n_params
 
     def loss(ls):
-        # the fancy index leaves each row's picked entries strided, and a
-        # strided mean rounds differently from the contiguous one-point mean
-        return -np.ascontiguousarray(ls[..., y, np.arange(m)]).mean(axis=-1)
+        # -mean's bits, NaN's sign included; the fancy index leaves each row's picked
+        # entries strided, and a strided sum rounds differently from the contiguous one
+        return -(np.add.reduce(np.ascontiguousarray(ls[..., y, np.arange(m)]), axis=-1) / m)
 
     def value(params):
         return loss(_forward(*unpack_params(spec, params), X)[1])
@@ -172,8 +169,11 @@ def mlp_objective(spec, dataset):
         Ws, bs = unpack_params(spec, params)
         activations, ls = _forward(Ws, bs, X)
         deltas = _backward(Ws, activations, ls, onehot)
-        return ls, pack_params([d @ a.mT for d, a in zip(deltas, activations)],
-                               [d.sum(axis=-1) for d in deltas])
+        g = np.empty(ls.shape[:-2] + (n,))
+        for d, a, gW, gb in zip(deltas, activations, *unpack_params(spec, g)):
+            np.matmul(d, a.mT, out=gW)
+            np.add.reduce(d, axis=-1, out=gb)
+        return ls, g
 
     def gradient(params):
         return backprop(params)[1]
@@ -182,7 +182,6 @@ def mlp_objective(spec, dataset):
         ls, g = backprop(params)
         return loss(ls), g
 
-    n = spec.n_params
     # one block per unit: its incoming weights and its bias (at most fan_in + 1
     # directions), which keeps the R-operator's working set small
     unit_blocks = [np.append(w, b).astype(int)

@@ -3,14 +3,17 @@
 Central-difference gradients, Hessians and third directional derivatives of a
 scalar field, evaluated one point at a time, for the closed-form and
 backpropagated derivatives; the descent algorithm for one start, written
-as a plain loop, for the lockstep engine; damped Newton halving its damping
-one gradient call at a time, for the stacked damping search; the Milnor
-fraction from one critical-point search per draw, for the stacked draws; the region
-grid's gradient norms from one gradient call on the whole mesh, for the grid
-built slab by slab; the region grid's CSV written through `csv.writer`, for
-the streamed writer; and the planar corpus entries' evaluators written out
-one closure each, for the builder that makes them from coordinate
-expressions. Nothing in the library uses them.
+as a plain loop, for the lockstep engine; the network's gradient with each
+layer's part formed on its own and concatenated, for the gradient written into
+views of one array; mlp-compare's lockstep batch with an observer that compares
+twin rows at every step, for the observer that stops once every prefix settles;
+damped Newton halving its damping one gradient call at a time, for the stacked
+damping search; the Milnor fraction from one critical-point search per draw,
+for the stacked draws; the region grid's gradient norms from one gradient
+call on the whole mesh, for the grid built slab by slab; the region grid's CSV
+written through `csv.writer`, for the streamed writer; and the planar corpus
+entries' evaluators written out one closure each, for the builder that makes
+them from coordinate expressions. Nothing in the library uses them.
 """
 
 import csv
@@ -26,11 +29,13 @@ from saddlereg.critical import (
     newton_root,
 )
 from saddlereg.linalg import NumericalError, _norms, as_vector, symmetrize
+from saddlereg.mlp import _backward, _forward, pack_params, unpack_params
 from saddlereg.optimizer import (
     STATUS_CONVERGED,
     STATUS_DIVERGED,
     STATUS_MAX_ITERS,
     STATUS_NUMERICAL_FAILURE,
+    _descend,
 )
 from saddlereg.sampling import _sphere_direction
 
@@ -159,6 +164,52 @@ def descend_one(f, x0, cfg, gamma, theta):
                 return x, gn, k, STATUS_NUMERICAL_FAILURE, entered, closed
             x = x_next
             k += 1
+
+
+def mlp_value_and_gradient(spec, dataset, params):
+    """The network's mean cross-entropy and its gradient from one backpropagation,
+    each layer's weight and bias gradient formed as an array of its own and the
+    parts concatenated by pack_params."""
+    X = np.ascontiguousarray(dataset.inputs.T)
+    y, m = dataset.labels, len(dataset.labels)
+    onehot = np.ascontiguousarray(np.eye(spec.layer_widths[-1])[y].T)
+    Ws, bs = unpack_params(spec, params)
+    activations, ls = _forward(Ws, bs, X)
+    deltas = _backward(Ws, activations, ls, onehot)
+    loss = -np.ascontiguousarray(ls[..., y, np.arange(m)]).mean(axis=-1)
+    return loss, pack_params([d @ a.mT for d, a in zip(deltas, activations)],
+                             [d.sum(axis=-1) for d in deltas])
+
+
+def compare_every_step(f, starts, cfg):
+    """mlp-compare's batch of plain rows 0..T-1 and regularized rows T..2T-1 from
+    `starts`, with an observer that compares trial t's two rows at every step
+    that both reach, one trial at a time, and records each row's loss and
+    gradient norm at each of its steps. Trial t's prefix is equal while every
+    comparison up to and including its plain row's first step with gn <= theta
+    holds. Returns (k per row, loss per row, gradient norm per row, prefix
+    equality per trial), the per-row values as arrays of k + 1 entries.
+    """
+    T = len(starts)
+    loss, gnorm = [[] for _ in range(2 * T)], [[] for _ in range(2 * T)]
+    equal, settled = [True] * T, [False] * T
+
+    def observe(k, X, G, gn, inside, rows, F):
+        at = {row: j for j, row in enumerate(rows.tolist())}
+        for row, j in at.items():
+            loss[row].append(F[j])
+            gnorm[row].append(gn[j])
+        for t in range(T):
+            if t in at and t + T in at:
+                same = bool((X[at[t]] == X[at[t + T]]).all())
+                if not settled[t]:
+                    equal[t] = same
+                    settled[t] = not same or gn[at[t]] <= cfg.theta
+
+    res = _descend(f, np.concatenate([starts, starts]), cfg, float(cfg.gamma), observe,
+                   theta=np.repeat([0.0, cfg.theta], T), values=True)
+    return (res["k"].tolist(), [np.array(v) for v in loss], [np.array(v) for v in gnorm],
+            equal)
 
 
 def newton_root_halving(f, x0, shift, tol=NEWTON_TOL, max_steps=50):

@@ -14,8 +14,18 @@ import pytest
 
 import saddlereg
 from saddlereg import cli, region
-from saddlereg.cli import MLP_MAX_SAMPLES, MLP_MAX_TRIALS, _compare_trials, main, write_json
+from saddlereg.cli import (
+    MILNOR_MAX_DRAWS,
+    MLP_MAX_SAMPLES,
+    MLP_MAX_TRIALS,
+    STABLE_SET_MAX_TRIALS,
+    _compare_trials,
+    main,
+    write_json,
+)
 from saddlereg.linalg import NumericalError
+
+import oracles
 
 
 def _read_json(path):
@@ -345,6 +355,51 @@ def test_prefix_equality_sees_a_row_that_halts_unobserved():
     assert prefix_equal == [False]
 
 
+_MIXED = ["--trials", "4", "--seed", "2", "--theta", "0.02", "--max-iters", "300"]
+
+
+@pytest.mark.parametrize("argv, tamper", [
+    ([], None),  # the default 2-8-8-2 run: every prefix settles by step 52 of 800
+    (["--trials", "3", "--seed", "2", "--gamma", "80", "--max-iters", "60"], None),
+    (_MIXED, None),  # 3 of 4 trials trigger; trial 2 stays pending to its last step
+    (_MIXED, 250),  # trial 2's regularized row, as observed, moves at step 250
+], ids=["default", "diverged", "mixed", "mixed-pending-twin-differs"])
+def test_compare_trials_equals_an_observer_that_compares_every_step(tmp_path, monkeypatch,
+                                                                   argv, tamper):
+    # mlp-compare's observer stops comparing once every trial's prefix settles; its
+    # columns and prefix equality must be those of an observer that compares at
+    # every step. A tampered run shows the observer trial 2's twins differing long
+    # after the other trials settled, so it must still be comparing then.
+    runs = []
+
+    def recorded(f, starts, cfg):
+        runs.append((f, starts, cfg, compare(f, starts, cfg)))
+        return runs[-1][-1]
+
+    def tampered(f, X, cfg, gamma, observe, **kwargs):
+        def seen(k, X, G, gn, inside, rows, F):
+            if k == tamper and 6 in rows:
+                X = X.copy()
+                X[rows.tolist().index(6)] += 1.0
+            observe(k, X, G, gn, inside, rows, F)
+        return descend(f, X, cfg, gamma, seen, **kwargs)
+
+    compare, descend = cli._compare_trials, cli._descend
+    monkeypatch.setattr(cli, "_compare_trials", recorded)
+    if tamper is not None:
+        monkeypatch.setattr(cli, "_descend", tampered)
+        monkeypatch.setattr(oracles, "_descend", tampered)
+    assert main(["mlp-compare", *argv, "--out", str(tmp_path)]) == 0
+    (f, starts, cfg, (res, finals, loss, gnorm, prefix_equal)), = runs
+    ks, loss_each, gnorm_each, equal_each = oracles.compare_every_step(f, starts, cfg)
+    assert res["k"].tolist() == ks
+    assert prefix_equal == equal_each
+    assert prefix_equal == ([True, True, False, True] if tamper else [True] * len(starts))
+    for i, k in enumerate(ks):
+        assert loss[i, :k + 1].tobytes() == loss_each[i].tobytes()
+        assert gnorm[i, :k + 1].tobytes() == gnorm_each[i].tobytes()
+
+
 def test_mlp_compare_keeps_no_iterates(tmp_path):
     # 40 recorded runs of 801 iterates with 114 parameters would need about 30 MiB
     tracemalloc.start()
@@ -488,16 +543,16 @@ def _one_line_error(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["stable-set", "--objective", "cubic_valley", "--x0", "0,0", "--gamma", "0.15",
-     "--trials", str(10**18)],
-    ["analyze", "--objective", "cubic_valley", "--milnor", str(10**18)],
+    ["region", "--objective", "cubic_cone", "--x0", "0,0", "--theta", "3",
+     "--resolution", str(10**18)],
+    ["analyze", "--objective", "cubic_valley", "--theta", "3", "--resolution", str(10**18)],
 ])
 def test_library_rejection_is_one_line_error_and_writes_nothing(tmp_path, capsys, argv):
-    # numpy rejects the (10**18, 2) sample array's size before allocating anything;
-    # no CLI check wraps that ValueError, so only main's boundary reports it
+    # the region grid's builder rejects 10**36 cells before allocating anything; no
+    # CLI check wraps that ValueError, so only main's boundary reports it
     out = tmp_path / "none"
     assert main(argv + ["--out", str(out)]) == 1
-    assert "array is too big" in _one_line_error(capsys)
+    assert "a grid must have fewer than 2**31 cells" in _one_line_error(capsys)
     assert not out.exists()
 
 
@@ -673,6 +728,12 @@ def test_config_file_non_finite_value(tmp_path, capsys):
     (["mlp-compare", "--trials", "-3"], "--trials must be at least 1"),
     (["mlp-compare", "--trials", "1", "--max-iters", "0"], "max_iters"),
     (["analyze", "--objective", "cubic_valley", "--milnor", "0"], "--milnor must be at least 1"),
+    # counts this large used to reach numpy, whose errors ("array is too big", "Maximum
+    # allowed dimension exceeded") named no flag
+    *[(["analyze", "--objective", "cubic_valley", "--milnor", str(n)],
+       f"--milnor must be at most {MILNOR_MAX_DRAWS}, got {n}") for n in (10**18, 10**30)],
+    *[(_VALLEY_SET + ["--trials", str(n)],
+       f"--trials must be at most {STABLE_SET_MAX_TRIALS}, got {n}") for n in (10**18, 10**30)],
     (["mlp-compare", "--widths", "2,8,2"], "--widths"),
     (["mlp-compare", "--widths", "2,x,8,2"], "--widths"),
     (["mlp-compare", "--samples", "1"], "--samples must be at least 2"),

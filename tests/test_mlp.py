@@ -22,7 +22,7 @@ from saddlereg import (
 from saddlereg.mlp import _log_softmax
 from saddlereg.optimizer import _descend
 
-from oracles import fd_gradient
+from oracles import fd_gradient, mlp_value_and_gradient
 
 
 def test_spec_validation():
@@ -286,10 +286,11 @@ def test_dead_unit_has_zero_hessian_rows():
 
 # one small network per output width: 2 and 3 classes, and 9, past the 8 terms
 # that numpy's pairwise sum adds at a time; and the same widths at three hidden layers
-_NETS = {k: mlp_objective(MlpSpec((2, 5, 4, k)), make_blobs(6, k, 2, 1.5, seed=k))
-         for k in (2, 3, 9)}
-_DEEP_NETS = {k: mlp_objective(MlpSpec((2, 4, 3, 3, k)), make_blobs(5, k, 2, 1.5, seed=10 + k))
-              for k in (2, 3, 9)}
+_NET_INPUTS = {(2, k): (MlpSpec((2, 5, 4, k)), make_blobs(6, k, 2, 1.5, seed=k)) for k in (2, 3, 9)}
+_NET_INPUTS.update({(3, k): (MlpSpec((2, 4, 3, 3, k)), make_blobs(5, k, 2, 1.5, seed=10 + k))
+                    for k in (2, 3, 9)})
+_NETS = {k: mlp_objective(*_NET_INPUTS[2, k]) for k in (2, 3, 9)}
+_DEEP_NETS = {k: mlp_objective(*_NET_INPUTS[3, k]) for k in (2, 3, 9)}
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -324,6 +325,40 @@ def test_stacked_rows_equal_their_single_rows(depth, k, lead, seed, scale):
         expected = np.array([single(x) for x in rows])
         assert stacked.shape == lead + expected.shape[1:]
         assert stacked.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("depth, k", sorted(_NET_INPUTS))
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(layout=st.sampled_from(["C", "F", "strided"]),
+       fill=st.sampled_from([None, 0.0, np.nan, np.inf, -np.inf]),
+       seed=st.integers(0, 2**32 - 1), scale=st.floats(0.05, 5.0))
+def test_gradient_keeps_the_bits_of_the_concatenated_form(depth, k, lead, layout, fill, seed,
+                                                          scale):
+    # the gradient written into views of one array equals, bit for bit, each layer's
+    # part formed on its own and concatenated; on any memory layout of the stack,
+    # and with a first row of zeros or with a NaN or infinite entry
+    spec, data = _NET_INPUTS[depth, k]
+    f = (_NETS if depth == 2 else _DEEP_NETS)[k]
+    rng = np.random.default_rng(seed)
+    params = scale * rng.standard_normal(lead + (f.dim,))
+    first = params.reshape(-1, f.dim)[0]
+    if fill == 0.0:
+        first[:] = 0.0
+    elif fill is not None:
+        first[rng.integers(f.dim)] = fill
+    if layout == "F":
+        params = np.asfortranarray(params)
+    elif layout == "strided":
+        params = np.repeat(params, 2, axis=-1)[..., ::2]
+    with np.errstate(all="ignore"):
+        loss, expected = mlp_value_and_gradient(spec, data, params)
+        gradient = f.gradient(params)
+        value, joint = f.value_and_gradient(params)
+    assert gradient.shape == joint.shape == lead + (f.dim,)
+    assert gradient.tobytes() == expected.tobytes()
+    assert joint.tobytes() == expected.tobytes()
+    assert np.shape(value) == lead and value.tobytes() == loss.tobytes()
 
 
 def _held_arrays(function):

@@ -53,6 +53,10 @@ CLI_RUNS = {
     # a step far past 1/L: each row leaves the 1e6 escape ball within a few steps, at
     # its own k, so the batch takes the engine's near-sphere and diverged branch
     "mlp_compare_diverged": "mlp-compare --trials 3 --seed 2 --gamma 80 --max-iters 60",
+    # triggered and untriggered trials in one batch: 3 of 4 trials trigger, and the
+    # untriggered one keeps its prefix comparison open to the last step
+    "mlp_compare_mixed": "mlp-compare --trials 4 --seed 2 --theta 0.02 --max-iters 300 "
+                         "--out out/mixed",
     # one run per termination status, and the regularized stable-set batch
     "run_diverged": "run --objective cubic_valley --x0 -1,0.5 --gamma 0.15",
     "run_numerical_failure": "run --objective cubic_valley --x0 1.5,0.5 --gamma 1e308",
@@ -98,6 +102,10 @@ CLI_RUNS = {
     "error_mlp_compare_samples": "mlp-compare --trials 1 --max-iters 2 "
                                  "--samples 1000000000000000000000000000000",
     "error_bifurcate_objective": "bifurcate --objective nope",
+    "error_analyze_milnor": "analyze --objective cubic_valley --milnor "
+                            "999999999999999999999999999999",
+    "error_stable_set_trials": "stable-set --objective cubic_valley --x0 0,0 --gamma 0.15 "
+                               "--trials 999999999999999999999999999999",
     # an --out that cannot be created as a directory: one error line, exit 1, nothing written
     "error_out_not_a_directory": "region --objective cubic_cone --x0 0,0 --theta 3 "
                                  "--resolution 20 --out /dev/null",
