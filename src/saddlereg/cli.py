@@ -3,7 +3,9 @@
 Subcommands: run, analyze, bifurcate, mlp-compare, stable-set, region.
 All outputs are machine-readable (JSON whose schemas the test suite checks,
 RFC-4180 CSV) and byte-identical for identical configs and seeds. Exit codes:
-0 success, 1 configuration error, 2 numerical failure. `main` is the one error
+0 success, 1 configuration error, 2 numerical failure. Each flag's type,
+default, requirement and bounds are declared once, in `_COMMANDS`, and `main`
+checks them all before a subcommand runs. `main` is the one error
 boundary: any input that the CLI or the library rejects (a ValueError), that
 does not fit in memory (a MemoryError), or an `--out` that cannot be written
 prints one `error:` line and exits 1. A subcommand returns its exit code,
@@ -124,22 +126,6 @@ def _optimizer_config(args, **defaults):
     return OptimizerConfig(**defaults)
 
 
-def _get_objective(name):
-    if name is None:
-        raise ValueError("--objective is required")
-    return get_objective(name)
-
-
-def _count(value, default, flag, minimum=1, maximum=None):
-    """A count flag's value (the default when unset); outside [minimum, maximum] raises."""
-    value = default if value is None else value
-    if value < minimum:
-        raise ValueError(f"{flag} must be at least {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        raise ValueError(f"{flag} must be at most {maximum}, got {value}")
-    return value
-
-
 def _config_value_ok(kind, value):
     """Whether a JSON config value has the type a flag of `kind` parses to (null: unset)."""
     if kind is list:
@@ -174,7 +160,7 @@ def _apply_config_file(args):
 # subcommands: each returns (exit code, {file name: JSON-able object or path writer}, stdout lines)
 
 def cmd_run(args):
-    f = _get_objective(args.objective)
+    f = get_objective(args.objective)
     if args.x0 is not None:
         x0 = _parse_vector(args.x0, f.dim, "x0")
     else:
@@ -204,14 +190,10 @@ def cmd_run(args):
 
 
 def cmd_analyze(args):
-    f = _get_objective(args.objective)
+    f = get_objective(args.objective)
     if args.regularizer is not None:
         f = make_regularized(f, _parse_vector(args.regularizer, f.dim, "regularizer"))
     box = _parse_box(args.box, f)
-    resolution = _count(args.resolution, 200, "--resolution")
-    n_l = None if args.milnor is None else _count(args.milnor, None, "--milnor",
-                                                       maximum=MILNOR_MAX_DRAWS)
-    seed = None if n_l is None else _count(args.seed, 0, "--seed", minimum=0)
 
     reports = find_critical_points(f, box)
     outputs = {"critical_points.json": {"objective": f.name, "critical_points": reports}}
@@ -224,7 +206,7 @@ def cmd_analyze(args):
     if args.theta is not None:
         seed_pt = None if args.x0 is None else _parse_vector(args.x0, f.dim, "x0")
         # the separation check and the region through x0 share one grid
-        checks, region = _separation(f, args.theta, box, resolution,
+        checks, region = _separation(f, args.theta, box, args.resolution,
                                      [r.location for r in reports], seed_pt)
         outputs["separation.json"] = {"objective": f.name, "theta": args.theta,
                                       "checks": checks}
@@ -234,16 +216,16 @@ def cmd_analyze(args):
             outputs.update(_region_outputs(f, region, seed_pt))
             lines.append(f"  region: {int(region.inside.sum())} inside cells")
 
-    if n_l is not None:
-        frac = milnor_sample(f, box, n_l=n_l, seed=seed)
-        outputs["milnor.json"] = {"objective": f.name, "n_l": n_l, "l_scale": 1.0,
+    if args.milnor is not None:
+        frac = milnor_sample(f, box, n_l=args.milnor, seed=args.seed)
+        outputs["milnor.json"] = {"objective": f.name, "n_l": args.milnor, "l_scale": 1.0,
                                   "fraction_degenerate": frac}
-        lines.append(f"  degenerate fraction over {n_l} draws: {frac:.6g}")
+        lines.append(f"  degenerate fraction over {args.milnor} draws: {frac:.6g}")
     return 0, outputs, lines
 
 
 def cmd_bifurcate(args):
-    f = get_objective("double_degenerate" if args.objective is None else args.objective)
+    f = get_objective(args.objective)
     box = _parse_box(args.box, f)
     if args.regularizer is not None:
         ls = [_parse_vector(t, f.dim, "regularizer") for t in args.regularizer]
@@ -281,22 +263,16 @@ def cmd_bifurcate(args):
 
 
 def cmd_stable_set(args):
-    f = _get_objective(args.objective)
-    if args.x0 is None:
-        raise ValueError("--x0 (the target point) is required for stable-set")
+    f = get_objective(args.objective)
     target = _parse_vector(args.x0, f.dim, "x0")
     box = _parse_box(args.box, f)
-    n_samples = _count(args.trials, 2000, "--trials", maximum=STABLE_SET_MAX_TRIALS)
-    seed = _count(args.seed, 0, "--seed", minimum=0)
-    if args.gamma is None:
-        raise ValueError("--gamma is required for stable-set")
     cfg = _optimizer_config(args)
     method = "regularized" if cfg.theta > 0 else "plain"
-    frac = stable_set_fraction(f, target, box, n_samples=n_samples, cfg=cfg, seed=seed)
+    frac = stable_set_fraction(f, target, box, n_samples=args.trials, cfg=cfg, seed=args.seed)
     result = {"objective": f.name, "method": method, "fraction": frac,
-              "n_samples": n_samples, "target": target, "theta": cfg.theta}
+              "n_samples": args.trials, "target": target, "theta": cfg.theta}
     return 0, {"stable_set.json": result}, [
-        f"stable-set: fraction {frac:.4f} of {n_samples} samples ({method})"]
+        f"stable-set: fraction {frac:.4f} of {args.trials} samples ({method})"]
 
 
 def _region_outputs(f, region, seed_pt):
@@ -308,13 +284,10 @@ def _region_outputs(f, region, seed_pt):
 
 
 def cmd_region(args):
-    f = _get_objective(args.objective)
-    if args.x0 is None or args.theta is None:
-        raise ValueError("--x0 and --theta are required for region")
+    f = get_objective(args.objective)
     seed_pt = _parse_vector(args.x0, f.dim, "x0")
     box = _parse_box(args.box, f)
-    resolution = _count(args.resolution, 200, "--resolution")
-    region = theta_region(f, seed_pt, args.theta, box, resolution)
+    region = theta_region(f, seed_pt, args.theta, box, args.resolution)
     return 0, _region_outputs(f, region, seed_pt), [
         f"region: {int(region.inside.sum())} inside cells, "
         f"{int(region.boundary.sum())} boundary cells"]
@@ -322,19 +295,17 @@ def cmd_region(args):
 
 def cmd_mlp_compare(args):
     try:
-        widths = [int(v) for v in ("2,8,8,2" if args.widths is None else args.widths).split(",")]
+        widths = [int(v) for v in args.widths.split(",")]
         spec = MlpSpec(tuple(widths))
     except ValueError as exc:
         raise ValueError(f"--widths {args.widths!r}: {exc}") from exc
-    trials = _count(args.trials, 20, "--trials", maximum=MLP_MAX_TRIALS)
-    seed = _count(args.seed, 0, "--seed", minimum=0)
-    classes = widths[-1]
-    n_samples = _count(args.samples, 100, "--samples", minimum=classes, maximum=MLP_MAX_SAMPLES)
-    separation = args.separation if args.separation is not None else 1.0
+    trials, seed, classes = args.trials, args.seed, widths[-1]
+    if args.samples < classes:  # the one bound that depends on another flag
+        raise ValueError(f"--samples must be at least {classes}, got {args.samples}")
     cfg = _optimizer_config(args, gamma=0.5, theta=0.04, eps_converge=1e-10, max_iters=800,
                             escape_radius=1e6)
     try:
-        data = make_blobs(n_samples // classes, classes, widths[0], separation, seed=seed)
+        data = make_blobs(args.samples // classes, classes, widths[0], args.separation, seed=seed)
     except ValueError as exc:
         raise ValueError(f"--separation: {exc}") from exc
 
@@ -432,39 +403,51 @@ def _write_trial_csv(path, loss, gnorm, ks, plain, reg):
 
 # Every subcommand's handler, help and flags in --help order. A flag is unset (None)
 # until given; type list makes it repeatable (argparse's append), collecting strings;
-# a flag with a field sets that OptimizerConfig field. build_parser, _optimizer_config
-# and --config all read this table; a callable help, which builds the corpus, runs
-# in build_parser and not at import.
-_Flag = collections.namedtuple("_Flag", "name type help field", defaults=(str, None, None))
+# a flag with a field sets that OptimizerConfig field. After --config, main holds each
+# flag to its row: a required flag must be given, an int to [minimum, maximum], a flag
+# to the flag it `needs` (without it, it would do nothing), and an unset flag takes its
+# default. build_parser, _optimizer_config, --config and main all read this table; a
+# callable help, which builds the corpus, runs in build_parser and not at import.
+_Flag = collections.namedtuple("_Flag", "name type help field default required minimum "
+                               "maximum needs", defaults=(str,) + (None,) * 7)
 _OBJECTIVE = _Flag("--objective", help=lambda: "corpus objective name: "
-                   + ", ".join(corpus_names()))
-_FILES = (_Flag("--out", help="output directory (default: out)"),
+                   + ", ".join(corpus_names()), required=True)
+_FILES = (_Flag("--out", help="output directory (default: out)", default="out"),
           _Flag("--config", help="JSON config file; flags override"))
 _THETA, _GAMMA, _MAX_ITERS = (_Flag("--theta", float, field="theta"),
                               _Flag("--gamma", float, field="gamma"),
                               _Flag("--max-iters", int, field="max_iters"))
 _OPTIMIZER = (_THETA, _GAMMA, _Flag("--eps", float, field="eps_converge"), _MAX_ITERS,
               _Flag("--escape-radius", float, field="escape_radius"))
+_SEED = _Flag("--seed", int, default=0, minimum=0)
+# a grid has fewer than 2**31 cells (see region), so no dimension takes a larger resolution
+_RESOLUTION = _Flag("--resolution", int, default=200, minimum=1, maximum=2**31 - 1)
 _COMMANDS = {
     "run": (cmd_run, "run regularized gradient descent",
             (_OBJECTIVE, *_FILES, _Flag("--x0"), *_OPTIMIZER)),
     "analyze": (cmd_analyze, "locate and classify critical points", (
-        _OBJECTIVE, *_FILES, _Flag("--regularizer"), _Flag("--box"), _Flag("--resolution", int),
-        _Flag("--theta", float), _Flag("--x0", help="seed point for a region export"),
-        _Flag("--milnor", int, "sample this many random regularizers for degeneracy"),
-        _Flag("--seed", int))),
-    "bifurcate": (cmd_bifurcate, "sweep regularizers and trace continuations",
-                  (_OBJECTIVE, *_FILES, _Flag("--regularizer", list), _Flag("--box"))),
+        _OBJECTIVE, *_FILES, _Flag("--regularizer"), _Flag("--box"),
+        _RESOLUTION._replace(needs="--theta"), _Flag("--theta", float),
+        _Flag("--x0", help="seed point for a region export", needs="--theta"),
+        _Flag("--milnor", int, "sample this many random regularizers for degeneracy",
+              minimum=1, maximum=MILNOR_MAX_DRAWS), _SEED._replace(needs="--milnor"))),
+    "bifurcate": (cmd_bifurcate, "sweep regularizers and trace continuations", (
+        _OBJECTIVE._replace(default="double_degenerate", required=False), *_FILES,
+        _Flag("--regularizer", list), _Flag("--box"))),
     "stable-set": (cmd_stable_set, "measure a basin fraction by sampling", (
-        _OBJECTIVE, *_FILES, _Flag("--x0", help="target point"), _Flag("--box"),
-        _Flag("--trials", int, "number of samples"), *_OPTIMIZER, _Flag("--seed", int))),
+        _OBJECTIVE, *_FILES, _Flag("--x0", help="target point", required=True), _Flag("--box"),
+        _Flag("--trials", int, "number of samples", default=2000, minimum=1,
+              maximum=STABLE_SET_MAX_TRIALS),
+        _THETA, _GAMMA._replace(required=True), *_OPTIMIZER[2:], _SEED)),
     "region": (cmd_region, "export a small-gradient region grid", (
-        _OBJECTIVE, *_FILES, _Flag("--x0", help="seed point"), _Flag("--theta", float),
-        _Flag("--box"), _Flag("--resolution", int))),
+        _OBJECTIVE, *_FILES, _Flag("--x0", help="seed point", required=True),
+        _Flag("--theta", float, required=True), _Flag("--box"), _RESOLUTION)),
     "mlp-compare": (cmd_mlp_compare, "plain vs regularized descent on a small network", (
-        *_FILES, _Flag("--trials", int), _THETA, _GAMMA, _MAX_ITERS, _Flag("--seed", int),
-        _Flag("--widths", help="layer widths, e.g. 2,8,8,2"), _Flag("--samples", int),
-        _Flag("--separation", float))),
+        *_FILES, _Flag("--trials", int, default=20, minimum=1, maximum=MLP_MAX_TRIALS),
+        _THETA, _GAMMA, _MAX_ITERS, _SEED,
+        _Flag("--widths", help="layer widths, e.g. 2,8,8,2", default="2,8,8,2"),
+        _Flag("--samples", int, default=100, maximum=MLP_MAX_SAMPLES),
+        _Flag("--separation", float, default=1.0))),
 }
 
 
@@ -486,15 +469,29 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         _apply_config_file(args)
-        # NaN fails every range check, so it would quietly switch a rule off; an empty
-        # value is not an unset flag, and an empty --out is not the working directory
-        for dest, value in vars(args).items():
+        flags = _flags(args.command)
+        given = {flag.name for dest, flag in flags.items() if getattr(args, dest) is not None}
+        for dest, flag in flags.items():
+            value = getattr(args, dest)
+            if value is None:
+                if flag.required:
+                    raise ValueError(f"{flag.name} is required for {args.command}")
+                setattr(args, dest, flag.default)  # a test holds every default to its row
+                continue
+            if flag.needs and flag.needs not in given:
+                raise ValueError(f"{flag.name} has no effect without {flag.needs}")
+            # NaN fails every range check, so it would quietly switch a rule off; an empty
+            # value is not an unset flag, and an empty --out is not the working directory
             if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"--{dest.replace('_', '-')} must be finite, got {value}")
+                raise ValueError(f"{flag.name} must be finite, got {value}")
             if value == "" or value == []:
-                raise ValueError(f"--{dest.replace('_', '-')} must not be empty")
+                raise ValueError(f"{flag.name} must not be empty")
+            if flag.minimum is not None and value < flag.minimum:
+                raise ValueError(f"{flag.name} must be at least {flag.minimum}, got {value}")
+            if flag.maximum is not None and value > flag.maximum:
+                raise ValueError(f"{flag.name} must be at most {flag.maximum}, got {value}")
         code, outputs, lines = _COMMANDS[args.command][0](args)
-        out = Path("out" if args.out is None else args.out)
+        out = Path(args.out)
         try:
             out.mkdir(parents=True, exist_ok=True)
             for name, output in outputs.items():

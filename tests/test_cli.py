@@ -544,12 +544,13 @@ def _one_line_error(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["region", "--objective", "cubic_cone", "--x0", "0,0", "--theta", "3",
-     "--resolution", str(10**18)],
-    ["analyze", "--objective", "cubic_valley", "--theta", "3", "--resolution", str(10**18)],
+     "--resolution", str(2**31 - 1)],
+    ["analyze", "--objective", "cubic_valley", "--theta", "3", "--resolution", str(2**31 - 1)],
 ])
 def test_library_rejection_is_one_line_error_and_writes_nothing(tmp_path, capsys, argv):
-    # the region grid's builder rejects 10**36 cells before allocating anything; no
-    # CLI check wraps that ValueError, so only main's boundary reports it
+    # the largest --resolution the CLI accepts: the region grid's builder rejects its
+    # (2**31 - 1)^2 cells before allocating anything; no CLI check wraps that
+    # ValueError, so only main's boundary reports it
     out = tmp_path / "none"
     assert main(argv + ["--out", str(out)]) == 1
     assert "a grid must have fewer than 2**31 cells" in _one_line_error(capsys)
@@ -743,6 +744,10 @@ def test_config_file_non_finite_value(tmp_path, capsys):
     (["mlp-compare", "--trials", "1", "--max-iters", "2", "--samples", str(10**30)],
      f"--samples must be at most {MLP_MAX_SAMPLES}"),
     (["mlp-compare", "--separation", "-1"], "--separation: separation must be non-negative"),
+    # no grid has 2**31 cells in any dimension; the grid's own error named no flag
+    *[([command, "--objective", "cubic_cone", "--x0", "0,0", "--theta", "3", "--resolution",
+        str(n)], f"--resolution must be at most {2**31 - 1}, got {n}")
+      for command in ("region", "analyze") for n in (2**31, 10**18)],
 ])
 def test_bad_count_flag_is_config_error(tmp_path, capsys, command, message):
     assert main(command + ["--out", str(tmp_path / "o")]) == 1
@@ -829,6 +834,75 @@ def test_every_flag_survives_every_bad_value(tmp_path, monkeypatch, capsys):
         if code not in (0, 1, 2) or (code != 0 and err.count("\n") != 1):
             wrong.append(f"{argv}: exit {code}, stderr {err!r}")
     assert not wrong, "\n".join(wrong)
+
+
+# the flags each handler cannot run without, pinned apart from the table it checks
+_REQUIRED = {"run": ["--objective"], "analyze": ["--objective"], "bifurcate": [],
+             "stable-set": ["--objective", "--x0", "--gamma"],
+             "region": ["--objective", "--x0", "--theta"], "mlp-compare": []}
+
+
+def test_flag_table_is_consistent():
+    # main checks no default against its row, and looks a `needs` up among the flags given
+    for command, (_, _, flags) in cli._COMMANDS.items():
+        by_name = {flag.name: flag for flag in flags}
+        assert [flag.name for flag in flags if flag.required] == _REQUIRED[command]
+        for flag in flags:
+            where = f"{command} {flag.name}"
+            if flag.minimum is not None or flag.maximum is not None:
+                assert flag.type is int, where
+            if flag.default is not None:
+                assert not flag.required, where
+                assert type(flag.default) is flag.type, where
+                assert flag.default not in ("", []), where
+                if flag.type is float:
+                    assert np.isfinite(flag.default), where
+                assert flag.minimum is None or flag.default >= flag.minimum, where
+                assert flag.maximum is None or flag.default <= flag.maximum, where
+            if flag.needs is not None:
+                assert flag.needs in by_name and flag.needs != flag.name, where
+                assert by_name[flag.needs].default is None, where
+
+
+@pytest.mark.parametrize("command, flag", [
+    pytest.param(command, flag, id=command + flag)
+    for command, flags in _REQUIRED.items() for flag in flags])
+def test_missing_required_flag_is_config_error(tmp_path, monkeypatch, capsys, command, flag):
+    # the subcommand's fast command line, which runs, without one required flag
+    monkeypatch.chdir(tmp_path)
+    given = {k: v for k, v in _SWEEP_BASES[command].items() if k != flag}
+    assert main([command, *(f"{k}={v}" for k, v in given.items())]) == 1
+    assert _one_line_error(capsys) == f"error: {flag} is required for {command}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, flag", [
+    pytest.param(command, flag, id=command + flag.name)
+    for command, (_, _, flags) in cli._COMMANDS.items() for flag in flags if flag.needs])
+def test_flag_without_the_flag_it_needs_is_config_error(tmp_path, monkeypatch, capsys, command,
+                                                       flag):
+    # analyze --x0 or --resolution without --theta, and --seed without --milnor, used to
+    # exit 0 without a word, writing no region or Milnor output
+    monkeypatch.chdir(tmp_path)
+    _, _, flags = cli._COMMANDS[command]
+    argv = [command, *(f"{f.name}={_SWEEP_BASES[command][f.name]}" for f in flags if f.required),
+            f"{flag.name}={_SWEEP_BASES[command].get(flag.name, '1')}"]
+    assert main(argv) == 1
+    assert _one_line_error(capsys) == f"error: {flag.name} has no effect without {flag.needs}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--config", "cfg.json"], "config file must hold a JSON object"),
+    (["bifurcate", "--objective", "cubic_valley"],
+     "--regularizer is required for objectives of dimension > 1"),
+])
+def test_cli_rejection_is_one_line_error_and_writes_nothing(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text("[1]\n")
+    assert main(argv) == 1
+    assert _one_line_error(capsys) == f"error: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_analyze_region_seed_outside_is_config_error(tmp_path, capsys):

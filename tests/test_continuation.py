@@ -263,3 +263,17 @@ def test_batched_trace_equals_single_traces(case):
         samples, fold = _trace_one_at_a_time(f, x, l, steps, det_tol)
         _assert_same_path(b, ContinuationPath(samples, b.stop))
         assert b.fold == fold
+
+
+def test_start_that_cannot_be_polished_is_named():
+    # a gradient of 1e-7 everywhere is within START_SLACK of critical, but with a zero
+    # Hessian Newton cannot bring it down to CORRECTOR_TOL
+    f = make_objective(
+        "tilted_flat", 1,
+        value=lambda x: 1e-7 * np.asarray(x, dtype=float)[..., 0],
+        gradient=lambda x: np.full(np.shape(x), 1e-7),
+        hessian=lambda x: np.zeros(np.shape(x) + (1,)),
+    )
+    with pytest.raises(StartError, match="could not be polished") as err:
+        continuation_trace(f, [[0.0], [1.0]], [0.0])
+    assert err.value.row == 0

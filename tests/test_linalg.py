@@ -3,6 +3,9 @@ import pytest
 
 from saddlereg import (
     NumericalError,
+    OptimizerConfig,
+    get_objective,
+    run_regularized_gd,
     spectral_norm,
     sym_eigen,
 )
@@ -189,3 +192,23 @@ def test_fd_rejects_bad_h():
 def test_fd_propagates_nonfinite_evaluation():
     with pytest.raises(NumericalError):
         fd_gradient(lambda x: float("inf"), [1.0])
+
+
+@pytest.mark.parametrize("x0, match", [
+    ([[1.0, 0.0]], r"expected a vector, got array of shape \(1, 2\)"),
+    ([np.nan, 0.0], "vector has non-finite entries"),
+], ids=["matrix", "nan"])
+def test_a_point_must_be_a_finite_vector(x0, match):
+    # as_vector, which every library entry point runs on its points
+    with pytest.raises(ValueError, match=match):
+        run_regularized_gd(get_objective("cubic_valley"), x0, OptimizerConfig())
+
+
+def test_sym_eigen_turns_a_lapack_failure_into_numerical_error(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(NumericalError,
+                       match="symmetric eigensolver failed: Eigenvalues did not converge"):
+        sym_eigen(np.eye(2))

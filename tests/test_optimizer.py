@@ -668,3 +668,8 @@ def test_network_runs_keep_the_descent_contract(gamma, theta, seed):
         assert np.linalg.norm(ev.l) <= theta
     _assert_local_regularization(_NET, x0, cfg)
     _assert_bookkeeping(rec, theta)
+
+
+def test_run_rejects_a_start_of_another_dimension():
+    with pytest.raises(ValueError, match="x0 has dimension 3, objective has 2"):
+        run_regularized_gd(get_objective("cubic_valley"), [0.0, 0.0, 0.0], OptimizerConfig())

@@ -562,3 +562,9 @@ def test_separation_keeps_theta_region_seed_errors():
         # the seed's cell is centered at (1, 1), where ||grad f|| = sqrt(2)
         check_assumption_separation(f, 0.5, box=[[-2, 2], [-2, 2]], resolution=2,
                                     points=[[0.0, 0.49]])
+
+
+def test_contains_point_rejects_a_non_finite_point():
+    region = theta_region(get_objective("cubic_valley"), [0.0, 0.0], 1.0, resolution=20)
+    with pytest.raises(ValueError, match="point has non-finite entries"):
+        region.contains_point([[0.0, 0.0], [np.nan, 0.0]])

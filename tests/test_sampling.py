@@ -439,3 +439,29 @@ def test_regularized_runs_escape_each_non_strict_set(name, theta, distance, seed
     plain = distance(run_gd_batch(f, X0, dataclasses.replace(cfg, theta=0.0))["final"])
     assert np.count_nonzero(regularized <= 1e-2) == 0
     assert np.count_nonzero(plain <= 1e-2) > 0
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: run_gd_batch(get_objective("cubic_valley"), np.zeros((3, 3)),
+                          OptimizerConfig(gamma=0.1)), "sample dimension mismatch"),
+    (lambda: sample_in_box(np.random.default_rng(0), [[-1.0, 1.0]], 5,
+                           exclude=lambda X: np.ones(len(X), dtype=bool)),
+     "exclusion rejected too many samples"),
+    (lambda: milnor_sample(get_objective("cubic_valley"), n_l=0), "n_l must be at least 1"),
+], ids=["batch_dimension", "exclude_everything", "no_draws"])
+def test_sampler_rejection_is_named(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_pl_error_check_rejects_a_shifted_point_off_the_positive_stratum():
+    # Newton solves x + l = 0 in one step; the hand-built Hessian is +1 near the origin,
+    # so 0 is a minimum, and -1 at |x| >= 0.1, where every draw of norm theta lands
+    f = make_objective(
+        "kinked", 1,
+        value=lambda x: 0.5 * np.asarray(x, dtype=float)[..., 0] ** 2,
+        gradient=lambda x: np.array(x, dtype=float),
+        hessian=lambda x: np.where(np.abs(np.asarray(x, dtype=float))[..., None] < 0.1, 1.0, -1.0),
+    )
+    with pytest.raises(NumericalError, match="left the positive-definite stratum"):
+        pl_error_check(f, [0.0], theta=0.5, n_l=4, seed=0)

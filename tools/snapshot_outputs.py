@@ -117,6 +117,17 @@ CLI_RUNS = {
     "error_empty_widths": "mlp-compare --widths=",
     "error_empty_box": "region --objective cubic_cone --x0 0,0 --theta 3 --box=",
     "error_empty_out": "run --objective cubic_cone --x0 1.5,0.5 --out=",
+    # a required flag left out, a flag given without the flag it needs, and a resolution
+    # past its maximum: one error line, exit 1, nothing written
+    "error_run_no_objective": "run --x0 1.5,0.5",
+    "error_stable_set_no_x0": "stable-set --objective cubic_valley --gamma 0.15 --trials 10",
+    "error_stable_set_no_gamma": "stable-set --objective cubic_valley --x0 0,0 --trials 10",
+    "error_region_no_theta": "region --objective cubic_cone --x0 0,0 --resolution 20",
+    "error_region_no_x0": "region --objective cubic_cone --theta 3 --resolution 20",
+    "error_analyze_x0_without_theta": "analyze --objective cubic_valley --x0 0,0",
+    "error_analyze_seed_without_milnor": "analyze --objective cubic_valley --seed 3",
+    "error_region_resolution": "region --objective cubic_cone --x0 0,0 --theta 3 "
+                               "--resolution 1000000000000000000",
     # the help text of the top level and of each subcommand, wrapped at 80 columns
     "help": "--help",
     **{f"help_{name.replace('-', '_')}": f"{name} --help" for name in
