@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .critical import newton_root
-from .linalg import _norms
+from .linalg import _det_and_solve, _norms
 
 COMPLETED, SINGULAR_HESSIAN, CORRECTOR_FAILED = "completed", "singular_hessian", "corrector_failed"
 # a start's largest residual ||grad f(x) + l||; Newton's tolerance and step cap for
@@ -63,7 +63,8 @@ def continuation_trace(f, x_at_mu1, l, steps=100, det_tol=1e-10):
     satisfy ||grad f(x) + l|| <= START_SLACK, polish to CORRECTOR_TOL and have a
     nonsingular Hessian, else StartError names the first bad row. A row stops early,
     `stop` saying why, when |det hess| < det_tol * max(1, ||hess||_F)^n or its
-    corrector fails.
+    corrector fails. Each step factors each Hessian once: one `_det_and_solve` call
+    gives both the determinant of that test and the predictor's tangent.
     """
     X = np.atleast_1d(np.array(x_at_mu1, dtype=float))
     L = np.atleast_1d(np.array(l, dtype=float))
@@ -75,13 +76,14 @@ def continuation_trace(f, x_at_mu1, l, steps=100, det_tol=1e-10):
     X = np.atleast_2d(X)
     L = np.broadcast_to(L, X.shape)
 
-    def singular(H):
+    def singular(H, rhs):
+        det, D = _det_and_solve(H, rhs)
         scale = np.maximum(1.0, _norms(H.reshape(len(H), -1)))
-        return np.abs(np.linalg.det(H)) < det_tol * scale ** f.dim
+        return np.abs(det) < det_tol * scale ** f.dim, D
 
     residual = _norms(f.gradient(X) + L)
     X, polished = newton_root(f, X, L, CORRECTOR_TOL, CORRECTOR_STEPS)
-    flat = singular(f.hessian(X))
+    flat = singular(f.hessian(X), -L)[0]
     for row in range(len(X)):
         if residual[row] > START_SLACK:
             raise StartError(f"start point is not a critical point of the regularized objective "
@@ -96,14 +98,13 @@ def continuation_trace(f, x_at_mu1, l, steps=100, det_tol=1e-10):
     paths = [ContinuationPath([(1.0, x.copy(), float(g))]) for x, g in zip(X, norms)]
     live, mu_prev = np.arange(len(X)), 1.0
     for mu in np.linspace(1.0, 0.0, steps + 1)[1:]:
-        H = f.hessian(X[live])
-        flat = singular(H)
+        flat, D = singular(f.hessian(X[live]), -L[live])  # the tangent dx/dmu = D
         for i in live[flat]:
             paths[i].stop = SINGULAR_HESSIAN
-        live, H = live[~flat], H[~flat]
+        live, D = live[~flat], D[~flat]
         if not live.size:
             break
-        X_pred = X[live] + (mu - mu_prev) * np.linalg.solve(H, -L[live, :, np.newaxis])[..., 0]
+        X_pred = X[live] + (mu - mu_prev) * D
         X_new, ok = newton_root(f, X_pred, mu * L[live], CORRECTOR_TOL, CORRECTOR_STEPS)
         for i in live[~ok]:
             paths[i].stop = CORRECTOR_FAILED

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _norms, as_vector, sym_eigen
+from .linalg import _det_and_solve, _norms, as_vector, sym_eigen
 
 logger = logging.getLogger(__name__)
 
@@ -72,6 +72,9 @@ def classify_point(f, x, tau=DEFAULT_ZERO_TAU):
         X = as_vector(X)
     elif not np.all(np.isfinite(X)):
         raise ValueError("points have non-finite entries")
+    if X.shape[-1] != f.dim or not 0.0 <= tau < np.inf:
+        raise ValueError(f"need points of dimension {f.dim} and 0 <= tau < inf, got "
+                         f"dimension {X.shape[-1]} and tau {tau}")
     grad_norm = _norms(f.gradient(X))
     eigenvalues = sym_eigen(f.hessian(X)).eigenvalues
     stratum, classification = classify_eigenvalues(eigenvalues, tau)
@@ -85,16 +88,15 @@ def newton_root(f, x0, shift, tol=NEWTON_TOL, max_steps=50):
     """Damped Newton on f.gradient(x) + shift = 0 with Jacobian f.hessian(x), from one
     start (n,) or every row of a batch (m, n) in lockstep; `shift` is (n,) or (m, n).
 
-    After the first call both evaluators get only the rows still running. Each step
-    factors each Hessian once, in one `solve` of the stack; only a stack that `solve`
-    rejects is screened row by row with `slogdet`. It tries the full Newton step on every
-    row, then the dampings 2^-1..2^-10 in one stacked gradient call on the rows it did not
-    improve; each row takes the largest damping whose gradient norm decreases, the one
-    halving from 1 would stop at. No decrease at any damping, a singular Newton system or
-    a non-finite step ends the row; so does a failed full step on a row below `tol`.
-    Full steps polish rows past `tol`, bringing a degenerate root's seeds together.
-    Returns (x, converged), converged = gradient norm below tol or zero; per row for
-    a batch, each row equal bit for bit to the single start from it.
+    After the first call both evaluators get only the rows still running. Each step solves
+    its stack of Newton systems in one `_det_and_solve` call, closed form for n <= 2. It
+    tries the full Newton step on every row, then the dampings 2^-1..2^-10 in one stacked
+    gradient call on the rows it did not improve; each row takes the largest damping whose
+    gradient norm decreases, the one halving from 1 would stop at. No decrease at any
+    damping or a non-finite step, which a singular system gives, ends the row; so does a
+    failed full step on a row below `tol`. Full steps polish rows past `tol`, bringing a
+    degenerate root's seeds together. Returns (x, converged), converged = gradient norm
+    below tol or zero; per row for a batch, each row equal bit for bit to its single start.
     """
     X = np.atleast_2d(np.array(x0, dtype=float))
     if X.ndim != 2 or not np.all(np.isfinite(X)):
@@ -108,14 +110,7 @@ def newton_root(f, x0, shift, tol=NEWTON_TOL, max_steps=50):
             rows = (running & (gn != 0.0)).nonzero()[0]
             if not rows.size:
                 break
-            H = f.hessian(X[rows])
-            try:
-                D = np.linalg.solve(H, -G[rows, :, np.newaxis])[..., 0]
-            except np.linalg.LinAlgError:
-                # slogdet's LU is solve's: a zero sign marks the systems solve rejects
-                ok = np.linalg.slogdet(H)[0] != 0.0
-                D = np.full((rows.size, X.shape[1]), np.nan)
-                D[ok] = np.linalg.solve(H[ok], -G[rows[ok], :, np.newaxis])[..., 0]
+            D = _det_and_solve(f.hessian(X[rows]), -G[rows])[1]  # a singular row is non-finite
             rows, D = rows[ok := np.isfinite(D).all(axis=1)], D[ok]
             running[:] = False  # rows run on only when their damped step improves
             if not rows.size:

@@ -1,8 +1,8 @@
-"""Dense symmetric eigensolver and the vector helpers around it.
+"""Dense symmetric eigensolver, small linear systems, and the vector helpers around them.
 
-Routines for small dimensions (n up to a few hundred): a validating wrapper
-over LAPACK's symmetric eigensolver, its spectral norm, and the row norms the
-descent engine and the region grid share.
+Routines for small dimensions (n up to a few hundred): a validating wrapper over LAPACK's
+symmetric eigensolver, its spectral norm, the determinants and solves of Hessian stacks
+(closed form for n <= 2), and the row norms the descent engine and the region grid share.
 """
 
 import numpy as np
@@ -60,6 +60,35 @@ def sym_eigen(a):
         return np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"symmetric eigensolver failed: {exc}") from exc
+
+
+def _det_and_solve(H, B):
+    """Determinants (m,) and solutions (m, n) of the systems H x = B, for a stack H
+    (m, n, n) and right-hand sides B (m, n); a singular system gives a non-finite row,
+    never an exception or a warning.
+
+    n <= 2 is solved in closed form, each row on its own: B / H, and ad - bc with
+    Cramer's rule, which differs from LAPACK's pivoted elimination in the last bits and
+    loses a product that under- or overflows: diag(1e-200, 1e-200), which LAPACK solves,
+    reads as singular, and diag(1e200, 1e200) gives 0. Above 2 it runs LAPACK's det and
+    solve.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if H.shape[-1] == 1:
+            return H[:, 0, 0], B / H[:, 0]
+        if H.shape[-1] == 2:
+            (a, b, c, d), (u, v) = H.reshape(-1, 4).T, B.T
+            det, X = a * d - b * c, np.empty_like(B)
+            X[:, 0], X[:, 1] = (d * u - b * v) / det, (a * v - c * u) / det
+            return det, X
+    det = np.linalg.det(H)
+    try:
+        return det, np.linalg.solve(H, B[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        ok = np.linalg.slogdet(H)[0] != 0.0  # slogdet's LU is solve's: 0 marks what it rejects
+        X = np.full(B.shape, np.nan)
+        X[ok] = np.linalg.solve(H[ok], B[ok, :, None])[..., 0]
+        return det, X
 
 
 def spectral_norm(a):

@@ -135,8 +135,8 @@ def milnor_sample(f, box=None, n_l=500, l_scale=1.0, seed=0, l_min=0.0, grid_den
     """
     if n_l < 1:
         raise ValueError("n_l must be at least 1")
-    if not (l_scale > 0.0 and 0.0 <= l_min <= l_scale):
-        raise ValueError(f"need 0 <= l_min <= l_scale and l_scale > 0, got {l_min}, {l_scale}")
+    if not (0.0 < l_scale < np.inf and 0.0 <= l_min <= l_scale):
+        raise ValueError(f"need 0 <= l_min <= l_scale < inf, l_scale > 0, got {l_min}, {l_scale}")
     box = _as_box(f, box)
     rng = np.random.default_rng(seed)
     n = f.dim

@@ -28,7 +28,7 @@ from saddlereg.critical import (
     _grid_seeds,
     newton_root,
 )
-from saddlereg.linalg import NumericalError, _norms, as_vector, symmetrize
+from saddlereg.linalg import NumericalError, _det_and_solve, _norms, as_vector, symmetrize
 from saddlereg.mlp import _backward, _forward, pack_params, unpack_params
 from saddlereg.optimizer import (
     STATUS_CONVERGED,
@@ -229,9 +229,7 @@ def newton_root_halving(f, x0, shift, tol=NEWTON_TOL, max_steps=50):
             if not rows.size:
                 break
             H = np.asarray(f.hessian(X[rows]), dtype=float)
-            ok = np.linalg.slogdet(H)[0] != 0.0
-            D = np.full((rows.size, X.shape[1]), np.nan)
-            D[ok] = np.linalg.solve(H[ok], -G[rows[ok], :, np.newaxis])[..., 0]
+            D = _det_and_solve(H, -G[rows])[1]
             ok = np.isfinite(D).all(axis=1)
             rows, D = rows[ok], D[ok]
             running[:] = False

@@ -20,6 +20,7 @@ from saddlereg.continuation import (
     StartError,
 )
 from saddlereg.critical import newton_root
+from saddlereg.linalg import _det_and_solve
 
 
 def test_valley_path_reaches_ancestor():
@@ -202,7 +203,8 @@ def _trace_one_at_a_time(f, x, l, steps, det_tol, tol=1e-9, max_newton=60):
     x, _ = newton_root(f, np.array(x, dtype=float), l, tol=tol, max_steps=max_newton)
 
     def singular(h):
-        return abs(float(np.linalg.det(h))) < det_tol * max(1.0, float(np.linalg.norm(h))) ** f.dim
+        return abs(float(_det_and_solve(h[None], -l[None])[0][0])) < det_tol * max(
+            1.0, float(np.linalg.norm(h))) ** f.dim
 
     samples = [(1.0, x.copy(), float(np.linalg.norm(f.gradient(x))))]
     mu_prev = 1.0
@@ -210,7 +212,7 @@ def _trace_one_at_a_time(f, x, l, steps, det_tol, tol=1e-9, max_newton=60):
         h = np.asarray(f.hessian(x), dtype=float)
         if singular(h):
             return samples, True
-        x_pred = x + (mu - mu_prev) * np.linalg.solve(h, -l)
+        x_pred = x + (mu - mu_prev) * _det_and_solve(h[None], -l[None])[1][0]
         x, ok = newton_root(f, x_pred, mu * l, tol=tol, max_steps=max_newton)
         if not ok:
             return samples, True

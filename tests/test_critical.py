@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from saddlereg import (
     stable_set_fraction,
     theta_region,
 )
+from saddlereg import critical
 from saddlereg.critical import (
     DEDUP_RADIUS,
     DEFAULT_ZERO_TAU,
@@ -116,6 +118,20 @@ def test_batch_classify_point_equals_single_points(entry):
 def test_classify_point_rejects_non_finite_batch():
     with pytest.raises(ValueError, match="non-finite"):
         classify_point(quadratic_bowl(1.0), [[0.0, 0.0], [np.nan, 1.0]])
+
+
+@pytest.mark.parametrize("x", [[], [0.0], 0.0, [0.0, 0.0, 0.0], [[0.0]]],
+                         ids=["empty", "short", "scalar", "long", "narrow-batch"])
+def test_classify_point_rejects_a_point_of_the_wrong_dimension(x):
+    with pytest.raises(ValueError, match="dimension"):
+        classify_point(get_objective("cubic_valley"), x)
+
+
+@pytest.mark.parametrize("tau", [-1.0, np.nan, np.inf])
+def test_classify_point_rejects_a_negative_or_non_finite_tau(tau):
+    # tau = -1 would label cubic_valley's non-strict origin local_min
+    with pytest.raises(ValueError, match="tau"):
+        classify_point(get_objective("cubic_valley"), [0.0, 0.0], tau=tau)
 
 
 def test_classify_monkey_off_axis_strict_saddle():
@@ -363,37 +379,48 @@ def test_newton_root_polishes_the_degenerate_root_to_one_point():
     assert point.classification == NON_STRICT_OR_DEGENERATE
 
 
-def _linalg_calls(monkeypatch):
-    """Counts of np.linalg.slogdet and np.linalg.solve calls from here on."""
-    calls = {"slogdet": 0, "solve": 0}
-    for name in calls:
-        def spy(*args, _name=name, _real=getattr(np.linalg, name)):
-            calls[_name] += 1
-            return _real(*args)
-        monkeypatch.setattr(np.linalg, name, spy)
+def _solve_calls(monkeypatch):
+    """Counts of _det_and_solve calls in newton_root and of np.linalg.solve calls from here on."""
+    calls = {"kernel": 0, "solve": 0}
+
+    def spy(name, real):
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        return counted
+
+    monkeypatch.setattr(critical, "_det_and_solve", spy("kernel", critical._det_and_solve))
+    monkeypatch.setattr(np.linalg, "solve", spy("solve", np.linalg.solve))
     return calls
 
 
-def test_newton_root_factors_each_hessian_stack_once(monkeypatch):
-    # cubic_valley's Hessian diag(2u, 1) is singular only at u = 0, and Newton halves
-    # u, so no stack holds a singular matrix: one solve per Hessian call, no slogdet
-    g, log = _logged(_VALLEY)
-    calls = _linalg_calls(monkeypatch)
-    newton_root(g, [[1.0, 1.0], [0.5, -0.5], [-2.0, 0.3]], 0.0)
-    assert calls == {"slogdet": 0, "solve": sum(kind == "h" for kind, _ in log)}
+@pytest.mark.parametrize("f, X0", [
+    (_VALLEY, [[1.0, 1.0], [0.5, -0.5], [-2.0, 0.3]]),
+    (_NO_ROOT, [[3.0], [1.0], [-1.0]]),
+], ids=["2x2", "1x1"])
+def test_newton_root_factors_each_hessian_stack_once(monkeypatch, f, X0):
+    # one kernel call per Hessian call, each stack's systems solved in closed form:
+    # LAPACK's solve is never called for n <= 2
+    g, log = _logged(f)
+    calls = _solve_calls(monkeypatch)
+    newton_root(g, X0, 0.0)
+    assert calls == {"kernel": sum(kind == "h" for kind, _ in log), "solve": 0}
 
 
-def test_newton_root_screens_only_a_rejected_stack(monkeypatch):
+def test_newton_root_ends_a_singular_row_without_an_exception():
     # the rows at 1 and -1 reach x = 0, where the Hessian 2x vanishes, after one full
-    # step; only that step's stack is screened with slogdet, and the iterates stay
-    # the slogdet-first oracle's bit for bit
+    # step; their singular systems end them there, with no exception and no warning,
+    # and the iterates stay the halving oracle's bit for bit
     X0 = np.array([[3.0], [1.0], [-1.0]])
     X_ref, ok_ref = newton_root_halving(_NO_ROOT, X0, np.zeros((3, 1)))
     g, log = _logged(_NO_ROOT)
-    calls = _linalg_calls(monkeypatch)
-    X, ok = newton_root(g, X0, np.zeros((3, 1)))
-    assert calls["slogdet"] == 1
-    assert calls["solve"] == sum(kind == "h" for kind, _ in log) + 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        X, ok = newton_root(g, X0, np.zeros((3, 1)))
+    assert X[1:].tolist() == [[0.0], [0.0]] and not ok[1:].any()
+    # the second Hessian call holds them, singular, and every later call only the first row
+    hessian_rows = [rows for kind, rows in log if kind == "h"]
+    assert hessian_rows[1] == 3 and set(hessian_rows[2:]) == {1}
     assert X.tobytes() == X_ref.tobytes() and ok.tobytes() == ok_ref.tobytes()
 
 

@@ -1,5 +1,10 @@
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from saddlereg import (
     NumericalError,
@@ -9,6 +14,7 @@ from saddlereg import (
     spectral_norm,
     sym_eigen,
 )
+from saddlereg.linalg import _det_and_solve
 
 from oracles import fd_gradient, fd_hessian, third_directional
 
@@ -212,3 +218,109 @@ def test_sym_eigen_turns_a_lapack_failure_into_numerical_error(monkeypatch):
     with pytest.raises(NumericalError,
                        match="symmetric eigensolver failed: Eigenvalues did not converge"):
         sym_eigen(np.eye(2))
+
+
+_U = np.finfo(float).eps / 2  # unit roundoff
+
+
+def _rotation(t):
+    return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+
+
+@st.composite
+def _small_systems(draw):
+    """A stack of 1x1 or 2x2 systems, each matrix scaled by 1e-150, 1 or 1e150; a 2x2
+    one is R(alpha) diag(+-1, sigma) R(beta)^T with condition number 1/sigma up to 1e14.
+    Right-hand sides are 0 or at least 1e-3 in magnitude, so that every product of
+    Cramer's rule stays above the subnormal range (see the underflow test below)."""
+    n, m = draw(st.sampled_from([1, 2])), draw(st.integers(1, 6))
+    H, B = np.empty((m, n, n)), np.empty((m, n))
+    for i in range(m):
+        scale = 10.0 ** draw(st.sampled_from([-150, 0, 150]))
+        sign = draw(st.sampled_from([-1.0, 1.0]))
+        if n == 1:
+            H[i] = scale * sign * draw(st.floats(0.5, 2.0))
+        else:
+            sigma = 10.0 ** -draw(st.floats(0.0, 14.0))
+            alpha, beta = draw(st.floats(0.0, 7.0)), draw(st.floats(0.0, 7.0))
+            H[i] = scale * _rotation(alpha) @ np.diag([sign, sigma]) @ _rotation(beta).T
+        B[i] = [draw(st.floats(-1.0, 1.0).filter(lambda v: v == 0.0 or abs(v) >= 1e-3))
+                for _ in range(n)]
+    return H, B
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=_small_systems())
+def test_det_and_solve_agrees_with_lapack_within_the_condition_number(case):
+    # the closed forms are not LAPACK's bits, but each row's solution lies within a
+    # small multiple of kappa(H) u of LAPACK's, and its determinant within
+    # 4u (|ad| + |bc|) of the exact one
+    H, B = case
+    det, X = _det_and_solve(H, B)
+    X_ref = np.linalg.solve(H, B[..., None])[..., 0]
+    for h, b, d, x, x_ref in zip(H, B, det, X, X_ref):
+        bound = 16.0 * np.linalg.cond(h) * _U * np.max(np.abs(x_ref))
+        assert np.max(np.abs(x - x_ref)) <= bound
+        if len(h) == 1:
+            assert d == h[0, 0]
+            continue
+        (a, b_), (c, d_) = [[Fraction(v) for v in row] for row in h.tolist()]
+        # three roundings, and the absolute spacing 2^-1074 of a product that is subnormal
+        bound = 4 * Fraction(_U) * (abs(a * d_) + abs(b_ * c)) + Fraction(2) ** -1074
+        assert abs(Fraction(d) - (a * d_ - b_ * c)) <= bound
+
+
+def test_det_and_solve_rows_are_independent_of_the_stack():
+    rng = np.random.default_rng(0)
+    for n in (1, 2, 3):
+        H, B = rng.standard_normal((7, n, n)), rng.standard_normal((7, n))
+        det, X = _det_and_solve(H, B)
+        for i in range(7):
+            det_i, X_i = _det_and_solve(H[i:i + 1], B[i:i + 1])
+            assert det_i.tobytes() == det[i:i + 1].tobytes()
+            assert X_i.tobytes() == X[i:i + 1].tobytes()
+
+
+@pytest.mark.parametrize("singular", [[[1.0, 2.0], [2.0, 4.0]], [[0.0]], np.zeros((3, 3)),
+                                      [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]]],
+                         ids=["2x2", "1x1", "3x3-zero", "3x3-rank-2"])
+def test_det_and_solve_gives_a_singular_row_a_non_finite_solution(singular):
+    # no exception and no warning; the regular row beside it is solved as on its own
+    singular = np.asarray(singular)
+    n = len(singular)
+    H = np.stack([singular, np.eye(n) + np.ones((n, n))])
+    B = np.ones((2, n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        det, X = _det_and_solve(H, B)
+    assert det[0] == 0.0 and not np.isfinite(X[0]).all()
+    assert X[1].tobytes() == _det_and_solve(H[1:], B[1:])[1][0].tobytes()
+
+
+def test_det_and_solve_is_lapack_above_two():
+    rng = np.random.default_rng(3)
+    for n in (3, 5):
+        H, B = rng.standard_normal((9, n, n)), rng.standard_normal((9, n))
+        det, X = _det_and_solve(H, B)
+        assert det.tobytes() == np.linalg.det(H).tobytes()
+        assert X.tobytes() == np.linalg.solve(H, B[..., None])[..., 0].tobytes()
+
+
+def test_det_and_solve_loses_what_underflows_or_overflows():
+    # ad - bc of diag(1e-200, 1e-200) underflows to 0, so the closed form gives a
+    # non-finite row where LAPACK's pivots, each 1e-200, solve it
+    H, B = np.diag([1e-200, 1e-200])[None], np.ones((1, 2))
+    det, X = _det_and_solve(H, B)
+    assert det[0] == 0.0 and not np.isfinite(X).any()
+    assert np.linalg.solve(H, B[..., None])[0, :, 0].tolist() == [1e200, 1e200]
+    # and Cramer's product 1e-150 * 1e-311 underflows to 0, where LAPACK divides
+    H, B = np.diag([1e-150, 1e-150])[None], np.array([[0.0, 1e-311]])
+    assert _det_and_solve(H, B)[1][0, 1] == 0.0
+    assert np.linalg.solve(H, B[..., None])[0, 1, 0] == 1e-311 / 1e-150
+    # ad - bc of diag(1e200, 1e200) overflows to inf, giving a zero step, with no warning
+    H, B = np.diag([1e200, 1e200])[None], np.ones((1, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        det, X = _det_and_solve(H, B)
+    assert det[0] == np.inf and X.tolist() == [[0.0, 0.0]]
+    assert np.linalg.solve(H, B[..., None])[0, :, 0].tolist() == [1e-200, 1e-200]

@@ -417,6 +417,12 @@ def test_milnor_rejects_nonpositive_l_scale(l_scale):
         milnor_sample(get_objective("cubic_valley"), n_l=5, l_scale=l_scale)
 
 
+def test_milnor_rejects_infinite_l_scale():
+    # an infinite radius finds no root, so every draw would read "not degenerate"
+    with pytest.raises(ValueError, match="l_scale < inf"):
+        milnor_sample(get_objective("cubic_valley"), n_l=5, l_scale=np.inf)
+
+
 # The paper's escape claim over the planar corpus's four non-strict critical sets:
 # from starts outside the small-gradient region, no regularized run ends within
 # 1e-2 of the set, while plain runs from the same starts do, so the check can fail.
