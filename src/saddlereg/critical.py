@@ -110,7 +110,7 @@ def newton_root(f, x0, shift, tol=NEWTON_TOL, max_steps=50):
             rows = (running & (gn != 0.0)).nonzero()[0]
             if not rows.size:
                 break
-            D = _det_and_solve(f.hessian(X[rows]), -G[rows])[1]  # a singular row is non-finite
+            D = _det_and_solve(f.hessian(X[rows]), -G[rows], with_det=False)[1]
             rows, D = rows[ok := np.isfinite(D).all(axis=1)], D[ok]
             running[:] = False  # rows run on only when their damped step improves
             if not rows.size:

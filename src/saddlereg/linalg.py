@@ -62,10 +62,11 @@ def sym_eigen(a):
         raise NumericalError(f"symmetric eigensolver failed: {exc}") from exc
 
 
-def _det_and_solve(H, B):
+def _det_and_solve(H, B, with_det=True):
     """Determinants (m,) and solutions (m, n) of the systems H x = B, for a stack H
     (m, n, n) and right-hand sides B (m, n); a singular system gives a non-finite row,
-    never an exception or a warning.
+    never an exception or a warning. with_det=False skips LAPACK's det above n = 2 and
+    returns None in its place.
 
     n <= 2 is solved in closed form, each row on its own: B / H, and ad - bc with
     Cramer's rule, which differs from LAPACK's pivoted elimination in the last bits and
@@ -81,7 +82,7 @@ def _det_and_solve(H, B):
             det, X = a * d - b * c, np.empty_like(B)
             X[:, 0], X[:, 1] = (d * u - b * v) / det, (a * v - c * u) / det
             return det, X
-    det = np.linalg.det(H)
+    det = np.linalg.det(H) if with_det else None
     try:
         return det, np.linalg.solve(H, B[..., None])[..., 0]
     except np.linalg.LinAlgError:

@@ -29,6 +29,11 @@ MODE_PLAIN = "plain"
 MODE_REGULARIZED = "regularized"
 
 
+def _check_count(name, value):
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+
+
 @dataclass
 class OptimizerConfig:
     """Step size, small-gradient threshold, and termination settings.
@@ -55,9 +60,7 @@ class OptimizerConfig:
             raise ValueError(f"eps_converge must be positive, got {self.eps_converge}")
         if self.theta > 0 and self.theta <= self.eps_converge:
             raise ValueError("theta must exceed eps_converge")
-        if (not isinstance(self.max_iters, (int, np.integer)) or isinstance(self.max_iters, bool)
-                or self.max_iters < 1):
-            raise ValueError(f"max_iters must be an integer of at least 1, got {self.max_iters!r}")
+        _check_count("max_iters", self.max_iters)
         if not self.escape_radius > 0:
             raise ValueError(f"escape_radius must be positive, got {self.escape_radius}")
 
@@ -147,28 +150,34 @@ def _descend(f, X, cfg, gamma, observe=None, theta=None, *, values=False):
     reached max_iters (max_iters); 5. its step would leave the finite numbers
     (numerical_failure). A row halting on 1 or 2 keeps its region state.
 
-    Tests 1 and 5 run exactly only near the sphere. Per row, reach bounds the
-    value _norms(X - center) returns: exact at k = 0, then (reach + gamma *
-    ||S||) * g + slack per step S, with u the unit roundoff, g = 1 + 2 (n + 8) u
-    and slack = 2 u sum|center| + (1 + gamma) 2**-500. The step's rounding,
-    relative to center, and that of the norms it passes through (sums of n
-    squares; Higham 2002, ch. 3) cost (n + 5) u of reach + gamma ||S|| and
+    Tests 1 and 5 run exactly only on steps near the sphere. One scalar, reach,
+    bounds the largest value _norms(X - center) returns over the batch: exact at
+    k = 0, then (reach + gamma * b) * g + slack per step, with b the step's
+    largest norm (below), u the unit roundoff, g = 1 + 2 (n + 8) u and slack =
+    2 u sum|center| + (1 + gamma) 2**-500. The step's rounding, relative to
+    center, and that of the norms it passes through (sums of n squares, however
+    summed; Higham 2002, ch. 3) cost (n + 5) u of reach + gamma ||S|| and
     u ||center||; the factor 2 covers the update's own rounding, and 2**-500
-    underflow. A row whose bound is at most
-    min(escape_radius, 2**500) / g is inside the ball, with a finite next
-    iterate and no overflowing square; only the other rows take the exact
-    tests, and their exact distance resets reach.
+    underflow. While reach is at most min(escape_radius, 2**500) / g, every row
+    is inside the ball, with a finite next iterate and no overflowing square;
+    past it, or NaN, every row takes the exact tests, and reach resets to the
+    largest exact distance.
 
-    Every step computes gn, the region test (in a batch with a regularized
-    row), S, its norm sn and reach; tests 1-4 and the statuses run only on a
-    step the screen flags: a row changed region, a row is near, k = max_iters,
-    or count_nonzero(sn >= eps_converge), which NaN fails, misses a row. No
-    halt slips past it. A row that left the ball stays near, as reach only
-    grows. A NaN gradient makes sn NaN on a row outside the region, and an
-    infinite one makes reach infinite, so the row is near; on a row inside,
-    any non-finite gn flips now, as theta is capped at the largest float. On
-    the regularized stable-set batch a step costs about 15 us, against 17 us
-    when every test ran every step.
+    A batch with a regularized row or an observer reads gn every step, for the
+    region test and the observer, and screens on the step norms sn, b their
+    largest. Any other batch screens on sn = (S * S) @ 1, the sums of squares
+    that the norms take roots of, b = sqrt(max sn), and computes gn and the
+    exact sn only on a step the screen flags: min sn >= ((eps_converge +
+    2**-500) g)**2 gives norms of at least eps_converge (the floor 2**-500 keeps
+    the sums far above the squares' underflow), and max sn <= 2**1000 a finite
+    gn. Tests 1-4 and the statuses run only on a step the screen flags: a row
+    changed region, reach is near, k = max_iters, or sn leaves those bounds,
+    which NaN does. No halt slips past it. A row that left the ball keeps reach
+    past the trigger, as reach only grows. A NaN gradient makes sn NaN on a row
+    outside the region, and an infinite one makes reach infinite; on a row
+    inside, any non-finite gn flips now, as theta is capped at the largest
+    float. Rows outside the region hold l = -0.0, so S = G + l is G there bit
+    for bit.
 
     Returns per-row arrays: final (m, n), grad_norm, k (the iteration the row
     stopped at), status, entered (an event opened) and closed (an event ended).
@@ -191,17 +200,21 @@ def _descend(f, X, cfg, gamma, observe=None, theta=None, *, values=False):
         return out
     rows = np.arange(m)
     ones = np.ones(X.shape[1])
-    L = np.zeros_like(X)
+    L = np.full_like(X, -0.0)
     inside = np.zeros(m, dtype=bool)
     n_inside = 0
     diverged = np.zeros(m, dtype=bool)
     regularized = np.any(theta > 0.0)
+    exact = regularized or observe is not None
     u = np.finfo(float).eps / 2  # unit roundoff
     g = 1.0 + 2 * (X.shape[1] + 8) * u
     slack = 2 * u * np.sum(np.abs(center)) + (1.0 + gamma) * 2.0 ** -500
     trigger = min(cfg.escape_radius, 2.0 ** 500) / g
+    # the least and the largest value of sn that let the screen pass a step
+    low, high = ((cfg.eps_converge, np.inf) if exact else
+                 (((cfg.eps_converge + 2.0 ** -500) * g) ** 2, 2.0 ** 1000))
     with np.errstate(all="ignore"):
-        reach = np.nan_to_num(_norms(X - center), nan=np.inf)
+        reach = _norms(X - center).max()
         k = 0
         while True:
             if values:
@@ -209,7 +222,8 @@ def _descend(f, X, cfg, gamma, observe=None, theta=None, *, values=False):
                         else (f.value(X), f.gradient(X)))
             else:
                 G = f.gradient(X)
-            gn = _norms(G)
+            if exact:
+                gn = _norms(G)
             flipped = False
             if regularized:
                 now = gn <= theta
@@ -220,6 +234,7 @@ def _descend(f, X, cfg, gamma, observe=None, theta=None, *, values=False):
                     now[held] = inside[held]
                     entering = now & ~inside
                     L[entering] = G[entering]
+                    L[inside & ~now] = -0.0
                     out["entered"][rows[entering]] = True
                     out["closed"][rows[inside & ~now]] = True
                     inside = now
@@ -227,25 +242,24 @@ def _descend(f, X, cfg, gamma, observe=None, theta=None, *, values=False):
             if observe is not None:
                 observe(k, X, G, gn, inside, rows, *((F,) if values else ()))
 
-            if n_inside:
-                S = np.where(inside[:, None], G + L, G)
-                sn = _norms(S)
-            else:
-                S, sn = G, gn
+            S = G + L if n_inside else G
+            # the step norms, or where the batch reads no gn their sums of squares
+            sn = _norms(S) if n_inside else gn if exact else (S * S) @ ones
             X_next = X - gamma * S
-            reach = (reach + gamma * sn) * g + slack
-            near = reach > trigger
-            n_near = np.count_nonzero(near)
+            b = sn.max()
+            reach = (reach + gamma * (b if exact else np.sqrt(b))) * g + slack
+            near = not reach <= trigger
             at_max = k >= cfg.max_iters
             # the screen: a step that no clause flags halts no row (see the docstring)
-            if (flipped or n_near or at_max
-                    or np.count_nonzero(sn >= cfg.eps_converge) < rows.size):
+            if flipped or near or at_max or not (sn.min() >= low and b <= high):
+                if not exact:
+                    gn = sn = _norms(G)
                 held = diverged | ~np.isfinite(gn)
                 converged = sn < cfg.eps_converge
                 halt = held | converged | at_max
-                if n_near:
+                if near:
                     # x * 0.0 is NaN only where x is not finite, and a sum of zeros cannot overflow
-                    halt[near] |= ~np.isfinite((X_next[near] * 0.0) @ ones)
+                    halt |= ~np.isfinite((X_next * 0.0) @ ones)
                 if np.count_nonzero(halt):
                     r = rows[halt]
                     out["final"][r] = X[halt]
@@ -257,18 +271,18 @@ def _descend(f, X, cfg, gamma, observe=None, theta=None, *, values=False):
                             converged[halt], STATUS_CONVERGED,
                             STATUS_MAX_ITERS if at_max else STATUS_NUMERICAL_FAILURE)))
                     keep = ~halt
-                    X_next, L, inside, theta, rows, reach, near, diverged = (
+                    X_next, L, inside, theta, rows, diverged = (
                         X_next[keep], L[keep], inside[keep], theta[keep], rows[keep],
-                        reach[keep], near[keep], diverged[keep])
+                        diverged[keep])
                     if not rows.size:
                         return out
 
             X = X_next
             k += 1
-            if n_near:
-                reach[near] = _norms(X[near] - center)
-                # reach is the exact distance on near rows, and at most trigger on the others
-                diverged = reach > cfg.escape_radius
+            if near:
+                dist = _norms(X - center)
+                diverged = dist > cfg.escape_radius
+                reach = dist.max()
 
 
 def _run(f, x0, cfg, record_stride):
@@ -276,6 +290,7 @@ def _run(f, x0, cfg, record_stride):
     x = as_vector(x0)
     if x.size != f.dim:
         raise ValueError(f"x0 has dimension {x.size}, objective has {f.dim}")
+    _check_count("record_stride", record_stride)
     gamma = resolve_gamma(f, x, cfg)
     rec = TrajectoryRecord(stride=record_stride)
     event_id = None  # index into rec.events while regularized

@@ -177,6 +177,10 @@ def _separation(f, theta, box, resolution, points, seed=None):
     box = _grid_box(f, box)
     points = [as_vector(p) for p in points]
     seeds = points if seed is None else points + [as_vector(seed)]
+    for p in seeds:
+        if p.size != box.shape[0]:
+            raise ValueError(f"point {p.tolist()} has dimension {p.size}, "
+                             f"the box has {box.shape[0]}")
     gn = _grad_norm_grid(f, box, resolution)
     mask = gn <= theta
     phi_mask = gn <= 1e-8 if points else None  # near-critical cells

@@ -379,19 +379,25 @@ def test_newton_root_polishes_the_degenerate_root_to_one_point():
     assert point.classification == NON_STRICT_OR_DEGENERATE
 
 
-def _solve_calls(monkeypatch):
-    """Counts of _det_and_solve calls in newton_root and of np.linalg.solve calls from here on."""
-    calls = {"kernel": 0, "solve": 0}
+def _count_calls(monkeypatch, targets):
+    """Counts, from here on, of the calls to each (module, attribute) of targets, by key."""
+    calls = dict.fromkeys(targets, 0)
 
     def spy(name, real):
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls[name] += 1
-            return real(*args)
+            return real(*args, **kwargs)
         return counted
 
-    monkeypatch.setattr(critical, "_det_and_solve", spy("kernel", critical._det_and_solve))
-    monkeypatch.setattr(np.linalg, "solve", spy("solve", np.linalg.solve))
+    for name, (module, attr) in targets.items():
+        monkeypatch.setattr(module, attr, spy(name, getattr(module, attr)))
     return calls
+
+
+def _solve_calls(monkeypatch):
+    """Counts of _det_and_solve calls in newton_root and of np.linalg.solve calls from here on."""
+    return _count_calls(monkeypatch, {"kernel": (critical, "_det_and_solve"),
+                                      "solve": (np.linalg, "solve")})
 
 
 @pytest.mark.parametrize("f, X0", [
@@ -421,6 +427,20 @@ def test_newton_root_ends_a_singular_row_without_an_exception():
     # the second Hessian call holds them, singular, and every later call only the first row
     hessian_rows = [rows for kind, rows in log if kind == "h"]
     assert hessian_rows[1] == 3 and set(hessian_rows[2:]) == {1}
+    assert X.tobytes() == X_ref.tobytes() and ok.tobytes() == ok_ref.tobytes()
+
+
+def test_newton_root_makes_no_determinant_above_two_dimensions(monkeypatch):
+    # newton_root reads only the solutions: each Hessian call costs one LAPACK solve and
+    # no det, and the iterates stay the halving oracle's, whose kernel call takes both
+    f = quadratic_bowl(1.0, dim=3)
+    X0 = np.random.default_rng(0).uniform(-2.0, 2.0, (64, 3))
+    X_ref, ok_ref = newton_root_halving(f, X0, 0.0)
+    g, log = _logged(f)
+    calls = _count_calls(monkeypatch, {"det": (np.linalg, "det"), "solve": (np.linalg, "solve")})
+    X, ok = newton_root(g, X0, 0.0)
+    hessian_calls = sum(kind == "h" for kind, _ in log)
+    assert hessian_calls and calls == {"det": 0, "solve": hessian_calls}
     assert X.tobytes() == X_ref.tobytes() and ok.tobytes() == ok_ref.tobytes()
 
 

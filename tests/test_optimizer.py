@@ -5,7 +5,7 @@ import signal
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from saddlereg import (
@@ -200,6 +200,15 @@ def test_record_stride_decimation():
     assert all(k % 7 == 0 for k in rec.ks[:-1])
     assert rec.ks[-1] == rec.n_iters  # final iterate always stored
     np.testing.assert_array_equal(rec.iterates[-1], rec.final_x)
+
+
+@pytest.mark.parametrize("run", [run_plain_gd, run_regularized_gd])
+@pytest.mark.parametrize("stride", [0, -1, float("nan"), 2.5, True])
+def test_record_stride_that_is_not_a_positive_integer_is_rejected(run, stride):
+    # 0 divided by zero, NaN indexed past the record, and -1, 2.5 and True ran quietly
+    cfg = OptimizerConfig(gamma=0.1, theta=0.5, max_iters=5)
+    with pytest.raises(ValueError, match="record_stride"):
+        run(quadratic_bowl(), [2.0, 1.0], cfg, record_stride=stride)
 
 
 def test_grad_norms_match_stored_iterates():
@@ -424,8 +433,102 @@ def test_batch_rows_equal_the_reference_loop(case):
             k, status, entered, closed)
 
 
-# The engine tests the escape ball and the step's finiteness exactly only on rows
-# whose distance bound nears the sphere. On a plane whose gradient a is constant,
+# A batch with no regularized row and no observer screens its steps on sums of squares
+# and takes exact norms only on the steps the screen flags. On a plane the gradient a is
+# constant, and an eps_converge one ulp above its norm makes every row converge at k = 0,
+# while at the norm itself or one ulp below no row does.
+def _plane(a):
+    n = len(a)
+    # the engine reads only the gradient; a zero value keeps entries of 1e308 from overflowing
+    return make_objective("plane", n, lambda x: np.zeros(np.shape(x)[:-1]),
+                          lambda x: np.zeros_like(x) + a, lambda x: np.zeros(np.shape(x) + (n,)),
+                          domain_box=np.array([[-1.0, 1.0]] * n))
+
+
+def _plane_batch(a, eps, gamma, max_iters, starts):
+    cfg = OptimizerConfig(eps_converge=float(eps), max_iters=max_iters, escape_radius=1e6)
+    return (_plane(np.asarray(a, dtype=float)), np.array(starts, dtype=float), cfg, gamma,
+            np.zeros(len(starts)))
+
+
+def _just_above_the_norm(a):
+    return np.nextafter(_norms(np.asarray(a, dtype=float)), np.inf)
+
+
+@st.composite
+def _level_planes(draw):
+    n = draw(st.integers(1, 6))
+    a = np.array([draw(st.floats(-10.0, 10.0)) for _ in range(n)]) * draw(
+        st.sampled_from([1e-170, 1e-3, 1.0, 1e150]))
+    # one ulp either side of the gradient norm, or the norm itself
+    eps = np.nextafter(_norms(a), draw(st.sampled_from([np.inf, -np.inf, _norms(a)])))
+    assume(eps > 0.0)
+    starts = [[draw(st.floats(-2.0, 2.0)) for _ in range(n)]
+              for _ in range(draw(st.integers(1, 4)))]
+    return _plane_batch(a, eps, draw(st.floats(1e-3, 1.0)), draw(st.integers(1, 5)), starts)
+
+
+# One row converges onto a minimum a hair inside the escape sphere, so the batch's one
+# distance bound stays past its trigger and every row takes the exact tests on every step;
+# gamma 1.9 makes the rows overshoot the minimum, some of them past the sphere.
+def _hovering(gamma):
+    p = np.array([1.0 - 2.0 ** -40, 0.0])
+    well = make_objective("well", 2, lambda x: 0.5 * np.sum((x - p) ** 2, axis=-1),
+                          lambda x: x - p, lambda x: np.broadcast_to(np.eye(2), np.shape(x) + (2,)),
+                          domain_box=np.array([[-1.0, 1.0], [-1.0, 1.0]]))
+    X0 = np.array([p + [0.0, 1e-9], *np.linspace([-1.0, -1.0], [1.0, 0.5], 11)])
+    return (well, X0, OptimizerConfig(eps_converge=1e-12, max_iters=60, escape_radius=1.0),
+            gamma, np.zeros(len(X0)))
+
+
+def _plain(case):
+    return case[:4] + (np.zeros(len(case[1])),)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(case=st.one_of(_mixed_theta_batches().map(_plain), _level_planes()))
+# squares of 1e-170 underflow to 0, so the reference loop converges at k = 0 although the
+# gradient norm is far above eps_converge
+@example(case=_plane_batch([1e-170, 1e-170], 1e-300, 0.5, 5, [[0.0, 0.0]]))
+# the sum of squares rounds above the square of eps_converge, while the norm rounds below it
+@example(case=_plane_batch([-0.11915178053735453, 0.44679516497993094],
+                           _just_above_the_norm([-0.11915178053735453, 0.44679516497993094]),
+                           0.5, 5, [[0.0, 0.0], [0.5, -0.5]]))
+# entries of 1e308, whose squares overflow, though the norm's true value is finite
+@example(case=_plane_batch([1e308, 1e308], 1e-8, 1e-300, 5, [[0.0, 0.0]]))
+# squares that sum to the largest float, where the norm's sum (fused, in numpy's vecdot)
+# overflows: gn is inf, and only the screen's cap 2**1000 on the sums flags the step
+@example(case=_plane_batch([5.153143117606645e153, 1.2377981640626829e154], 1e-8, 1e-300, 5,
+                           [[0.0, 0.0]]))
+@example(case=_plain(_INSIDE_ROW_TURNS_NAN))
+@example(case=_plain(_beside_ordinary(_trapped(np.inf), [1.0, 1.0], 40, 1.5, 0.0)))
+@example(case=_plain(_INSIDE_ROW_NORM_OVERFLOWS))
+@example(case=_plain(_CONVERGES_AT_MAX_ITERS_IN_A_BATCH))
+@example(case=_hovering(1.0))
+@example(case=_hovering(1.9))
+def test_plain_batch_rows_equal_the_reference_loop(case):
+    f, X0, cfg, gamma, theta = case
+    assert not theta.any()
+    out = _descend(f, X0, cfg, gamma, theta=theta)
+    for i in range(len(X0)):
+        final, gn, k, status, entered, closed = descend_one(f, X0[i], cfg, gamma, 0.0)
+        assert out["final"][i].tobytes() == final.tobytes()
+        assert out["grad_norm"][i].tobytes() == gn.tobytes()
+        assert (out["k"][i], out["status"][i]) == (k, status)
+
+
+def test_a_plain_row_beside_an_inside_row_keeps_the_reference_loops_signed_zeros():
+    # rows outside the region step by g + l with l = -0.0, which is g bit for bit:
+    # -0.0 - 0.5 * -0.0 is 0.0, as in the reference loop, and l = 0.0 would leave -0.0
+    f, X0, cfg, gamma, theta = _beside_ordinary(quadratic_bowl(), [1.0, -0.0], 3, 0.5, 0.0)
+    out = _descend(f, X0, cfg, gamma, theta=theta)
+    final = descend_one(f, X0[0], cfg, gamma, 0.0)[0]
+    assert out["entered"][3] and final.tolist() == [0.125, 0.0]
+    assert out["final"][0].tobytes() == final.tobytes()
+
+
+# The engine tests the escape ball and the step's finiteness exactly only on steps
+# where the batch's distance bound nears the sphere. On a plane whose gradient a is constant,
 # a start on the ray from the box center along -a moves radially outward, so the
 # bound's triangle inequality is tight; an escape radius at the reference loop's
 # own distance at step K, or one ulp either side, puts the sphere where a bound

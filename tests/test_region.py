@@ -94,6 +94,17 @@ def test_high_dimension_rejected():
         theta_region(f, np.zeros(4), 1.0, resolution=10)
 
 
+@pytest.mark.parametrize("build", [
+    lambda f, p: theta_region(f, p, 1.0, resolution=10),
+    lambda f, p: check_assumption_separation(f, 1.0, resolution=10, points=[[0.0, 0.0], p]),
+], ids=["theta_region", "check_assumption_separation"])
+@pytest.mark.parametrize("point", [0.0, [], [0.0], [0.0, 0.0, 0.0]],
+                         ids=["scalar", "empty", "short", "long"])
+def test_point_of_the_wrong_dimension_rejected(build, point):
+    with pytest.raises(ValueError, match="dimension"):
+        build(get_objective("cubic_valley"), point)
+
+
 def test_contains_point_outside_box():
     f = get_objective("cubic_valley")
     region = theta_region(f, [0.0, 0.0], 1.0, box=[[-2, 2], [-2, 2]], resolution=100)
