@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .critical import newton_root
-from .linalg import _det_and_solve, _norms
+from .linalg import _check_count, _det_and_solve, _norms
 
 COMPLETED, SINGULAR_HESSIAN, CORRECTOR_FAILED = "completed", "singular_hessian", "corrector_failed"
 # a start's largest residual ||grad f(x) + l||; Newton's tolerance and step cap for
@@ -71,8 +71,9 @@ def continuation_trace(f, x_at_mu1, l, steps=100, det_tol=1e-10):
     if (X.ndim > 2 or X.shape[-1] != f.dim or L.shape not in ((f.dim,), X.shape)
             or not (np.all(np.isfinite(X)) and np.all(np.isfinite(L)))):
         raise ValueError(f"starts and l must be finite, of shape ({f.dim},) or (m, {f.dim})")
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
+    _check_count("steps", steps)
+    if not 0.0 < det_tol < np.inf:  # NaN fails too: it would switch the singular stop off
+        raise ValueError(f"det_tol must be positive and finite, got {det_tol}")
     X = np.atleast_2d(X)
     L = np.broadcast_to(L, X.shape)
 

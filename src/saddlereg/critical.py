@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _det_and_solve, _norms, as_vector, sym_eigen
+from .linalg import _check_count, _det_and_solve, _norms, as_vector, sym_eigen
 
 logger = logging.getLogger(__name__)
 
@@ -47,6 +47,9 @@ def classify_eigenvalues(eigenvalues, tau=DEFAULT_ZERO_TAU):
     """Map ascending eigenvalues (n,) to (stratum, classification), or each row of a
     stack (m, n) to a pair of string arrays (m,)."""
     eigenvalues = np.asarray(eigenvalues, dtype=float)
+    if eigenvalues.ndim not in (1, 2) or not eigenvalues.shape[-1] or not 0.0 <= tau < np.inf:
+        raise ValueError(f"need eigenvalues (n,) or (m, n), n >= 1, and 0 <= tau < inf, got "
+                         f"shape {eigenvalues.shape} and tau {tau}")
     zero = tau * np.maximum(1.0, np.max(np.abs(eigenvalues), axis=-1))
     lo, hi = eigenvalues[..., 0], eigenvalues[..., -1]
     stratum = np.select([lo > zero, lo < -zero], [STRATUM_POSITIVE, STRATUM_NEGATIVE],
@@ -69,12 +72,10 @@ def classify_point(f, x, tau=DEFAULT_ZERO_TAU):
     """
     X = np.array(x, dtype=float)
     if X.ndim != 2:
-        X = as_vector(X)
-    elif not np.all(np.isfinite(X)):
-        raise ValueError("points have non-finite entries")
-    if X.shape[-1] != f.dim or not 0.0 <= tau < np.inf:
-        raise ValueError(f"need points of dimension {f.dim} and 0 <= tau < inf, got "
-                         f"dimension {X.shape[-1]} and tau {tau}")
+        X = as_vector(X, f.dim, "x")
+    elif X.shape[1] != f.dim or not np.all(np.isfinite(X)):
+        raise ValueError(f"need points of dimension {f.dim} and no non-finite entries, got "
+                         f"shape {X.shape}")
     grad_norm = _norms(f.gradient(X))
     eigenvalues = sym_eigen(f.hessian(X)).eigenvalues
     stratum, classification = classify_eigenvalues(eigenvalues, tau)
@@ -99,8 +100,8 @@ def newton_root(f, x0, shift, tol=NEWTON_TOL, max_steps=50):
     below tol or zero; per row for a batch, each row equal bit for bit to its single start.
     """
     X = np.atleast_2d(np.array(x0, dtype=float))
-    if X.ndim != 2 or not np.all(np.isfinite(X)):
-        raise ValueError(f"starts must be a finite (m, n) array, got shape {X.shape}")
+    if X.ndim != 2 or X.shape[1] != f.dim or not np.all(np.isfinite(X)):
+        raise ValueError(f"starts must be a finite (m, {f.dim}) array, got shape {X.shape}")
     S = np.broadcast_to(np.asarray(shift, dtype=float), X.shape)
     with np.errstate(all="ignore"):
         G = f.gradient(X) + S
@@ -138,8 +139,13 @@ def newton_root(f, x0, shift, tol=NEWTON_TOL, max_steps=50):
 
 
 def _as_box(f, box):
-    """`box`, or f's domain box for None, as rows [lo, hi] of positive finite width."""
-    box = np.asarray(f.domain_box if box is None else box, dtype=float).reshape(-1, 2)
+    """`box`, or f's domain box for None, as f.dim rows [lo, hi] of positive finite width;
+    with f None, `box` itself, of any dimension."""
+    if box is None and f is not None:
+        box = f.domain_box
+    box = np.asarray(box, dtype=float).reshape(-1, 2)
+    if f is not None and len(box) != f.dim:
+        raise ValueError(f"box has dimension {len(box)}, objective has {f.dim}")
     with np.errstate(over="ignore", invalid="ignore"):
         widths = box[:, 1] - box[:, 0]
     if not np.all((widths > 0) & np.isfinite(widths)):
@@ -148,8 +154,7 @@ def _as_box(f, box):
 
 
 def _grid_seeds(box, grid_density):
-    if grid_density < 1:
-        raise ValueError(f"grid_density must be at least 1, got {grid_density}")
+    _check_count("grid_density", grid_density)
     axes = [np.linspace(lo, hi, grid_density) for lo, hi in box]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
@@ -161,7 +166,7 @@ def solve_gradient_equation(f, rhs, seeds, tol=NEWTON_TOL, box=None):
     Returns the deduplicated solutions (k, n) (within DEDUP_RADIUS, the earliest
     seed's kept), restricted to `box` when given, in lexicographic row order.
     """
-    X, ok = newton_root(f, np.atleast_2d(seeds), -as_vector(rhs), tol=tol)
+    X, ok = newton_root(f, np.atleast_2d(seeds), -as_vector(rhs, f.dim, "rhs"), tol=tol)
     logger.debug("solve_gradient_equation: %d seeds skipped (no convergence)", np.sum(~ok))
     return _distinct_in_box(X, ok, box, DEDUP_RADIUS)
 
@@ -194,6 +199,8 @@ def find_critical_points(f, box=None, grid_density=10, tol=NEWTON_TOL, tau=DEFAU
     `tol` are deduplicated at DEDUP_RADIUS and classified by Hessian
     eigenvalues under `tau`. Seeds that hit a singular Newton system are skipped.
     """
+    if not 0.0 < tol < np.inf:  # NaN fails too: it would converge no seed, and 1e30 every one
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     box = _as_box(f, box)
     points = solve_gradient_equation(f, np.zeros(f.dim), _grid_seeds(box, grid_density), tol, box)
     return classify_point(f, points, tau)

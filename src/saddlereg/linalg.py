@@ -1,8 +1,10 @@
-"""Dense symmetric eigensolver, small linear systems, and the vector helpers around them.
+"""Dense symmetric eigensolver, small linear systems, and the library's argument checks.
 
 Routines for small dimensions (n up to a few hundred): a validating wrapper over LAPACK's
 symmetric eigensolver, its spectral norm, the determinants and solves of Hessian stacks
 (closed form for n <= 2), and the row norms the descent engine and the region grid share.
+Every point or regularizer that a public function takes passes `as_vector` with the
+objective's dimension, and every count `_check_count`; both raise ValueError.
 """
 
 import numpy as np
@@ -12,14 +14,23 @@ class NumericalError(RuntimeError):
     """An iterative numerical procedure failed to converge."""
 
 
-def as_vector(x):
-    """Coerce to a finite 1-D float array; reject NaN/Inf and higher ranks."""
+def as_vector(x, dim=None, name="vector"):
+    """Coerce to a finite 1-D float array; a ValueError rejects NaN/Inf, higher ranks and,
+    when `dim` (an objective's dimension) is given, another size, naming the vector `name`."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.ndim != 1:
         raise ValueError(f"expected a vector, got array of shape {x.shape}")
+    if dim is not None and x.size != dim:
+        raise ValueError(f"{name} has dimension {x.size}, objective has {dim}")
     if not np.all(np.isfinite(x)):
         raise ValueError("vector has non-finite entries")
     return x
+
+
+def _check_count(name, value):
+    """Reject a count that is not an integer of at least 1: a bool, a float and NaN too."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{name} must be at least 1 and an integer, got {value!r}")
 
 
 def _norms(A):

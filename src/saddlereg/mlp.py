@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import symmetrize
+from .linalg import _check_count, symmetrize
 from .objectives import Objective
 
 
@@ -35,11 +35,11 @@ class MlpSpec:
     layer_widths: tuple
 
     def __post_init__(self):
-        widths = self.layer_widths = tuple(int(w) for w in self.layer_widths)
+        widths = self.layer_widths = tuple(self.layer_widths)
         if len(widths) < 4:
             raise ValueError("need at least two hidden layers (four widths)")
-        if any(w < 1 for w in widths):
-            raise ValueError("all widths must be at least 1")
+        for width in widths:
+            _check_count("a layer width", width)
         # set once: every unpack_params call checks its input against it
         self.n_params = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(widths, widths[1:]))
 
@@ -55,7 +55,10 @@ class Dataset:
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=float)
-        self.labels = np.asarray(self.labels, dtype=int)
+        try:
+            self.labels = np.asarray(self.labels, dtype=int)
+        except OverflowError as exc:  # inf, or an integer past int64
+            raise ValueError(f"labels must be class indices: {exc}") from exc
         if self.inputs.ndim != 2:
             raise ValueError("inputs must be a 2-D array")
         if len(self.inputs) != len(self.labels):
@@ -70,10 +73,10 @@ def make_blobs(n_per_class, classes, dim, separation, seed):
     Means sit on the first axis at spacing `separation`, centered at the
     origin. Deterministic for a given seed.
     """
-    if n_per_class < 1 or classes < 1 or dim < 1:
-        raise ValueError("n_per_class, classes, and dim must be positive")
-    if separation < 0:
-        raise ValueError("separation must be non-negative")
+    for name, count in (("n_per_class", n_per_class), ("classes", classes), ("dim", dim)):
+        _check_count(f"n_per_class, classes, and dim must be positive integers: {name}", count)
+    if not 0.0 <= separation < np.inf:  # NaN fails too
+        raise ValueError(f"separation must be non-negative and finite, got {separation}")
     rng = np.random.default_rng(seed)
     labels = np.repeat(np.arange(classes), n_per_class)
     means = np.zeros((classes, dim))
@@ -221,13 +224,6 @@ def mlp_objective(spec, dataset):
             H[..., block, :] = pack_params(RgWs, Rgbs)
         return symmetrize(H)
 
-    return Objective(
-        name=f"mlp{'x'.join(str(w) for w in spec.layer_widths)}",
-        dim=n,
-        value=value,
-        gradient=gradient,
-        hessian=hessian,
-        domain_box=np.repeat([[-5.0, 5.0]], n, axis=0),
-        lipschitz_hint=None,
-        value_and_gradient=value_and_gradient,
-    )
+    return Objective(f"mlp{'x'.join(str(w) for w in spec.layer_widths)}", n, value, gradient,
+                     hessian, np.repeat([[-5.0, 5.0]], n, axis=0),
+                     value_and_gradient=value_and_gradient)

@@ -15,8 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .critical import LOCAL_MIN, NON_STRICT_OR_DEGENERATE, _grid_seeds
-from .linalg import as_vector, spectral_norm
+from .critical import LOCAL_MIN, NON_STRICT_OR_DEGENERATE, _as_box, _grid_seeds
+from .linalg import _check_count, as_vector, spectral_norm
 
 
 @dataclass
@@ -52,11 +52,14 @@ def make_objective(name, dim, value, gradient, hessian, domain_box=None, lipschi
 
     The evaluators run once on a two-row probe, the lower and upper corners
     of the box; a ValueError names every one whose result is not a float64
-    ndarray shaped (2,), (2, n) and (2, n, n) respectively.
+    ndarray shaped (2,), (2, n) and (2, n, n) respectively, and a Hessian that
+    is not exactly symmetric, the test `sym_eigen` applies to every Hessian.
     """
-    if domain_box is None:
-        domain_box = np.repeat([[-3.0, 3.0]], dim, axis=0)
-    domain_box = np.asarray(domain_box, dtype=float).reshape(dim, 2)
+    _check_count("dim", dim)
+    if not (lipschitz_hint is None or 0.0 < lipschitz_hint < np.inf):
+        raise ValueError(f"lipschitz_hint must be positive and finite, got {lipschitz_hint}")
+    domain_box = _as_box(None, [[-3.0, 3.0]] * dim if domain_box is None else domain_box)
+    domain_box = domain_box.reshape(dim, 2)
     probe = domain_box.T
     expected = {"value": (2,), "gradient": (2, dim), "hessian": (2, dim, dim)}
     wrong = []
@@ -67,19 +70,13 @@ def make_objective(name, dim, value, gradient, hessian, domain_box=None, lipschi
                    f"ndarray of {out.dtype}" if out.dtype != np.float64 else out.shape)
         except (ValueError, TypeError, IndexError) as exc:
             got = f"an error ({exc})"
+        if got == expected["hessian"] and not np.all((out == out.mT) | np.isnan(out)):
+            got = "matrices that are not symmetric"
         if got != expected[label]:
             wrong.append(f"{label} gives {got}, expected a float64 array {expected[label]}")
     if wrong:
         raise ValueError(f"objective {name!r} on a (2, {dim}) batch: " + "; ".join(wrong))
-    return Objective(
-        name=name,
-        dim=dim,
-        value=value,
-        gradient=gradient,
-        hessian=hessian,
-        domain_box=domain_box,
-        lipschitz_hint=lipschitz_hint,
-    )
+    return Objective(name, dim, value, gradient, hessian, domain_box, lipschitz_hint)
 
 
 def make_regularized(f, l):
@@ -88,9 +85,7 @@ def make_regularized(f, l):
     The gradient shifts by exactly l; everything else, the Hessian callable
     included, is f's own: linear terms do not change curvature.
     """
-    l = as_vector(l)
-    if l.size != f.dim:
-        raise ValueError(f"regularizer has dimension {l.size}, objective has {f.dim}")
+    l = as_vector(l, f.dim, "regularizer")
 
     def value(x, _f=f.value, _l=l):
         x = np.asarray(x, dtype=float)
@@ -187,8 +182,8 @@ def double_degenerate():
 
 def quadratic_bowl(c=1.0, dim=2):
     """f(x) = (c/2) ||x||^2, strongly convex with PL constant exactly c."""
-    if c <= 0:
-        raise ValueError("curvature c must be positive")
+    if not 0.0 < c < np.inf:  # NaN fails too
+        raise ValueError(f"curvature c must be positive and finite, got {c}")
 
     def value(x, _c=c):
         x = np.asarray(x, dtype=float)
@@ -200,11 +195,8 @@ def quadratic_bowl(c=1.0, dim=2):
     def hessian(x, _c=c, _n=dim):
         return _c * np.broadcast_to(np.eye(_n), np.shape(x)[:-1] + (_n, _n))
 
-    box = np.repeat([[-3.0, 3.0]], dim, axis=0)
-    return make_objective(
-        "quadratic_bowl", dim, value, gradient, hessian, box,
-        lipschitz_hint=float(c),
-    )
+    return make_objective("quadratic_bowl", dim, value, gradient, hessian,
+                          lipschitz_hint=float(c))
 
 
 @lru_cache(maxsize=1)

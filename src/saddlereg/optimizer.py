@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .linalg import NumericalError, _norms, as_vector, spectral_norm
+from .linalg import NumericalError, _check_count, _norms, as_vector, spectral_norm
 
 STATUS_CONVERGED = "converged"
 STATUS_DIVERGED = "diverged"
@@ -27,11 +27,6 @@ STATUS_NUMERICAL_FAILURE = "numerical_failure"
 
 MODE_PLAIN = "plain"
 MODE_REGULARIZED = "regularized"
-
-
-def _check_count(name, value):
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
-        raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
 
 
 @dataclass
@@ -123,7 +118,7 @@ def resolve_gamma(f, x0, cfg):
             )
         return float(cfg.gamma)
     with np.errstate(all="ignore"):
-        H = f.hessian(as_vector(x0))
+        H = f.hessian(as_vector(x0, f.dim, "x0"))
     if not np.all(np.isfinite(H)):
         raise NumericalError("the default gamma needs a finite Hessian at x0; pass gamma")
     lhat = max(spectral_norm(H), 1e-3)
@@ -287,9 +282,7 @@ def _descend(f, X, cfg, gamma, observe=None, theta=None, *, values=False):
 
 def _run(f, x0, cfg, record_stride):
     """One recorded run: the engine on a single row, observed into a TrajectoryRecord."""
-    x = as_vector(x0)
-    if x.size != f.dim:
-        raise ValueError(f"x0 has dimension {x.size}, objective has {f.dim}")
+    x = as_vector(x0, f.dim, "x0")
     _check_count("record_stride", record_stride)
     gamma = resolve_gamma(f, x, cfg)
     rec = TrajectoryRecord(stride=record_stride)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .critical import _as_box, find_critical_points
-from .linalg import _norms, as_vector
+from .linalg import _check_count, _norms, as_vector
 
 EXIT = "exit"
 ENTER = "enter"
@@ -58,12 +58,14 @@ class RegionGrid:
 
     def cell_index(self, point):
         """Grid index of the cell containing `point`, or None if outside the box."""
-        idx, in_box = self._cells(as_vector(point))
+        idx, in_box = self._cells(as_vector(point, self.dim, "point"))
         return tuple(int(i) for i in idx) if in_box else None
 
     def contains_point(self, point):
         """Whether a point (n,), or each point of a batch (..., n), lies in an inside cell."""
         points = np.asarray(point, dtype=float)
+        if points.shape[-1:] != (self.dim,):
+            raise ValueError(f"points of shape {points.shape} in a region of dimension {self.dim}")
         if not np.all(np.isfinite(points)):
             raise ValueError("point has non-finite entries")
         idx, in_box = self._cells(points)
@@ -141,8 +143,7 @@ def _grad_norm_grid(f, box, resolution):
     whole first-axis lines, at most GRID_BLOCK_CELLS cells and at least one line. A grid of
     2**31 cells or more is rejected before any allocation: `_labels` ids are int32.
     """
-    if resolution < 1:
-        raise ValueError("resolution must be at least 1")
+    _check_count("resolution", resolution)
     if resolution ** len(box) >= 2 ** 31:
         raise ValueError(f"a grid must have fewer than 2**31 cells, got {resolution}^{len(box)}")
     widths = (box[:, 1] - box[:, 0]) / resolution
@@ -175,12 +176,8 @@ def _separation(f, theta, box, resolution, points, seed=None):
     """check_assumption_separation's checks of `points`, and theta_region's region through
     `seed` (None without a seed), from one gradient-norm grid freed before labelling."""
     box = _grid_box(f, box)
-    points = [as_vector(p) for p in points]
-    seeds = points if seed is None else points + [as_vector(seed)]
-    for p in seeds:
-        if p.size != box.shape[0]:
-            raise ValueError(f"point {p.tolist()} has dimension {p.size}, "
-                             f"the box has {box.shape[0]}")
+    points = [as_vector(p, f.dim, "point") for p in points]
+    seeds = points if seed is None else points + [as_vector(seed, f.dim, "seed")]
     gn = _grad_norm_grid(f, box, resolution)
     mask = gn <= theta
     phi_mask = gn <= 1e-8 if points else None  # near-critical cells
@@ -235,8 +232,8 @@ def boundary_classify(f, x, l):
     negative gradient points out of the region ("exit"), s > FLOW_TOL into it
     ("enter"), otherwise "tangent".
     """
-    x = as_vector(x)
-    s = float(_flow_sign(f.gradient(x), f.hessian(x), as_vector(l)))
+    x = as_vector(x, f.dim, "x")
+    s = float(_flow_sign(f.gradient(x), f.hessian(x), as_vector(l, f.dim, "l")))
     if s < -FLOW_TOL:
         return EXIT
     if s > FLOW_TOL:
@@ -251,10 +248,11 @@ def check_boundary_assumption(f, region, l):
     all cells at once. Returns (holds, violating_cell_centers); the centers
     have shape (k, n), (0, n) when the inclusion holds.
     """
+    l = as_vector(l, f.dim, "l")
     centers = region.boundary_cell_centers()
     g = f.gradient(centers)
     H = f.hessian(centers)
-    violated = (_flow_sign(g, H, as_vector(l)) < -FLOW_TOL) & ~(_flow_sign(g, H, 0.0) < -FLOW_TOL)
+    violated = (_flow_sign(g, H, l) < -FLOW_TOL) & ~(_flow_sign(g, H, 0.0) < -FLOW_TOL)
     return not violated.any(), centers[violated]
 
 
@@ -266,7 +264,7 @@ def halfspace_check(f, region, v):
     of the shifted objective anywhere in the region, for any regularizer
     sampled from the region's own gradients.
     """
-    v = as_vector(v)
+    v = as_vector(v, f.dim, "v")
     if abs(np.linalg.norm(v) - 1.0) > 1e-9:
         raise ValueError("direction must be a unit vector")
     grads = f.gradient(region.inside_cell_centers())

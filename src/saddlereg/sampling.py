@@ -23,7 +23,7 @@ from .critical import (
     newton_root,
     solve_gradient_equation,
 )
-from .linalg import NumericalError, as_vector, sym_eigen
+from .linalg import NumericalError, _check_count, as_vector, sym_eigen
 from .objectives import make_regularized
 from .optimizer import _descend
 
@@ -41,7 +41,7 @@ def run_gd_batch(f, x0_batch, cfg):
     iterate left the small-gradient region again).
     """
     X = np.atleast_2d(np.asarray(x0_batch, dtype=float))
-    if X.shape[1] != f.dim:
+    if X.ndim != 2 or X.shape[1] != f.dim:
         raise ValueError("sample dimension mismatch")
     if cfg.gamma is None:
         raise ValueError("batched runs need an explicit gamma")
@@ -51,7 +51,8 @@ def run_gd_batch(f, x0_batch, cfg):
 def sample_in_box(rng, box, n_samples, exclude=None):
     """Uniform samples over a box, rejecting points where `exclude` is true; each of
     at most 1,000 rounds draws as many candidates as samples are still missing."""
-    box = np.asarray(box, dtype=float)
+    box = _as_box(None, box)
+    _check_count("n_samples", n_samples)
     out = np.empty((n_samples, box.shape[0]))
     filled = 0
     for _ in range(1000):
@@ -82,8 +83,6 @@ def stable_set_fraction(f, target, box=None, n_samples=2000, *, cfg, seed=0, exc
     plain descent. `exclude` removes a sampling subset (e.g. a thin strip
     around a basin boundary).
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     box = _as_box(f, box)
     rng = np.random.default_rng(seed)
     X0 = sample_in_box(rng, box, n_samples, exclude=exclude)
@@ -91,8 +90,10 @@ def stable_set_fraction(f, target, box=None, n_samples=2000, *, cfg, seed=0, exc
     final = out["final"]
     if callable(target):
         dist = np.asarray(target(final), dtype=float)
+        if dist.shape != (n_samples,):
+            raise ValueError(f"target gives distances of shape {dist.shape}, not ({n_samples},)")
     else:
-        dist = np.linalg.norm(final - as_vector(target), axis=1)
+        dist = np.linalg.norm(final - as_vector(target, f.dim, "target"), axis=1)
     with np.errstate(invalid="ignore"):
         hits = dist <= 1e-2
     return float(np.count_nonzero(hits)) / n_samples
@@ -133,8 +134,7 @@ def milnor_sample(f, box=None, n_l=500, l_scale=1.0, seed=0, l_min=0.0, grid_den
     statistical check that the shift restores strictness. Each draw's search is
     find_critical_points's on make_regularized(f, l), bit for bit, in Newton blocks.
     """
-    if n_l < 1:
-        raise ValueError("n_l must be at least 1")
+    _check_count("n_l", n_l)
     if not (0.0 < l_scale < np.inf and 0.0 <= l_min <= l_scale):
         raise ValueError(f"need 0 <= l_min <= l_scale < inf, l_scale > 0, got {l_min}, {l_scale}")
     box = _as_box(f, box)
@@ -170,11 +170,10 @@ def pl_error_check(f, xstar, theta, n_l=200, seed=0):
     Polyak-Lojasiewicz inequality with constant c on the region, the result is
     bounded by theta^2 / (2 c).
     """
-    if n_l < 1:
-        raise ValueError("n_l must be at least 1")
+    _check_count("n_l", n_l)
     if not 0.0 <= theta < np.inf:
         raise ValueError(f"theta must be finite and non-negative, got {theta}")
-    xstar = as_vector(xstar)
+    xstar = as_vector(xstar, f.dim, "xstar")
     if classify_point(f, xstar).classification != LOCAL_MIN:
         raise ValueError("xstar must be a local minimum")
     rng = np.random.default_rng(seed)
@@ -204,9 +203,8 @@ def psi_witness_check(f, region, x0, max_seeds=200):
     each solution is classified under DEFAULT_ZERO_TAU. Returns the witness's
     report, or None when every solution is a strict saddle or none exists.
     """
-    if max_seeds < 1:
-        raise ValueError("max_seeds must be at least 1")
-    x0 = as_vector(x0)
+    _check_count("max_seeds", max_seeds)
+    x0 = as_vector(x0, f.dim, "x0")
     if not region.contains_point(x0):
         raise ValueError("x0 must lie inside the region")
     l = f.gradient(x0)

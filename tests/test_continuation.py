@@ -182,6 +182,18 @@ def test_batch_names_first_bad_start():
     assert err.value.row == 1
 
 
+@pytest.mark.parametrize("det_tol", [np.nan, -1.0, 0.0, np.inf])
+@pytest.mark.parametrize("f, x, l", [
+    (quadratic_bowl(), [-0.5, 0.0], [0.5, 0.0]),
+    # a singular Hessian at the start: NaN let it through to the corrector
+    (get_objective("double_degenerate"), [1.0], [0.0]),
+], ids=["bowl", "singular_start"])
+def test_det_tol_must_be_positive_and_finite(f, x, l, det_tol):
+    # NaN and -1 turned the singular-Hessian stop off
+    with pytest.raises(ValueError, match="det_tol must be positive and finite"):
+        continuation_trace(f, x, l, steps=3, det_tol=det_tol)
+
+
 def test_batch_rejects_mismatched_shifts():
     f = get_objective("cubic_valley")
     with pytest.raises(ValueError):

@@ -453,8 +453,8 @@ def test_newton_root_rejects_non_finite_start():
 
 _INVERTED = [[1.0, -1.0], [1.0, -1.0]]
 
-
-@pytest.mark.parametrize("call", [
+# every entry point that takes a box
+_BOX_CALLS = [
     pytest.param(lambda f, box: find_critical_points(f, box), id="find_critical_points"),
     pytest.param(lambda f, box: milnor_sample(f, box, n_l=5), id="milnor_sample"),
     pytest.param(lambda f, box: check_assumption_separation(f, 3.0, box, resolution=10),
@@ -464,11 +464,52 @@ _INVERTED = [[1.0, -1.0], [1.0, -1.0]]
     pytest.param(lambda f, box: stable_set_fraction(f, [0.0, 0.0], box, n_samples=10,
                                                     cfg=OptimizerConfig(gamma=0.1)),
                  id="stable_set_fraction"),
-])
+]
+
+
+@pytest.mark.parametrize("call", _BOX_CALLS)
 def test_inverted_box_is_rejected(call):
     # lo > hi used to search, sample or grid nothing and return an empty answer
     with pytest.raises(ValueError, match="box lower bounds must be below upper bounds"):
         call(get_objective("cubic_cone"), _INVERTED)
+
+
+@pytest.mark.parametrize("call", _BOX_CALLS)
+@pytest.mark.parametrize("rows", [1, 3])
+def test_box_of_the_wrong_dimension_is_rejected(call, rows):
+    # a box of 2k numbers used to read as k rows: theta_region built a 3-D grid of a
+    # planar objective, whose third gradient entry is unset memory
+    with pytest.raises(ValueError, match=f"box has dimension {rows}, objective has 2"):
+        call(get_objective("cubic_cone"), [[-1.0, 1.0]] * rows)
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_newton_root_rejects_starts_of_the_wrong_width(width):
+    with pytest.raises(ValueError, match=rf"starts must be a finite \(m, 2\) array, got "
+                                         rf"shape \(2, {width}\)"):
+        newton_root(get_objective("cubic_valley"), np.zeros((2, width)), 0.0)
+
+
+@pytest.mark.parametrize("eigenvalues", [1.0, [], np.zeros((2, 0)), np.zeros((1, 2, 2))],
+                         ids=["scalar", "empty", "no_columns", "rank_3"])
+def test_classify_eigenvalues_rejects_a_wrong_shape(eigenvalues):
+    with pytest.raises(ValueError, match=r"need eigenvalues \(n,\) or \(m, n\), n >= 1"):
+        classify_eigenvalues(eigenvalues)
+
+
+@pytest.mark.parametrize("tau", [-1.0, np.nan, np.inf])
+def test_classify_eigenvalues_rejects_a_negative_or_non_finite_tau(tau):
+    # tau = -1 labelled the eigenvalues (0, 1) of a non-strict saddle local_min
+    with pytest.raises(ValueError, match="0 <= tau < inf"):
+        classify_eigenvalues([0.0, 1.0], tau)
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1.0, 0.0, np.inf])
+def test_find_critical_points_rejects_a_bad_tol(tol):
+    # NaN or a negative tol converged no seed and returned no points; a huge one kept
+    # every seed as a critical point
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        find_critical_points(get_objective("cubic_valley"), tol=tol)
 
 
 def test_find_critical_points_rejects_grid_density_below_one():

@@ -433,11 +433,15 @@ def test_log_softmax_keeps_the_bits_of_the_reduce_form(k, lead, seed, scale):
     (lambda: Dataset(inputs=np.zeros(3), labels=np.zeros(3, dtype=int)),
      "inputs must be a 2-D array"),
     (lambda: make_blobs(0, 2, 2, 1.0, seed=0), "n_per_class, classes, and dim must be positive"),
+    (lambda: make_blobs(2, 2, 2, np.nan, seed=0), "separation must be non-negative"),
+    (lambda: make_blobs(2, 2, 2, np.inf, seed=0), "separation must be non-negative"),
+    (lambda: Dataset(inputs=np.zeros((2, 2)), labels=[0, np.inf]), "labels must be class indices"),
     (lambda: unpack_params(MlpSpec((2, 8, 8, 2)), np.zeros(5)),
      r"expected 114 parameters, got shape \(5,\)"),
     (lambda: mlp_objective(MlpSpec((3, 4, 4, 2)), make_blobs(2, 2, 2, 1.0, seed=0)),
      "dataset feature dimension does not match the input width"),
-], ids=["dataset_rank", "blob_count", "parameter_count", "feature_dimension"])
+], ids=["dataset_rank", "blob_count", "separation_nan", "separation_inf",
+        "labels_inf", "parameter_count", "feature_dimension"])
 def test_malformed_network_input_is_named(build, match):
     with pytest.raises(ValueError, match=match):
         build()

@@ -211,6 +211,33 @@ def test_quadratic_bowl_parameters():
         quadratic_bowl(0.0)
 
 
+@pytest.mark.parametrize("c, dim, match", [
+    (np.nan, 2, "curvature c must be positive and finite"),
+    (np.inf, 2, "curvature c must be positive and finite"),
+], ids=["c_nan", "c_inf"])
+def test_quadratic_bowl_rejects_bad_parameters(c, dim, match):
+    with pytest.raises(ValueError, match=match):
+        quadratic_bowl(c, dim)
+
+
+def test_make_objective_rejects_an_asymmetric_hessian():
+    # a rounding-level asymmetry used to pass the probe and fail later, in sym_eigen
+    bowl = quadratic_bowl()
+    skewed = lambda x: bowl.hessian(x) + np.array([[0.0, 1e-17], [0.0, 0.0]])
+    with pytest.raises(ValueError) as exc:
+        make_objective("skewed", 2, bowl.value, bowl.gradient, skewed)
+    assert str(exc.value) == ("objective 'skewed' on a (2, 2) batch: hessian gives matrices "
+                              "that are not symmetric, expected a float64 array (2, 2, 2)")
+
+
+@pytest.mark.parametrize("hint", [0.0, -1.0, np.nan, np.inf])
+def test_make_objective_rejects_a_bad_lipschitz_hint(hint):
+    # a hint of 0 divided by zero in resolve_gamma; NaN switched its warning off
+    bowl = quadratic_bowl()
+    with pytest.raises(ValueError, match="lipschitz_hint must be positive and finite"):
+        make_objective("bowl", 2, bowl.value, bowl.gradient, bowl.hessian, lipschitz_hint=hint)
+
+
 def test_regularizer_dimension_mismatch():
     with pytest.raises(ValueError):
         make_regularized(get_objective("cubic_valley"), [1.0, 2.0, 3.0])

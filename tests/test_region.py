@@ -82,7 +82,7 @@ def test_seed_outside_region_rejected():
     lambda f, r: theta_region(f, [0.0, 0.0], 1.0, resolution=r),
     lambda f, r: check_assumption_separation(f, 1.0, resolution=r, points=[[0.0, 0.0]]),
 ], ids=["theta_region", "check_assumption_separation"])
-@pytest.mark.parametrize("resolution", [0, -1])
+@pytest.mark.parametrize("resolution", [0, -1, 2.5, True])
 def test_resolution_below_one_rejected(build, resolution):
     with pytest.raises(ValueError, match="resolution must be at least 1"):
         build(get_objective("cubic_valley"), resolution)
@@ -573,6 +573,16 @@ def test_separation_keeps_theta_region_seed_errors():
         # the seed's cell is centered at (1, 1), where ||grad f|| = sqrt(2)
         check_assumption_separation(f, 0.5, box=[[-2, 2], [-2, 2]], resolution=2,
                                     points=[[0.0, 0.49]])
+
+
+@pytest.mark.parametrize("lookup", ["contains_point", "cell_index"])
+@pytest.mark.parametrize("point", [0.0, [0.0], [0.0, 0.0, 0.0], [[0.0], [0.1]]],
+                         ids=["scalar", "short", "long", "narrow_batch"])
+def test_a_region_rejects_a_point_of_the_wrong_dimension(lookup, point):
+    # a short point used to broadcast against the box: [0.0] read as (0, 0), inside
+    region = theta_region(get_objective("cubic_valley"), [0.0, 0.0], 1.0, resolution=20)
+    with pytest.raises(ValueError, match="dimension|expected a vector"):  # one point or a batch
+        getattr(region, lookup)(point)
 
 
 def test_contains_point_rejects_a_non_finite_point():

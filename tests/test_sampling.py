@@ -454,7 +454,18 @@ def test_regularized_runs_escape_each_non_strict_set(name, theta, distance, seed
                            exclude=lambda X: np.ones(len(X), dtype=bool)),
      "exclusion rejected too many samples"),
     (lambda: milnor_sample(get_objective("cubic_valley"), n_l=0), "n_l must be at least 1"),
-], ids=["batch_dimension", "exclude_everything", "no_draws"])
+    (lambda: sample_in_box(np.random.default_rng(0), 1.0, 5), "cannot reshape"),
+    (lambda: sample_in_box(np.random.default_rng(0), [[1.0, -1.0]], 5),
+     "box lower bounds must be below upper bounds"),
+    (lambda: sample_in_box(np.random.default_rng(0), [[-1.0, 1.0]], True),
+     "n_samples must be at least 1"),
+    (lambda: run_gd_batch(get_objective("cubic_valley"), np.zeros((2, 2, 2)),
+                          OptimizerConfig(gamma=0.1)), "sample dimension mismatch"),
+    (lambda: stable_set_fraction(get_objective("cubic_valley"), lambda X: np.zeros(1),
+                                 n_samples=5, cfg=OptimizerConfig(gamma=0.1, max_iters=5)),
+     r"target gives distances of shape \(1,\), not \(5,\)"),
+], ids=["batch_dimension", "exclude_everything", "no_draws", "scalar_box", "inverted_box",
+        "bool_count", "batch_rank_3", "short_distances"])
 def test_sampler_rejection_is_named(call, match):
     with pytest.raises(ValueError, match=match):
         call()
